@@ -13,11 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 
-from .bounds import EIGENVECTOR, FIRST_COLUMN, UPPER_SOURCES
 from .instances import (
+    Assignment,
     InstanceError,
+    ScpInstance,
     load_instance,
     random_instance,
     serialize_instance,
@@ -25,6 +26,7 @@ from .instances import (
 from .oracle import OracleSizeError, brute_force, goldstein_reduce
 from .solver import (
     TERMINATION_MAX_ITER,
+    SolveReport,
     SolverParams,
     default_params,
     solve,
@@ -35,81 +37,28 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_MAX_ITER = 3
 
-_SOURCE_FLAGS = {
-    "column": (FIRST_COLUMN,),
-    "eig": (EIGENVECTOR,),
-    "both": UPPER_SOURCES,
-}
 
-
-@dataclass(frozen=True)
-class ReportDocument:
-    """Machine-readable solve report (one document per solve)."""
-
-    problem: str
-    p: int
-    n0: int
-    lbd: float
-    ubd: float
-    rel_gap: float
-    iter: int
-    time_sec: float
-    assignment: tuple[int, ...]
-    termination: str
-    params: SolverParams
-
-
-def serialize_report(doc: ReportDocument, include_timing: bool = True) -> str:
-    """JSON rendering with a fixed field order; ``include_timing=False``
-    drops the wall-time field, leaving only input-determined content."""
-    body = {
-        "problem": doc.problem,
-        "p": doc.p,
-        "n0": doc.n0,
-        "lbd": doc.lbd,
-        "ubd": doc.ubd,
-        "rel_gap": doc.rel_gap,
-        "iter": doc.iter,
-        "time_sec": doc.time_sec,
-        "assignment": list(doc.assignment),
-        "termination": doc.termination,
-        "params": {
-            "beta": doc.params.beta,
-            "gamma": doc.params.gamma,
-            "epsilon": doc.params.epsilon,
-            "max_iter": doc.params.max_iter,
-            "t_consecutive": doc.params.t_consecutive,
-            "bound_period": doc.params.bound_period,
-        },
+def build_report(
+    instance: ScpInstance,
+    report: SolveReport,
+    assignment: Assignment,
+    params: SolverParams,
+) -> dict:
+    """Machine-readable solve report, one JSON object per solve, in a fixed
+    key order.  ``time_sec`` is the only entry not determined by the input."""
+    return {
+        "problem": instance.name,
+        "p": instance.partition.p,
+        "n0": instance.partition.n0,
+        "lbd": report.lbd,
+        "ubd": report.ubd,
+        "rel_gap": report.rel_gap,
+        "iter": report.iterations,
+        "time_sec": report.time_sec,
+        "assignment": list(assignment.choice),
+        "termination": report.termination,
+        "params": asdict(params),
     }
-    if not include_timing:
-        del body["time_sec"]
-    return json.dumps(body, indent=2) + "\n"
-
-
-def parse_report(text: str) -> ReportDocument:
-    doc = json.loads(text)
-    params = doc["params"]
-    return ReportDocument(
-        problem=doc["problem"],
-        p=doc["p"],
-        n0=doc["n0"],
-        lbd=doc["lbd"],
-        ubd=doc["ubd"],
-        rel_gap=doc["rel_gap"],
-        iter=doc["iter"],
-        time_sec=doc.get("time_sec", 0.0),
-        assignment=tuple(doc["assignment"]),
-        termination=doc["termination"],
-        params=SolverParams(
-            beta=params["beta"],
-            gamma=params["gamma"],
-            epsilon=params["epsilon"],
-            max_iter=params["max_iter"],
-            t_consecutive=params["t_consecutive"],
-            bound_period=params["bound_period"],
-        ),
-    )
 
 
 def _write_output(text: str, out_path) -> None:
@@ -142,24 +91,12 @@ def cmd_solve(args) -> int:
         t_consecutive=args.t,
         bound_period=args.bound_period,
     )
-    report = solve(target, params, upper_sources=_SOURCE_FLAGS[args.upper_source])
+    report = solve(target, params)
     assignment = report.assignment
     if reduction is not None:
         assignment = reduction.to_original(assignment)
-    doc = ReportDocument(
-        problem=instance.name,
-        p=instance.partition.p,
-        n0=instance.partition.n0,
-        lbd=report.lbd,
-        ubd=report.ubd,
-        rel_gap=report.rel_gap,
-        iter=report.iterations,
-        time_sec=report.time_sec,
-        assignment=assignment.choice,
-        termination=report.termination,
-        params=params,
-    )
-    _write_output(serialize_report(doc), args.out)
+    doc = build_report(instance, report, assignment, params)
+    _write_output(json.dumps(doc, indent=2) + "\n", args.out)
     return EXIT_MAX_ITER if report.termination == TERMINATION_MAX_ITER else EXIT_OK
 
 
@@ -214,9 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--t", type=int, default=None, dest="t")
     p_solve.add_argument("--bound-period", type=int, default=None)
     p_solve.add_argument("--dee", action="store_true", help="preprocess with DEE")
-    p_solve.add_argument(
-        "--upper-source", choices=sorted(_SOURCE_FLAGS), default="both"
-    )
     p_solve.set_defaults(func=cmd_solve)
 
     p_gen = sub.add_parser("gen", help="generate a seeded random instance")

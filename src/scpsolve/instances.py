@@ -138,9 +138,10 @@ class ScpInstance:
 def canonicalize_energy(raw_matrix, partition: RotamerPartition) -> EnergyMatrix:
     """Symmetrize a raw energy matrix and zero its within-block off-diagonals.
 
-    The input must be square of order ``partition.n0`` and symmetric within
-    ``SYMMETRY_RTOL`` (relative to its largest entry).  The output is exactly
-    symmetric (averaged with its transpose); every other entry is preserved.
+    The input must be square of order ``partition.n0``, finite, and
+    symmetric within ``SYMMETRY_RTOL`` (relative to its largest entry).  The
+    output is exactly symmetric (averaged with its transpose); every other
+    entry is preserved.
     """
     arr = np.array(raw_matrix, dtype=float)
     n0 = partition.n0
@@ -148,6 +149,9 @@ def canonicalize_energy(raw_matrix, partition: RotamerPartition) -> EnergyMatrix
         raise InstanceError(f"energy matrix must be square, got shape {arr.shape}")
     if arr.shape[0] != n0:
         raise InstanceError(f"energy order {arr.shape[0]} != total rotamers {n0}")
+    # NaN would slip through the symmetry comparison below
+    if not np.all(np.isfinite(arr)):
+        raise InstanceError("energy matrix has non-finite entries")
     scale = max(1.0, float(np.max(np.abs(arr))) if arr.size else 1.0)
     if float(np.max(np.abs(arr - arr.T))) > SYMMETRY_RTOL * scale:
         raise InstanceError("energy matrix is asymmetric beyond tolerance")

@@ -96,11 +96,9 @@ class LiftedGeometry:
     """All fixed data of the lifted relaxation of one instance."""
 
     partition: RotamerPartition
-    row_sums: np.ndarray = field(repr=False)
     lifted_cost: np.ndarray = field(repr=False)
     gangster: np.ndarray = field(repr=False)
     null_basis: np.ndarray = field(repr=False)
-    constraint_rank: int = 0
 
     @property
     def order(self) -> int:
@@ -116,11 +114,10 @@ class LiftedGeometry:
 def build_geometry(instance: ScpInstance) -> LiftedGeometry:
     partition = instance.partition
     arrays = (
-        row_sum_matrix(partition),
         lift_energy(instance.energy),
         gangster_indices(partition),
         null_space_basis(partition),
     )
     for arr in arrays:
         arr.flags.writeable = False
-    return LiftedGeometry(partition, *arrays, constraint_rank=partition.p)
+    return LiftedGeometry(partition, *arrays)

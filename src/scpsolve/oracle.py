@@ -73,10 +73,6 @@ class DeeReduction:
     kept: tuple[tuple[int, ...], ...]
     reduced: ScpInstance
 
-    @property
-    def mapping(self) -> tuple[tuple[int, ...], ...]:
-        return self.kept
-
     def to_original(self, assignment: Assignment) -> Assignment:
         """Translate an assignment on the reduced instance back to original
         block-local indices."""

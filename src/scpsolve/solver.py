@@ -177,7 +177,6 @@ def solve(
     instance: ScpInstance,
     params: SolverParams | None = None,
     *,
-    upper_sources: tuple[str, ...] = UPPER_SOURCES,
     on_checkpoint=None,
 ) -> SolveReport:
     """Run the splitting method on one instance until termination.
@@ -185,7 +184,8 @@ def solve(
     Bounds are evaluated every ``params.bound_period`` iterations and once
     more at termination if it falls between checkpoints; the report carries
     the best lower/upper bounds seen and the feasible assignment of smallest
-    energy found by the rounding strategies in ``upper_sources``.
+    energy found by the rounding strategies in ``UPPER_SOURCES``, all tried
+    at every checkpoint (ties go to the earlier source).
     ``on_checkpoint(iteration, R, Y, Z)``, if given, is called at every bound
     evaluation with the live iterates (read-only use).  Deterministic for
     fixed instance and parameters.
@@ -195,11 +195,6 @@ def solve(
     """
     if params is None:
         params = default_params(instance)
-    for source in upper_sources:
-        if source not in UPPER_SOURCES:
-            raise ValueError(f"unknown upper-bound source {source!r}")
-    if not upper_sources:
-        raise ValueError("at least one upper-bound source is required")
 
     geometry = build_geometry(instance)
     state = initialize(geometry)
@@ -213,13 +208,9 @@ def solve(
     def evaluate_bounds():
         nonlocal best_lower, best_upper, best_assignment
         lower = dual_lower_bound(state.Z, geometry)
-        upper_here = math.inf
-        source_here = upper_sources[0]
-        assignment_here = None
-        for source in upper_sources:
-            value, assignment = upper_bound(state.Y, instance, source)
-            if value < upper_here:
-                upper_here, source_here, assignment_here = value, source, assignment
+        rounded = {s: upper_bound(state.Y, instance, s) for s in UPPER_SOURCES}
+        source_here = min(rounded, key=lambda s: rounded[s][0])
+        upper_here, assignment_here = rounded[source_here]
         record = BoundRecord(
             iteration=state.iterations,
             lower=lower,

@@ -5,6 +5,7 @@ complete.  Criteria 1-4 share one pass over a fixed 200-instance corpus
 (seeded, so every run sees the same instances).
 """
 
+import json
 import time
 
 import numpy as np
@@ -32,7 +33,7 @@ from scpsolve import (
     round_to_feasible,
     solve,
 )
-from scpsolve.cli import ReportDocument, serialize_report
+from scpsolve.cli import build_report
 from test_projections import simplex_oracle
 
 CORPUS_SIZE = 200
@@ -373,24 +374,9 @@ def test_criterion_10_determinism_and_defaults(corpus):
         docs = []
         for _ in range(2):
             report = solve(inst, params)
-            docs.append(
-                serialize_report(
-                    ReportDocument(
-                        problem=inst.name,
-                        p=inst.partition.p,
-                        n0=inst.partition.n0,
-                        lbd=report.lbd,
-                        ubd=report.ubd,
-                        rel_gap=report.rel_gap,
-                        iter=report.iterations,
-                        time_sec=report.time_sec,
-                        assignment=report.assignment.choice,
-                        termination=report.termination,
-                        params=params,
-                    ),
-                    include_timing=False,
-                ).encode()
-            )
+            doc = build_report(inst, report, report.assignment, params)
+            del doc["time_sec"]
+            docs.append((json.dumps(doc, indent=2) + "\n").encode())
         det_ok = det_ok and docs[0] == docs[1]
 
     # dimension pairs (p, n0) and the parameter formulas

@@ -5,16 +5,7 @@ import pytest
 
 from conftest import make_instance
 from scpsolve import brute_force, load_instance, relative_gap, save_instance
-from scpsolve.cli import (
-    EXIT_ERROR,
-    EXIT_MAX_ITER,
-    EXIT_OK,
-    ReportDocument,
-    main,
-    parse_report,
-    serialize_report,
-)
-from scpsolve.solver import SolverParams
+from scpsolve.cli import EXIT_ERROR, EXIT_MAX_ITER, EXIT_OK, main
 
 
 @pytest.fixture
@@ -29,13 +20,13 @@ class TestSolveCommand:
         out = tmp_path / "report.json"
         code = main(["solve", str(derived_path), "--out", str(out)])
         assert code == EXIT_OK
-        doc = parse_report(out.read_text())
-        assert doc.problem == "derived-2x2"
-        assert doc.p == 2 and doc.n0 == 4
-        assert doc.ubd == 6.0
-        assert doc.assignment == (1, 2)
-        assert doc.termination in ("gap_closed", "residual")
-        assert doc.rel_gap == relative_gap(doc.ubd, doc.lbd)
+        doc = json.loads(out.read_text())
+        assert doc["problem"] == "derived-2x2"
+        assert doc["p"] == 2 and doc["n0"] == 4
+        assert doc["ubd"] == 6.0
+        assert doc["assignment"] == [1, 2]
+        assert doc["termination"] in ("gap_closed", "residual")
+        assert doc["rel_gap"] == relative_gap(doc["ubd"], doc["lbd"])
 
     def test_single_rotamer_instance(self, tmp_path):
         inst = make_instance((1,), [[-2.5]], name="tiny")
@@ -43,28 +34,49 @@ class TestSolveCommand:
         save_instance(inst, path)
         out = tmp_path / "report.json"
         assert main(["solve", str(path), "--out", str(out)]) == EXIT_OK
-        doc = parse_report(out.read_text())
-        assert doc.ubd == -2.5
-        assert abs(doc.lbd + 2.5) <= 1e-9
-        assert doc.rel_gap <= 1e-12
+        doc = json.loads(out.read_text())
+        assert doc["ubd"] == -2.5
+        assert abs(doc["lbd"] + 2.5) <= 1e-9
+        assert doc["rel_gap"] <= 1e-12
 
     def test_iteration_cap_exit_code(self, derived_path, tmp_path):
         out = tmp_path / "report.json"
         code = main(["solve", str(derived_path), "--max-iter", "1", "--out", str(out)])
         assert code == EXIT_MAX_ITER
-        assert parse_report(out.read_text()).termination == "max_iter"
+        assert json.loads(out.read_text())["termination"] == "max_iter"
 
     def test_param_overrides_echoed(self, derived_path, tmp_path):
         out = tmp_path / "report.json"
         main(["solve", str(derived_path), "--beta", "2", "--t", "50", "--out", str(out)])
-        doc = parse_report(out.read_text())
-        assert doc.params.beta == 2.0
-        assert doc.params.t_consecutive == 50
+        doc = json.loads(out.read_text())
+        assert doc["params"]["beta"] == 2.0
+        assert doc["params"]["t_consecutive"] == 50
 
-    def test_upper_source_flag(self, derived_path, tmp_path):
+    def test_report_key_order_and_params(self, derived_path, tmp_path):
         out = tmp_path / "report.json"
-        assert main(["solve", str(derived_path), "--upper-source", "column", "--out", str(out)]) == EXIT_OK
-        assert parse_report(out.read_text()).ubd == 6.0
+        main(["solve", str(derived_path), "--eps", "1e-8", "--out", str(out)])
+        doc = json.loads(out.read_text())
+        assert list(doc) == [
+            "problem",
+            "p",
+            "n0",
+            "lbd",
+            "ubd",
+            "rel_gap",
+            "iter",
+            "time_sec",
+            "assignment",
+            "termination",
+            "params",
+        ]
+        assert list(doc["params"].items()) == [
+            ("beta", 1.0),
+            ("gamma", 0.9),
+            ("epsilon", 1e-8),
+            ("max_iter", 2 * 5 + 10_000),
+            ("t_consecutive", 100),
+            ("bound_period", 100),
+        ]
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.json")]) == EXIT_ERROR
@@ -84,10 +96,10 @@ class TestSolveCommand:
         save_instance(inst, path)
         out = tmp_path / "report.json"
         assert main(["solve", str(path), "--dee", "--out", str(out)]) == EXIT_OK
-        doc = parse_report(out.read_text())
-        assert doc.n0 == inst.partition.n0
-        assert doc.assignment == brute_force(inst).argmin.choice
-        assert doc.ubd == brute_force(inst).optimum
+        doc = json.loads(out.read_text())
+        assert doc["n0"] == inst.partition.n0
+        assert doc["assignment"] == list(brute_force(inst).argmin.choice)
+        assert doc["ubd"] == brute_force(inst).optimum
 
 
 class TestGenCommand:
@@ -109,10 +121,10 @@ class TestGenCommand:
         main(["gen", "--p", "4", "--m-max", "3", "--seed", "21", "--out", str(inst_path)])
         rpt_path = tmp_path / "rpt.json"
         main(["solve", str(inst_path), "--out", str(rpt_path)])
-        doc = parse_report(rpt_path.read_text())
+        doc = json.loads(rpt_path.read_text())
         opt = brute_force(load_instance(inst_path)).optimum
         tol = 1e-6 * (1.0 + abs(opt))
-        assert doc.lbd - tol <= opt <= doc.ubd
+        assert doc["lbd"] - tol <= opt <= doc["ubd"]
 
 
 class TestOracleCommand:
@@ -165,44 +177,21 @@ class TestDeeCommand:
         assert main(["dee", str(inst_path), "--out", str(reduced_path)]) == EXIT_OK
         rpt = tmp_path / "rpt.json"
         assert main(["solve", str(reduced_path), "--out", str(rpt)]) in (EXIT_OK, EXIT_MAX_ITER)
-        doc = parse_report(rpt.read_text())
+        doc = json.loads(rpt.read_text())
         # elimination preserves the optimum, so the sandwich still brackets it
         opt = brute_force(load_instance(inst_path)).optimum
         tol = 1e-6 * (1.0 + abs(opt))
-        assert doc.lbd - tol <= opt <= doc.ubd
+        assert doc["lbd"] - tol <= opt <= doc["ubd"]
 
 
-class TestReportDocument:
-    def test_round_trip(self):
-        doc = ReportDocument(
-            problem="x",
-            p=2,
-            n0=4,
-            lbd=-1.25,
-            ubd=-1.25,
-            rel_gap=0.0,
-            iter=300,
-            time_sec=0.125,
-            assignment=(1, 2),
-            termination="gap_closed",
-            params=SolverParams(beta=2.0),
+@pytest.mark.parametrize("command", ["solve", "oracle", "dee"])
+def test_nonfinite_energy_rejected(command, tmp_path, capsys):
+    for value in ("NaN", "Infinity", "-Infinity"):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            f'{{"name": "bad", "p": 2, "m": [1, 1], "E": [[0.0, {value}], [{value}, 0.0]]}}'
         )
-        assert parse_report(serialize_report(doc)) == doc
-
-    def test_timing_can_be_excluded(self):
-        doc = ReportDocument(
-            problem="x",
-            p=1,
-            n0=1,
-            lbd=0.0,
-            ubd=0.0,
-            rel_gap=0.0,
-            iter=1,
-            time_sec=0.5,
-            assignment=(1,),
-            termination="residual",
-            params=SolverParams(beta=1.0),
-        )
-        text = serialize_report(doc, include_timing=False)
-        assert "time_sec" not in text
-        assert parse_report(text).time_sec == 0.0
+        assert main([command, str(path)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert "error: energy matrix has non-finite entries" in captured.err
+        assert captured.out == ""

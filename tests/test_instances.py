@@ -226,6 +226,7 @@ class TestInstanceIO:
             parse_instance(doc)
 
     def test_rejects_nonnumeric_entries(self):
-        doc = '{"name": "bad", "p": 1, "m": [1], "E": [["x"]]}'
-        with pytest.raises(InstanceError):
-            parse_instance(doc)
+        for entry in ('"x"', "NaN", "Infinity", "-Infinity"):
+            doc = f'{{"name": "bad", "p": 1, "m": [1], "E": [[{entry}]]}}'
+            with pytest.raises(InstanceError):
+                parse_instance(doc)

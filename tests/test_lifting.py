@@ -165,6 +165,5 @@ class TestFaceParametrization:
         geo = build_geometry(derived_instance)
         assert geo.order == 5
         assert geo.face_dim == 3
-        assert geo.constraint_rank == 2
         assert geo.lifted_cost[0, 0] == 0.0
         assert not geo.null_basis.flags.writeable

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import make_instance
+import scpsolve.solver as solver_module
 from scpsolve import (
-    FIRST_COLUMN,
+    UPPER_SOURCES,
     RotamerPartition,
     SolverParams,
     brute_force,
@@ -18,6 +19,7 @@ from scpsolve import (
     r_update,
     random_instance,
     solve,
+    upper_bound,
     y_update,
 )
 from scpsolve.projections import zero_border_diag
@@ -299,13 +301,14 @@ class TestSolve:
         assert report.assignment == oracle.argmin
         assert report.lbd - 1e-6 * (1.0 + abs(oracle.optimum)) <= oracle.optimum
 
-    def test_rejects_bad_sources(self, derived_instance):
-        with pytest.raises(ValueError):
-            solve(derived_instance, upper_sources=("nonsense",))
-        with pytest.raises(ValueError):
-            solve(derived_instance, upper_sources=())
+    def test_every_checkpoint_tries_both_roundings(self, derived_instance, monkeypatch):
+        tried = []
 
-    def test_single_source_still_solves(self, derived_instance):
-        report = solve(derived_instance, upper_sources=(FIRST_COLUMN,))
-        assert report.ubd == 6.0
-        assert all(r.upper_source == FIRST_COLUMN for r in report.bound_history)
+        def recording_upper_bound(Y, instance, source):
+            tried.append(source)
+            return upper_bound(Y, instance, source)
+
+        monkeypatch.setattr(solver_module, "upper_bound", recording_upper_bound)
+        report = solve(derived_instance)
+        assert tried == list(UPPER_SOURCES) * len(report.bound_history)
+        assert {r.upper_source for r in report.bound_history} <= set(UPPER_SOURCES)
