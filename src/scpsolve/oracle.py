@@ -94,35 +94,51 @@ def goldstein_reduce(instance: ScpInstance) -> DeeReduction:
     form counts each cross pair twice.  Scanning is deterministic (blocks
     ascending, rotamers ascending) and repeats until a fixed point; a block
     is never emptied because elimination needs a surviving witness.
+
+    The scores of block i depend only on the survivors of the other blocks,
+    so each block evaluates all its (r, t) scores at once: one broadcast
+    difference of the surviving rows of block i against the surviving
+    columns of every other block, reduced to per-block minima.  A pass costs
+    O(n0^2 m_max) and holds m_i^2 n0 floats transiently.  The j terms are
+    summed left to right in ascending j, so every score is the same float
+    as evaluating one (r, t) pair at a time gives.
     """
     partition = instance.partition
     E = instance.energy.entries
     offsets = partition.offsets
-    surviving: list[list[int]] = [list(range(mi)) for mi in partition.m]
-
-    def dominates(i: int, r: int, t: int) -> bool:
-        gr, gt = offsets[i] + r, offsets[i] + t
-        score = E[gr, gr] - E[gt, gt]
-        for j in range(partition.p):
-            if j == i:
-                continue
-            others = offsets[j] + np.asarray(surviving[j], dtype=np.intp)
-            score += 2.0 * float(np.min(E[gr, others] - E[gt, others]))
-        return score > 0.0
+    # global indices of the surviving rotamers of each block, ascending
+    surviving = [off + np.arange(mi) for off, mi in zip(offsets, partition.m)]
 
     changed = True
     while changed:
         changed = False
         for i in range(partition.p):
-            for r in list(surviving[i]):
-                if any(t != r and dominates(i, r, t) for t in surviving[i]):
-                    surviving[i].remove(r)
+            rows = surviving[i]
+            others = surviving[:i] + surviving[i + 1 :]
+            self_energy = E[rows, rows]
+            terms = [(self_energy[:, None] - self_energy[None, :])[:, :, None]]
+            if others:
+                B = E[np.ix_(rows, np.concatenate(others))]
+                starts = np.cumsum([0] + [len(block) for block in others[:-1]])
+                diff = B[:, None, :] - B[None, :, :]
+                terms.append(2.0 * np.minimum.reduceat(diff, starts, axis=2))
+            # accumulate adds strictly left to right, so score[r, t] is the
+            # same float as adding the j terms one at a time in ascending j
+            score = np.cumsum(np.concatenate(terms, axis=2), axis=2)[:, :, -1]
+            # score[r, r] is exactly 0 (energies are finite), so a rotamer
+            # never witnesses against itself
+            dominated = score > 0.0
+            alive = np.ones(len(rows), dtype=bool)
+            for a in range(len(rows)):
+                if np.any(dominated[a] & alive):
+                    alive[a] = False
                     changed = True
+            surviving[i] = rows[alive]
 
-    kept = tuple(tuple(r + 1 for r in block) for block in surviving)
-    keep_global = np.concatenate(
-        [offsets[i] + np.asarray(surviving[i], dtype=np.intp) for i in range(partition.p)]
+    kept = tuple(
+        tuple(int(g) - off + 1 for g in block) for off, block in zip(offsets, surviving)
     )
+    keep_global = np.concatenate(surviving)
     reduced_partition = RotamerPartition(tuple(len(block) for block in surviving))
     reduced_entries = E[np.ix_(keep_global, keep_global)].copy()
     reduced_entries.flags.writeable = False

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bounds import (
-    UPPER_SOURCES,
+    EIGENVECTOR,
+    FIRST_COLUMN,
     BoundRecord,
     dual_lower_bound,
     relative_gap,
@@ -47,6 +48,14 @@ TERMINATION_GAP = "gap_closed"
 # iterates must satisfy; exact comparison is too brittle for bounds that
 # agree only up to the last ulp.
 GAP_CLOSE_RTOL = 100 * np.finfo(float).eps
+
+
+def gap_closed(lower: float, upper: float) -> bool:
+    """True when the lower bound meets a finite upper bound to within
+    GAP_CLOSE_RTOL relative to the upper bound."""
+    return math.isfinite(upper) and lower >= upper - GAP_CLOSE_RTOL * (
+        1.0 + abs(upper)
+    )
 
 
 @dataclass(frozen=True)
@@ -166,9 +175,7 @@ def check_stop(
         return TERMINATION_MAX_ITER
     if consec_ok >= params.t_consecutive:
         return TERMINATION_RESIDUAL
-    if math.isfinite(best_upper) and best_lower >= best_upper - GAP_CLOSE_RTOL * (
-        1.0 + abs(best_upper)
-    ):
+    if gap_closed(best_lower, best_upper):
         return TERMINATION_GAP
     return None
 
@@ -184,8 +191,10 @@ def solve(
     Bounds are evaluated every ``params.bound_period`` iterations and once
     more at termination if it falls between checkpoints; the report carries
     the best lower/upper bounds seen and the feasible assignment of smallest
-    energy found by the rounding strategies in ``UPPER_SOURCES``, all tried
-    at every checkpoint (ties go to the earlier source).
+    energy found by rounding.  Every checkpoint rounds the first column of
+    Y; it also rounds the dominant eigenvector, keeping it only when
+    strictly lower, unless the column value already closes the gap with the
+    best lower bound so far.
     ``on_checkpoint(iteration, R, Y, Z)``, if given, is called at every bound
     evaluation with the live iterates (read-only use).  Deterministic for
     fixed instance and parameters.
@@ -208,9 +217,14 @@ def solve(
     def evaluate_bounds():
         nonlocal best_lower, best_upper, best_assignment
         lower = dual_lower_bound(state.Z, geometry)
-        rounded = {s: upper_bound(state.Y, instance, s) for s in UPPER_SOURCES}
-        source_here = min(rounded, key=lambda s: rounded[s][0])
-        upper_here, assignment_here = rounded[source_here]
+        source_here = FIRST_COLUMN
+        upper_here, assignment_here = upper_bound(state.Y, instance, FIRST_COLUMN)
+        # no feasible energy lies below the lower bound, so once the column
+        # rounding meets it the eigenvector rounding cannot win
+        if not gap_closed(max(best_lower, lower), upper_here):
+            value, assignment = upper_bound(state.Y, instance, EIGENVECTOR)
+            if value < upper_here:
+                source_here, upper_here, assignment_here = EIGENVECTOR, value, assignment
         record = BoundRecord(
             iteration=state.iterations,
             lower=lower,

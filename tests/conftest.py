@@ -5,7 +5,12 @@ import itertools
 import numpy as np
 import pytest
 
-from scpsolve import RotamerPartition, ScpInstance, canonicalize_energy
+from scpsolve import RotamerPartition, ScpInstance, canonicalize_energy, random_instance
+
+# the acceptance gate's fixed corpus
+CORPUS_SIZE = 200
+CORPUS_SEED = 20260808
+INSTANCE_SEED = 42000
 
 # 2 positions x 2 rotamers; diagonal self energies (1, 3, 2, 1), cross-block
 # pair energies [[5, 2], [1, 4]].  The four feasible selections cost
@@ -23,6 +28,14 @@ DERIVED_E = np.array(
 def make_instance(m, entries, name="test"):
     partition = RotamerPartition(tuple(m))
     return ScpInstance(partition, canonicalize_energy(np.asarray(entries, dtype=float), partition), name)
+
+
+def acceptance_corpus():
+    """The acceptance corpus: p uniform in 2..6, m_max 5, energies in (-10, 10)."""
+    rng = np.random.default_rng(CORPUS_SEED)
+    for i in range(CORPUS_SIZE):
+        p = int(rng.integers(2, 7))
+        yield random_instance(p, 5, (-10, 10), seed=INSTANCE_SEED + i)
 
 
 def feasible_indicators(partition):

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import feasible_indicators, make_instance
+from conftest import acceptance_corpus, feasible_indicators, make_instance
 from scpsolve import (
     RotamerPartition,
     brute_force,
@@ -36,9 +36,6 @@ from scpsolve import (
 from scpsolve.cli import build_report
 from test_projections import simplex_oracle
 
-CORPUS_SIZE = 200
-CORPUS_SEED = 20260808
-INSTANCE_SEED = 42000
 INVARIANT_SUBSET = 20
 
 
@@ -50,12 +47,7 @@ def _criterion(num, name, ok, detail):
 
 @pytest.fixture(scope="session")
 def corpus():
-    rng = np.random.default_rng(CORPUS_SEED)
-    instances = []
-    for i in range(CORPUS_SIZE):
-        p = int(rng.integers(2, 7))
-        instances.append(random_instance(p, 5, (-10, 10), seed=INSTANCE_SEED + i))
-    return instances
+    return list(acceptance_corpus())
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import make_instance
+from conftest import acceptance_corpus, make_instance
 from scpsolve import (
     OracleSizeError,
     brute_force,
@@ -65,6 +67,49 @@ def dominated_instance():
     return make_instance(m, E, name="dominated")
 
 
+def goldstein_reference(instance):
+    """Survivors of the one-pair-at-a-time Goldstein elimination that the
+    vectorised ``goldstein_reduce`` must reproduce exactly."""
+    partition = instance.partition
+    E = instance.energy.entries
+    offsets = partition.offsets
+    surviving: list[list[int]] = [list(range(mi)) for mi in partition.m]
+
+    def dominates(i: int, r: int, t: int) -> bool:
+        gr, gt = offsets[i] + r, offsets[i] + t
+        score = E[gr, gr] - E[gt, gt]
+        for j in range(partition.p):
+            if j == i:
+                continue
+            others = offsets[j] + np.asarray(surviving[j], dtype=np.intp)
+            score += 2.0 * float(np.min(E[gr, others] - E[gt, others]))
+        return score > 0.0
+
+    changed = True
+    while changed:
+        changed = False
+        for i in range(partition.p):
+            for r in list(surviving[i]):
+                if any(t != r and dominates(i, r, t) for t in surviving[i]):
+                    surviving[i].remove(r)
+                    changed = True
+
+    return tuple(tuple(r + 1 for r in block) for block in surviving)
+
+
+def symmetric_instance(m, seed, integer):
+    """Instance with the given block sizes and seeded symmetric energies;
+    ``integer`` draws from -3..3, which makes exact ties common."""
+    rng = np.random.default_rng(seed)
+    n0 = sum(m)
+    if integer:
+        raw = rng.integers(-3, 4, size=(n0, n0)).astype(float)
+    else:
+        raw = rng.uniform(-10, 10, size=(n0, n0))
+    upper = np.triu(raw)
+    return make_instance(m, upper + np.triu(upper, 1).T)
+
+
 class TestGoldsteinReduce:
     def test_dominated_rotamers_all_removed(self):
         reduction = goldstein_reduce(dominated_instance())
@@ -101,3 +146,82 @@ class TestGoldsteinReduce:
             inst = random_instance(5, 4, (0, 1), seed=880 + trial)
             reduction = goldstein_reduce(inst)
             assert all(len(block) >= 1 for block in reduction.kept)
+
+    def test_matches_reference_on_acceptance_corpus(self):
+        for inst in acceptance_corpus():
+            assert goldstein_reduce(inst).kept == goldstein_reference(inst), inst.name
+
+    def test_matches_reference_on_criterion_09_instances(self):
+        for trial in range(100):
+            inst = random_instance(4, 4, (-10, 10), seed=11000 + trial)
+            assert goldstein_reduce(inst).kept == goldstein_reference(inst), inst.name
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        m=st.lists(st.integers(1, 6), min_size=1, max_size=7),
+        seed=st.integers(0, 2**32 - 1),
+        integer=st.booleans(),
+    )
+    @example(m=[5], seed=0, integer=True)
+    @example(m=[1, 1, 1, 1], seed=1, integer=False)
+    @example(m=[3, 3, 3], seed=2, integer=True)
+    def test_matches_reference_on_random_partitions(self, m, seed, integer):
+        inst = symmetric_instance(tuple(m), seed, integer)
+        assert goldstein_reduce(inst).kept == goldstein_reference(inst)
+
+    def test_identical_rotamers_both_survive(self):
+        # rotamers 1 and 2 of block 0 have equal self and pair energies, so
+        # each scores exactly 0 against the other and the strict test keeps both
+        E = np.array(
+            [
+                [1.0, 0.0, 0.0, 2.0, -1.0],
+                [0.0, 1.0, 0.0, 2.0, -1.0],
+                [0.0, 0.0, 5.0, 9.0, 9.0],
+                [2.0, 2.0, 9.0, 0.0, 0.0],
+                [-1.0, -1.0, 9.0, 0.0, 3.0],
+            ]
+        )
+        inst = make_instance((3, 2), E)
+        reduction = goldstein_reduce(inst)
+        assert reduction.kept[0] == (1, 2)
+        assert reduction.kept == goldstein_reference(inst)
+
+    def test_scores_sum_in_ascending_block_order(self):
+        # score(1, 2) of block 0 is 0.5 + 1e16 - 1e16: left to right the 0.5
+        # is absorbed and the score is 0, so both rotamers survive; summing
+        # the terms in another order gives 0.5 and would eliminate rotamer 1
+        E = np.zeros((4, 4))
+        E[0, 0] = 0.5
+        E[0, 2] = E[2, 0] = 5e15
+        E[0, 3] = E[3, 0] = -5e15
+        inst = make_instance((2, 1, 1), E)
+        reduction = goldstein_reduce(inst)
+        assert reduction.kept == ((1, 2), (1,), (1,))
+        assert reduction.kept == goldstein_reference(inst)
+
+    def test_single_block_keeps_minimum_self_energies(self):
+        inst = make_instance((5,), np.diag([3.0, 1.0, 4.0, 1.0, 2.0]))
+        reduction = goldstein_reduce(inst)
+        assert reduction.kept == ((2, 4),)
+        assert reduction.kept == goldstein_reference(inst)
+
+    def test_cascade_reaches_reference_fixpoint(self):
+        # pass 1: rotamer 2 of block 0 survives because rotamer 2 of block 1
+        # favours it by 10; block 1 then loses its rotamer 2 (self energy 5,
+        # never better in a pair).  Pass 2: with only rotamer 1 left in
+        # block 1, block 0's rotamer 2 loses by its self energy.
+        E = np.array(
+            [
+                [0.0, 0.0, 0.0, 10.0],
+                [0.0, 1.0, 0.0, 0.0],
+                [0.0, 0.0, 0.0, 0.0],
+                [10.0, 0.0, 0.0, 5.0],
+            ]
+        )
+        inst = make_instance((2, 2), E)
+        # the premise: with every rotamer of block 1 alive, block 0 keeps both
+        pair_min = np.min(E[1, 2:] - E[0, 2:])
+        assert (E[1, 1] - E[0, 0]) + 2.0 * pair_min <= 0.0
+        reduction = goldstein_reduce(inst)
+        assert reduction.kept == ((1,), (1,))
+        assert reduction.kept == goldstein_reference(inst)

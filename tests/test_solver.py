@@ -6,6 +6,7 @@ import pytest
 from conftest import make_instance
 import scpsolve.solver as solver_module
 from scpsolve import (
+    FIRST_COLUMN,
     UPPER_SOURCES,
     RotamerPartition,
     SolverParams,
@@ -301,14 +302,32 @@ class TestSolve:
         assert report.assignment == oracle.argmin
         assert report.lbd - 1e-6 * (1.0 + abs(oracle.optimum)) <= oracle.optimum
 
-    def test_every_checkpoint_tries_both_roundings(self, derived_instance, monkeypatch):
-        tried = []
+    def test_eigenvector_rounding_only_while_gap_open(self, monkeypatch):
+        # seed 703 checks bounds three times: two open gaps, then a closing one
+        inst = random_instance(4, 4, (-10, 10), seed=703)
+        tried, per_checkpoint = [], []
 
         def recording_upper_bound(Y, instance, source):
-            tried.append(source)
-            return upper_bound(Y, instance, source)
+            value, assignment = upper_bound(Y, instance, source)
+            tried.append((source, value))
+            return value, assignment
+
+        def end_checkpoint(iteration, R, Y, Z):
+            per_checkpoint.append(list(tried))
+            tried.clear()
 
         monkeypatch.setattr(solver_module, "upper_bound", recording_upper_bound)
-        report = solve(derived_instance)
-        assert tried == list(UPPER_SOURCES) * len(report.bound_history)
-        assert {r.upper_source for r in report.bound_history} <= set(UPPER_SOURCES)
+        report = solve(inst, on_checkpoint=end_checkpoint)
+        assert len(per_checkpoint) == len(report.bound_history) == 3
+        best_lower = -np.inf
+        closing = []
+        for calls, record in zip(per_checkpoint, report.bound_history):
+            best_lower = max(best_lower, record.lower)
+            column_value = calls[0][1]
+            closing.append(solver_module.gap_closed(best_lower, column_value))
+            sources = [source for source, _ in calls]
+            expected = [FIRST_COLUMN] if closing[-1] else list(UPPER_SOURCES)
+            assert sources == expected
+            assert record.upper == min(value for _, value in calls)
+        assert closing == [False, False, True]
+        assert report.termination == "gap_closed"
