@@ -29,7 +29,7 @@ raw = np.array(
 )
 energy = canonicalize_energy(raw, partition)
 print("canonical energy matrix:")
-print(energy.entries)
+print(energy)
 
 instance = ScpInstance(partition, energy, name="demo-2x2")
 

@@ -4,8 +4,8 @@
 
 import numpy as np
 
-from scpsolve import (
-    RotamerPartition,
+from scpsolve import RotamerPartition
+from scpsolve.lifting import (
     exposing_matrix,
     gangster_indices,
     gangster_values,

@@ -3,9 +3,9 @@
 
 import numpy as np
 
-from scpsolve import (
-    RotamerPartition,
-    gangster_indices,
+from scpsolve import RotamerPartition
+from scpsolve.lifting import gangster_indices
+from scpsolve.projections import (
     project_box_gangster,
     project_psd_trace,
     project_simplex,

@@ -4,20 +4,17 @@
 
 import numpy as np
 
-from scpsolve import (
+from scpsolve import brute_force, random_instance, relative_gap
+from scpsolve.bounds import (
     EIGENVECTOR,
     FIRST_COLUMN,
-    brute_force,
-    build_geometry,
     dual_lower_bound,
     extract_fractional,
-    initialize,
-    lift_indicator,
-    random_instance,
-    relative_gap,
     round_to_feasible,
     upper_bound,
 )
+from scpsolve.lifting import build_geometry, lift_indicator
+from scpsolve.solver import initialize
 
 instance = random_instance(p=4, m_max=4, energy_range=(-10, 10), seed=3)
 geometry = build_geometry(instance)
@@ -26,7 +23,7 @@ print("exact optimum:", oracle.optimum)
 
 # Any symmetric multiplier gives a valid lower bound; the initialized dual
 # (diagonal pinned to minus the lifted cost diagonal) is already a decent one.
-Z0 = initialize(geometry).Z
+_, _, Z0 = initialize(geometry)
 print("dual bound at the initial multiplier:", dual_lower_bound(Z0, geometry))
 rng = np.random.default_rng(1)
 W = rng.normal(size=Z0.shape)

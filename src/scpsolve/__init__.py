@@ -6,22 +6,15 @@ reduced doubly nonnegative program, solves the relaxation with a
 Peaceman-Rachford splitting method, and certifies global optimality by
 matching Lagrangian-dual lower bounds against rounded feasible upper
 bounds.
+
+This namespace holds the user API.  The lifting, projection, bound and
+iteration kernels stay importable from ``scpsolve.lifting``,
+``scpsolve.projections``, ``scpsolve.bounds`` and ``scpsolve.solver``.
 """
 
-from .bounds import (
-    EIGENVECTOR,
-    FIRST_COLUMN,
-    UPPER_SOURCES,
-    BoundRecord,
-    dual_lower_bound,
-    extract_fractional,
-    relative_gap,
-    round_to_feasible,
-    upper_bound,
-)
+from .bounds import certified, relative_gap
 from .instances import (
     Assignment,
-    EnergyMatrix,
     InstanceError,
     RotamerPartition,
     ScpInstance,
@@ -34,18 +27,6 @@ from .instances import (
     save_instance,
     serialize_instance,
 )
-from .lifting import (
-    LiftedGeometry,
-    build_geometry,
-    exposing_matrix,
-    gangster_indices,
-    gangster_values,
-    homogenized_constraints,
-    lift_energy,
-    lift_indicator,
-    null_space_basis,
-    row_sum_matrix,
-)
 from .oracle import (
     DeeReduction,
     OracleResult,
@@ -53,26 +34,6 @@ from .oracle import (
     brute_force,
     goldstein_reduce,
 )
-from .projections import (
-    project_box_gangster,
-    project_psd_trace,
-    project_simplex,
-    zero_border_diag,
-)
-from .solver import (
-    TERMINATION_GAP,
-    TERMINATION_MAX_ITER,
-    TERMINATION_RESIDUAL,
-    SolveReport,
-    SolverParams,
-    SolverState,
-    check_stop,
-    default_params,
-    dual_step,
-    initialize,
-    r_update,
-    solve,
-    y_update,
-)
+from .solver import SolveReport, SolverParams, default_params, solve
 
 __version__ = "0.1.0"

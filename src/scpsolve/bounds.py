@@ -9,6 +9,7 @@ to the nearest feasible assignment, then evaluating the exact energy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,13 @@ FIRST_COLUMN = "first_column"
 EIGENVECTOR = "dominant_eigenvector"
 UPPER_SOURCES = (FIRST_COLUMN, EIGENVECTOR)
 
+# Bounds are compared at machine-precision scale.  A looser tolerance (e.g.
+# 1e-9) lets the gap close while the primal iterate is still far from the
+# face, which breaks the diagonal/first-column identity that certified
+# iterates must satisfy; exact comparison is too brittle for bounds that
+# agree only up to the last ulp.
+GAP_CLOSE_RTOL = 100 * np.finfo(float).eps
+
 
 @dataclass(frozen=True)
 class BoundRecord:
@@ -29,7 +37,6 @@ class BoundRecord:
     lower: float
     upper: float
     upper_source: str
-    assignment: Assignment
 
 
 def dual_lower_bound(Z, geometry: LiftedGeometry) -> float:
@@ -89,6 +96,15 @@ def upper_bound(Y, instance: ScpInstance, source: str) -> tuple[float, Assignmen
     assignment = round_to_feasible(x, instance.partition)
     value = objective(assignment.to_indicator(instance.partition), instance.energy)
     return value, assignment
+
+
+def certified(lower: float, upper: float) -> bool:
+    """True when the lower bound meets a finite upper bound to within
+    GAP_CLOSE_RTOL relative to the upper bound, which proves the upper
+    bound's assignment optimal."""
+    return math.isfinite(upper) and lower >= upper - GAP_CLOSE_RTOL * (
+        1.0 + abs(upper)
+    )
 
 
 def relative_gap(ubd: float, lbd: float) -> float:

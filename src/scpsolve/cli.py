@@ -3,9 +3,10 @@
 Subcommands: ``solve`` an instance file and emit a JSON report, ``gen`` a
 seeded random instance, ``oracle`` for the exact enumeration answer, and
 ``dee`` for dead-end-elimination preprocessing.  Data goes to stdout or
-``--out``; diagnostics go to stderr.  ``solve`` exits 0 when termination
-certifies convergence (gap closed or residuals), 3 on the iteration cap;
-all commands exit 1 on bad input.
+``--out``; diagnostics go to stderr.  ``solve`` exits 0 only when the
+bounds certify the reported assignment optimal; without a certificate it
+exits 3 on the iteration cap and 4 when the residual rule stopped the
+solve.  All commands exit 1 on bad input and 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
+from .bounds import certified
 from .instances import (
     Assignment,
     InstanceError,
@@ -30,12 +32,12 @@ from .solver import (
     SolverParams,
     default_params,
     solve,
-    with_overrides,
 )
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_MAX_ITER = 3
+EXIT_UNCERTIFIED = 4
 
 
 def build_report(
@@ -82,14 +84,16 @@ def cmd_solve(args) -> int:
             f"{target.partition.n0} rotamers ({sizes})",
             file=sys.stderr,
         )
-    params = with_overrides(
-        default_params(target),
-        beta=args.beta,
-        gamma=args.gamma,
-        epsilon=args.eps,
-        max_iter=args.max_iter,
-        t_consecutive=args.t,
-        bound_period=args.bound_period,
+    flags = {
+        "beta": args.beta,
+        "gamma": args.gamma,
+        "epsilon": args.eps,
+        "max_iter": args.max_iter,
+        "t_consecutive": args.t,
+        "bound_period": args.bound_period,
+    }
+    params = replace(
+        default_params(target), **{k: v for k, v in flags.items() if v is not None}
     )
     report = solve(target, params)
     assignment = report.assignment
@@ -97,7 +101,11 @@ def cmd_solve(args) -> int:
         assignment = reduction.to_original(assignment)
     doc = build_report(instance, report, assignment, params)
     _write_output(json.dumps(doc, indent=2) + "\n", args.out)
-    return EXIT_MAX_ITER if report.termination == TERMINATION_MAX_ITER else EXIT_OK
+    if certified(report.lbd, report.ubd):
+        return EXIT_OK
+    if report.termination == TERMINATION_MAX_ITER:
+        return EXIT_MAX_ITER
+    return EXIT_UNCERTIFIED
 
 
 def cmd_gen(args) -> int:

@@ -58,22 +58,6 @@ class RotamerPartition:
         return slice(self.offsets[i], self.offsets[i] + self.m[i])
 
 
-@dataclass(frozen=True, eq=False)
-class EnergyMatrix:
-    """Canonical symmetric energy matrix (within-block off-diagonals are 0)."""
-
-    entries: np.ndarray = field(repr=False)
-
-    @property
-    def order(self) -> int:
-        return self.entries.shape[0]
-
-    def __eq__(self, other):
-        if not isinstance(other, EnergyMatrix):
-            return NotImplemented
-        return np.array_equal(self.entries, other.entries)
-
-
 @dataclass(frozen=True)
 class Assignment:
     """One chosen rotamer per position, as 1-based indices within each block."""
@@ -116,13 +100,13 @@ class ScpInstance:
     """A named side-chain positioning instance."""
 
     partition: RotamerPartition
-    energy: EnergyMatrix
+    energy: np.ndarray = field(repr=False)
     name: str = ""
 
     def __post_init__(self):
-        if self.energy.order != self.partition.n0:
+        if self.energy.shape[0] != self.partition.n0:
             raise InstanceError(
-                f"energy order {self.energy.order} != total rotamers {self.partition.n0}"
+                f"energy order {self.energy.shape[0]} != total rotamers {self.partition.n0}"
             )
 
     def __eq__(self, other):
@@ -131,17 +115,17 @@ class ScpInstance:
         return (
             self.name == other.name
             and self.partition == other.partition
-            and self.energy == other.energy
+            and np.array_equal(self.energy, other.energy)
         )
 
 
-def canonicalize_energy(raw_matrix, partition: RotamerPartition) -> EnergyMatrix:
+def canonicalize_energy(raw_matrix, partition: RotamerPartition) -> np.ndarray:
     """Symmetrize a raw energy matrix and zero its within-block off-diagonals.
 
     The input must be square of order ``partition.n0``, finite, and
     symmetric within ``SYMMETRY_RTOL`` (relative to its largest entry).  The
-    output is exactly symmetric (averaged with its transpose); every other
-    entry is preserved.
+    output is a read-only array, exactly symmetric (averaged with its
+    transpose); every other entry is preserved.
     """
     arr = np.array(raw_matrix, dtype=float)
     n0 = partition.n0
@@ -161,10 +145,10 @@ def canonicalize_energy(raw_matrix, partition: RotamerPartition) -> EnergyMatrix
         block = sym[sl, sl]
         sym[sl, sl] = np.diag(np.diag(block))
     sym.flags.writeable = False
-    return EnergyMatrix(sym)
+    return sym
 
 
-def objective(x, energy: EnergyMatrix) -> float:
+def objective(x, energy: np.ndarray) -> float:
     """Quadratic energy x'Ex of an indicator vector x.
 
     Self energies are counted once (diagonal), each cross pair twice
@@ -173,12 +157,12 @@ def objective(x, energy: EnergyMatrix) -> float:
     an instance to surviving rotamers cannot move the value by an ulp.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != (energy.order,):
-        raise InstanceError(f"indicator length {x.shape} != energy order {energy.order}")
+    if x.shape != (energy.shape[0],):
+        raise InstanceError(f"indicator length {x.shape} != energy order {energy.shape[0]}")
     if not np.all((x == 0.0) | (x == 1.0)):
         raise InstanceError("indicator vector must be binary")
     chosen = np.nonzero(x)[0]
-    return float(energy.entries[np.ix_(chosen, chosen)].sum())
+    return float(energy[np.ix_(chosen, chosen)].sum())
 
 
 def is_feasible(x, partition: RotamerPartition) -> bool:
@@ -220,7 +204,7 @@ def serialize_instance(inst: ScpInstance) -> str:
         "name": inst.name,
         "p": inst.partition.p,
         "m": list(inst.partition.m),
-        "E": inst.energy.entries.tolist(),
+        "E": inst.energy.tolist(),
     }
     return json.dumps(doc) + "\n"
 
@@ -251,10 +235,13 @@ def parse_instance(text: str) -> ScpInstance:
         raise InstanceError(f"field 'E' must be a {partition.n0}-row matrix")
     if any(not isinstance(row, list) or len(row) != partition.n0 for row in E):
         raise InstanceError("field 'E' must be square")
+    # numpy would convert strings ("3.5") and booleans to floats
+    if not set().union(*(map(type, row) for row in E)) <= {int, float}:
+        raise InstanceError("field 'E' must contain only numbers")
     try:
         entries = np.array(E, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InstanceError(f"field 'E' must contain numbers: {exc}") from exc
+    except OverflowError as exc:
+        raise InstanceError(f"field 'E' has an entry too large for a float: {exc}") from exc
     energy = canonicalize_energy(entries, partition)
     return ScpInstance(partition, energy, name)
 

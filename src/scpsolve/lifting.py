@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instances import RotamerPartition, EnergyMatrix, ScpInstance
+from .instances import RotamerPartition, ScpInstance
 
 
 def row_sum_matrix(partition: RotamerPartition) -> np.ndarray:
@@ -72,11 +72,11 @@ def gangster_indices(partition: RotamerPartition) -> np.ndarray:
     return np.array(pairs, dtype=np.intp)
 
 
-def lift_energy(energy: EnergyMatrix) -> np.ndarray:
+def lift_energy(energy: np.ndarray) -> np.ndarray:
     """Embed E as the lower-right block of an (n0+1) matrix with zero border."""
-    n0 = energy.order
+    n0 = energy.shape[0]
     out = np.zeros((n0 + 1, n0 + 1))
-    out[1:, 1:] = energy.entries
+    out[1:, 1:] = energy
     return out
 
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from .instances import (
     Assignment,
-    EnergyMatrix,
     RotamerPartition,
     ScpInstance,
     objective,
@@ -47,7 +46,7 @@ def brute_force(instance: ScpInstance, limit: int = 1_000_000) -> OracleResult:
         raise OracleSizeError(
             f"{count} feasible assignments exceed the enumeration limit {limit}"
         )
-    E = instance.energy.entries
+    E = instance.energy
     grids = np.meshgrid(
         *[np.arange(mi, dtype=np.intp) for mi in partition.m], indexing="ij"
     )
@@ -104,7 +103,7 @@ def goldstein_reduce(instance: ScpInstance) -> DeeReduction:
     as evaluating one (r, t) pair at a time gives.
     """
     partition = instance.partition
-    E = instance.energy.entries
+    E = instance.energy
     offsets = partition.offsets
     # global indices of the surviving rotamers of each block, ascending
     surviving = [off + np.arange(mi) for off, mi in zip(offsets, partition.m)]
@@ -142,7 +141,5 @@ def goldstein_reduce(instance: ScpInstance) -> DeeReduction:
     reduced_partition = RotamerPartition(tuple(len(block) for block in surviving))
     reduced_entries = E[np.ix_(keep_global, keep_global)].copy()
     reduced_entries.flags.writeable = False
-    reduced = ScpInstance(
-        reduced_partition, EnergyMatrix(reduced_entries), instance.name
-    )
+    reduced = ScpInstance(reduced_partition, reduced_entries, instance.name)
     return DeeReduction(kept=kept, reduced=reduced)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .bounds import (
     EIGENVECTOR,
     FIRST_COLUMN,
     BoundRecord,
+    certified,
     dual_lower_bound,
     relative_gap,
     upper_bound,
@@ -41,22 +42,6 @@ from .projections import project_box_gangster, project_psd_trace, zero_border_di
 TERMINATION_MAX_ITER = "max_iter"
 TERMINATION_RESIDUAL = "residual"
 TERMINATION_GAP = "gap_closed"
-
-# Bounds are compared at machine-precision scale.  A looser tolerance (e.g.
-# 1e-9) lets the gap close while the primal iterate is still far from the
-# face, which breaks the diagonal/first-column identity that certified
-# iterates must satisfy; exact comparison is too brittle for bounds that
-# agree only up to the last ulp.
-GAP_CLOSE_RTOL = 100 * np.finfo(float).eps
-
-
-def gap_closed(lower: float, upper: float) -> bool:
-    """True when the lower bound meets a finite upper bound to within
-    GAP_CLOSE_RTOL relative to the upper bound."""
-    return math.isfinite(upper) and lower >= upper - GAP_CLOSE_RTOL * (
-        1.0 + abs(upper)
-    )
-
 
 @dataclass(frozen=True)
 class SolverParams:
@@ -88,18 +73,6 @@ class SolverParams:
             raise ValueError("max_iter, t_consecutive and bound_period must be >= 1")
 
 
-@dataclass
-class SolverState:
-    """Mutable iterates and counters owned by one solve."""
-
-    R: np.ndarray
-    Y: np.ndarray
-    Z: np.ndarray
-    iterations: int = 0
-    consec_ok: int = 0
-    bounds: list[BoundRecord] = field(default_factory=list)
-
-
 @dataclass(frozen=True)
 class SolveReport:
     """Outcome of one solve: certified bounds and the recovered assignment."""
@@ -129,9 +102,10 @@ def default_params(instance: ScpInstance) -> SolverParams:
     )
 
 
-def initialize(geometry: LiftedGeometry) -> SolverState:
-    """Zero primal iterates; dual started inside its known-optimal affine set
-    (diagonal at minus the lifted cost diagonal, zero border)."""
+def initialize(geometry: LiftedGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Zero primal iterates (R, Y) and dual Z started inside its
+    known-optimal affine set (diagonal at minus the lifted cost diagonal,
+    zero border)."""
     n = geometry.order
     Y = np.zeros((n, n))
     Z = np.zeros((n, n))
@@ -139,7 +113,7 @@ def initialize(geometry: LiftedGeometry) -> SolverState:
     np.fill_diagonal(Z, -np.diag(geometry.lifted_cost) + 0.0)
     Z[0, 0] = 0.0
     R = np.zeros((geometry.face_dim, geometry.face_dim))
-    return SolverState(R=R, Y=Y, Z=Z)
+    return R, Y, Z
 
 
 def r_update(Y, Z, geometry: LiftedGeometry, beta: float) -> np.ndarray:
@@ -175,7 +149,7 @@ def check_stop(
         return TERMINATION_MAX_ITER
     if consec_ok >= params.t_consecutive:
         return TERMINATION_RESIDUAL
-    if gap_closed(best_lower, best_upper):
+    if certified(best_lower, best_upper):
         return TERMINATION_GAP
     return None
 
@@ -206,64 +180,64 @@ def solve(
         params = default_params(instance)
 
     geometry = build_geometry(instance)
-    state = initialize(geometry)
+    R, Y, Z = initialize(geometry)
     V = geometry.null_basis
     step = params.gamma * params.beta
 
+    iterations = consec_ok = 0
+    bounds: list[BoundRecord] = []
     best_lower = -math.inf
     best_upper = math.inf
     best_assignment: Assignment | None = None
 
     def evaluate_bounds():
         nonlocal best_lower, best_upper, best_assignment
-        lower = dual_lower_bound(state.Z, geometry)
+        lower = dual_lower_bound(Z, geometry)
         source_here = FIRST_COLUMN
-        upper_here, assignment_here = upper_bound(state.Y, instance, FIRST_COLUMN)
+        upper_here, assignment_here = upper_bound(Y, instance, FIRST_COLUMN)
         # no feasible energy lies below the lower bound, so once the column
         # rounding meets it the eigenvector rounding cannot win
-        if not gap_closed(max(best_lower, lower), upper_here):
-            value, assignment = upper_bound(state.Y, instance, EIGENVECTOR)
+        if not certified(max(best_lower, lower), upper_here):
+            value, assignment = upper_bound(Y, instance, EIGENVECTOR)
             if value < upper_here:
                 source_here, upper_here, assignment_here = EIGENVECTOR, value, assignment
-        record = BoundRecord(
-            iteration=state.iterations,
-            lower=lower,
-            upper=upper_here,
-            upper_source=source_here,
-            assignment=assignment_here,
+        bounds.append(
+            BoundRecord(
+                iteration=iterations,
+                lower=lower,
+                upper=upper_here,
+                upper_source=source_here,
+            )
         )
-        state.bounds.append(record)
         best_lower = max(best_lower, lower)
         if upper_here < best_upper:
             best_upper, best_assignment = upper_here, assignment_here
         if on_checkpoint is not None:
-            on_checkpoint(state.iterations, state.R, state.Y, state.Z)
+            on_checkpoint(iterations, R, Y, Z)
 
     started = time.perf_counter()
     primal_res = dual_res = math.inf
     reason = None
     while reason is None:
-        state.R = r_update(state.Y, state.Z, geometry, params.beta)
-        T = V @ state.R @ V.T
+        R = r_update(Y, Z, geometry, params.beta)
+        T = V @ R @ V.T
         vrv = 0.5 * (T + T.T)
-        Z_half = dual_step(state.Z, state.Y - vrv, step)
+        Z_half = dual_step(Z, Y - vrv, step)
         Y_new = y_update(vrv, Z_half, geometry, params.beta)
-        state.Z = dual_step(Z_half, Y_new - vrv, step)
-        dual_res = params.beta * float(np.linalg.norm(Y_new - state.Y))
-        state.Y = Y_new
-        state.iterations += 1
+        Z = dual_step(Z_half, Y_new - vrv, step)
+        dual_res = params.beta * float(np.linalg.norm(Y_new - Y))
+        Y = Y_new
+        iterations += 1
         # (0,0) entry is pinned to 1, so the norm never vanishes
-        primal_res = float(np.linalg.norm(state.Y - vrv) / np.linalg.norm(state.Y))
+        primal_res = float(np.linalg.norm(Y - vrv) / np.linalg.norm(Y))
         if max(primal_res, dual_res) < params.epsilon:
-            state.consec_ok += 1
+            consec_ok += 1
         else:
-            state.consec_ok = 0
-        if state.iterations % params.bound_period == 0:
+            consec_ok = 0
+        if iterations % params.bound_period == 0:
             evaluate_bounds()
-        reason = check_stop(
-            state.iterations, state.consec_ok, best_lower, best_upper, params
-        )
-    if state.iterations % params.bound_period != 0:
+        reason = check_stop(iterations, consec_ok, best_lower, best_upper, params)
+    if iterations % params.bound_period != 0:
         evaluate_bounds()
     elapsed = time.perf_counter() - started
 
@@ -271,16 +245,11 @@ def solve(
         lbd=best_lower,
         ubd=best_upper,
         rel_gap=relative_gap(best_upper, best_lower),
-        iterations=state.iterations,
+        iterations=iterations,
         time_sec=elapsed,
         assignment=best_assignment,
         termination=reason,
         residuals=(primal_res, dual_res),
-        bound_history=tuple(state.bounds),
+        bound_history=tuple(bounds),
     )
 
-
-def with_overrides(params: SolverParams, **overrides) -> SolverParams:
-    """Copy of params with the given fields replaced (None values ignored)."""
-    updates = {k: v for k, v in overrides.items() if v is not None}
-    return replace(params, **updates) if updates else params

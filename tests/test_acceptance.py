@@ -15,25 +15,25 @@ from conftest import acceptance_corpus, feasible_indicators, make_instance
 from scpsolve import (
     RotamerPartition,
     brute_force,
-    build_geometry,
     default_params,
-    dual_lower_bound,
-    exposing_matrix,
-    gangster_indices,
     goldstein_reduce,
-    homogenized_constraints,
-    initialize,
     is_feasible,
-    lift_indicator,
-    null_space_basis,
     objective,
-    project_psd_trace,
-    project_simplex,
     random_instance,
-    round_to_feasible,
     solve,
 )
+from scpsolve.bounds import dual_lower_bound, round_to_feasible
 from scpsolve.cli import build_report
+from scpsolve.lifting import (
+    build_geometry,
+    exposing_matrix,
+    gangster_indices,
+    homogenized_constraints,
+    lift_indicator,
+    null_space_basis,
+)
+from scpsolve.projections import project_psd_trace, project_simplex
+from scpsolve.solver import initialize
 from test_projections import simplex_oracle
 
 INVARIANT_SUBSET = 20
@@ -62,7 +62,7 @@ def corpus_results(corpus):
     started = time.perf_counter()
     for index, inst in enumerate(corpus):
         geometry = build_geometry(inst)
-        pinned = initialize(geometry).Z
+        _, _, pinned = initialize(geometry)
         gangster = geometry.gangster
         p = inst.partition.p
         final = {}

@@ -3,22 +3,23 @@ import pytest
 
 from conftest import feasible_indicators, make_instance
 from scpsolve import (
-    EIGENVECTOR,
-    FIRST_COLUMN,
     Assignment,
     RotamerPartition,
     brute_force,
-    build_geometry,
-    dual_lower_bound,
-    extract_fractional,
-    initialize,
-    lift_indicator,
     objective,
     random_instance,
     relative_gap,
+)
+from scpsolve.bounds import (
+    EIGENVECTOR,
+    FIRST_COLUMN,
+    dual_lower_bound,
+    extract_fractional,
     round_to_feasible,
     upper_bound,
 )
+from scpsolve.lifting import build_geometry, lift_indicator
+from scpsolve.solver import initialize
 
 
 def inner_minimum_oracle(Z, geometry):
@@ -47,7 +48,7 @@ class TestDualLowerBound:
 
     def test_initial_multiplier_on_derived_instance(self, derived_instance):
         geo = build_geometry(derived_instance)
-        Z0 = initialize(geo).Z
+        _, _, Z0 = initialize(geo)
         value = dual_lower_bound(Z0, geo)
         # closed form must agree with direct extreme-point minimization
         inner = closed_form_inner(Z0, geo)

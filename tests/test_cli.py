@@ -1,11 +1,12 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from conftest import make_instance
-from scpsolve import brute_force, load_instance, relative_gap, save_instance
-from scpsolve.cli import EXIT_ERROR, EXIT_MAX_ITER, EXIT_OK, main
+from conftest import acceptance_corpus, make_instance
+from scpsolve import brute_force, certified, load_instance, relative_gap, save_instance
+from scpsolve.cli import EXIT_ERROR, EXIT_MAX_ITER, EXIT_OK, EXIT_UNCERTIFIED, main
 
 
 @pytest.fixture
@@ -27,6 +28,7 @@ class TestSolveCommand:
         assert doc["assignment"] == [1, 2]
         assert doc["termination"] in ("gap_closed", "residual")
         assert doc["rel_gap"] == relative_gap(doc["ubd"], doc["lbd"])
+        assert certified(doc["lbd"], doc["ubd"])
 
     def test_single_rotamer_instance(self, tmp_path):
         inst = make_instance((1,), [[-2.5]], name="tiny")
@@ -43,7 +45,21 @@ class TestSolveCommand:
         out = tmp_path / "report.json"
         code = main(["solve", str(derived_path), "--max-iter", "1", "--out", str(out)])
         assert code == EXIT_MAX_ITER
-        assert json.loads(out.read_text())["termination"] == "max_iter"
+        doc = json.loads(out.read_text())
+        assert doc["termination"] == "max_iter"
+        assert not certified(doc["lbd"], doc["ubd"])
+
+    def test_residual_stop_without_certificate_exit_code(self, tmp_path):
+        # corpus instance 146 meets the residual rule with a 2.4% gap left
+        inst = next(itertools.islice(acceptance_corpus(), 146, None))
+        path = tmp_path / "c146.json"
+        save_instance(inst, path)
+        out = tmp_path / "report.json"
+        assert main(["solve", str(path), "--out", str(out)]) == EXIT_UNCERTIFIED
+        doc = json.loads(out.read_text())
+        assert doc["termination"] == "residual"
+        assert not certified(doc["lbd"], doc["ubd"])
+        assert doc["rel_gap"] > 0.02
 
     def test_param_overrides_echoed(self, derived_path, tmp_path):
         out = tmp_path / "report.json"

@@ -1,8 +1,8 @@
 import numpy as np
 
 from conftest import feasible_indicators, make_instance
-from scpsolve import (
-    RotamerPartition,
+from scpsolve import RotamerPartition, random_instance
+from scpsolve.lifting import (
     build_geometry,
     exposing_matrix,
     gangster_indices,
@@ -12,7 +12,6 @@ from scpsolve import (
     lift_indicator,
     null_space_basis,
     row_sum_matrix,
-    random_instance,
 )
 
 
@@ -102,7 +101,7 @@ class TestLiftEnergy:
     def test_trace_preserved_and_zero_border(self):
         inst = random_instance(3, 3, (-4, 4), seed=8)
         lifted = lift_energy(inst.energy)
-        assert np.trace(lifted) == np.trace(inst.energy.entries)
+        assert np.trace(lifted) == np.trace(inst.energy)
         assert np.all(lifted[0, :] == 0) and np.all(lifted[:, 0] == 0)
 
 

@@ -71,7 +71,7 @@ def goldstein_reference(instance):
     """Survivors of the one-pair-at-a-time Goldstein elimination that the
     vectorised ``goldstein_reduce`` must reproduce exactly."""
     partition = instance.partition
-    E = instance.energy.entries
+    E = instance.energy
     offsets = partition.offsets
     surviving: list[list[int]] = [list(range(mi)) for mi in partition.m]
 

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import feasible_indicators
-from scpsolve import (
-    RotamerPartition,
-    gangster_indices,
-    lift_indicator,
+from scpsolve import RotamerPartition
+from scpsolve.lifting import gangster_indices, lift_indicator
+from scpsolve.projections import (
     project_box_gangster,
     project_psd_trace,
     project_simplex,

@@ -9,7 +9,8 @@ value with the splitting solver's certified bounds.
 import numpy as np
 import pytest
 
-from scpsolve import brute_force, build_geometry, random_instance, solve
+from scpsolve import brute_force, random_instance, solve
+from scpsolve.lifting import build_geometry
 
 cp = pytest.importorskip("cvxpy")
 

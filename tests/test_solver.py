@@ -6,24 +6,18 @@ import pytest
 from conftest import make_instance
 import scpsolve.solver as solver_module
 from scpsolve import (
-    FIRST_COLUMN,
-    UPPER_SOURCES,
     RotamerPartition,
     SolverParams,
     brute_force,
-    build_geometry,
-    check_stop,
     default_params,
-    dual_step,
-    initialize,
     objective,
-    r_update,
     random_instance,
     solve,
-    upper_bound,
-    y_update,
 )
+from scpsolve.bounds import FIRST_COLUMN, UPPER_SOURCES, certified, upper_bound
+from scpsolve.lifting import build_geometry
 from scpsolve.projections import zero_border_diag
+from scpsolve.solver import check_stop, dual_step, initialize, r_update, y_update
 
 
 class TestDefaultParams:
@@ -63,22 +57,20 @@ class TestDefaultParams:
 class TestInitialize:
     def test_zero_energy_gives_zero_dual(self):
         geo = build_geometry(make_instance((2, 2), np.zeros((4, 4))))
-        state = initialize(geo)
-        assert np.array_equal(state.Z, np.zeros((5, 5)))
-        assert np.array_equal(state.Y, np.zeros((5, 5)))
+        _, Y, Z = initialize(geo)
+        assert np.array_equal(Z, np.zeros((5, 5)))
+        assert np.array_equal(Y, np.zeros((5, 5)))
 
     def test_derived_instance_dual_diagonal(self, derived_instance):
-        state = initialize(build_geometry(derived_instance))
-        assert np.array_equal(state.Z, np.diag([0.0, -1.0, -3.0, -2.0, -1.0]))
+        _, _, Z = initialize(build_geometry(derived_instance))
+        assert np.array_equal(Z, np.diag([0.0, -1.0, -3.0, -2.0, -1.0]))
 
     def test_dual_starts_inside_pinned_set(self, derived_instance):
         geo = build_geometry(derived_instance)
-        state = initialize(geo)
-        # off the pinned coordinates the dual is zero, so masking the
-        # difference from itself changes nothing
-        diff = state.Z - state.Z
-        assert np.array_equal(zero_border_diag(diff), diff)
-        assert state.iterations == 0 and state.consec_ok == 0
+        R, _, Z = initialize(geo)
+        # off the pinned coordinates (border and diagonal) the dual is zero
+        assert np.array_equal(zero_border_diag(Z), np.zeros_like(Z))
+        assert np.array_equal(R, np.zeros((geo.face_dim, geo.face_dim)))
 
 
 class TestRUpdate:
@@ -101,9 +93,9 @@ class TestRUpdate:
 
 class TestDualStep:
     def test_zero_residual_is_fixed_point(self, derived_instance):
-        state = initialize(build_geometry(derived_instance))
-        out = dual_step(state.Z, np.zeros((5, 5)), step=0.9)
-        assert np.array_equal(out, state.Z)
+        _, _, Z = initialize(build_geometry(derived_instance))
+        out = dual_step(Z, np.zeros((5, 5)), step=0.9)
+        assert np.array_equal(out, Z)
 
     def test_diagonal_never_moves(self):
         rng = np.random.default_rng(32)
@@ -115,17 +107,17 @@ class TestDualStep:
     def test_border_stays_zero_through_one_iteration(self, derived_instance):
         geo = build_geometry(derived_instance)
         params = default_params(derived_instance)
-        state = initialize(geo)
+        _, Y, Z = initialize(geo)
         V = geo.null_basis
-        R = r_update(state.Y, state.Z, geo, params.beta)
+        R = r_update(Y, Z, geo, params.beta)
         vrv = V @ R @ V.T
-        Z_half = dual_step(state.Z, state.Y - vrv, params.gamma * params.beta)
+        Z_half = dual_step(Z, Y - vrv, params.gamma * params.beta)
         assert np.all(Z_half[0, :] == 0.0)
         assert np.all(Z_half[:, 0] == 0.0)
         Y1 = y_update(vrv, Z_half, geo, params.beta)
         Z1 = dual_step(Z_half, Y1 - vrv, params.gamma * params.beta)
         assert np.all(Z1[0, :] == 0.0)
-        assert np.array_equal(np.diag(Z1), np.diag(state.Z))
+        assert np.array_equal(np.diag(Z1), np.diag(Z))
 
 
 class TestYUpdate:
@@ -147,12 +139,12 @@ class TestYUpdate:
         E[0, 2] = E[2, 0] = 1e12
         inst = make_instance((2, 2), E)
         geo = build_geometry(inst)
-        state = initialize(geo)
+        _, Y0, Z0 = initialize(geo)
         params = default_params(inst)
         V = geo.null_basis
-        R = r_update(state.Y, state.Z, geo, params.beta)
+        R = r_update(Y0, Z0, geo, params.beta)
         vrv = V @ R @ V.T
-        Z_half = dual_step(state.Z, state.Y - vrv, params.gamma * params.beta)
+        Z_half = dual_step(Z0, Y0 - vrv, params.gamma * params.beta)
         Y = y_update(vrv, Z_half, geo, params.beta)
         assert Y[1, 3] == 0.0 and Y[3, 1] == 0.0
 
@@ -232,7 +224,7 @@ class TestSolve:
     def test_iterate_feasibility_and_pinned_dual(self):
         inst = random_instance(4, 4, (-10, 10), seed=77)
         geo = build_geometry(inst)
-        z0 = initialize(geo).Z
+        _, _, z0 = initialize(geo)
         g = geo.gangster
         seen = []
 
@@ -324,7 +316,7 @@ class TestSolve:
         for calls, record in zip(per_checkpoint, report.bound_history):
             best_lower = max(best_lower, record.lower)
             column_value = calls[0][1]
-            closing.append(solver_module.gap_closed(best_lower, column_value))
+            closing.append(certified(best_lower, column_value))
             sources = [source for source, _ in calls]
             expected = [FIRST_COLUMN] if closing[-1] else list(UPPER_SOURCES)
             assert sources == expected
