@@ -16,13 +16,17 @@ from scpsolve.projections import (
 print("simplex projection of (3, 1) with total 2:", project_simplex([3.0, 1.0], 2.0))
 print("simplex projection of (5, -1, 0) with total 3:", project_simplex([5.0, -1.0, 0.0], 3.0))
 
-# 2. PSD with fixed trace: eigendecompose, project the spectrum, reassemble.
+# 2. PSD with fixed trace: eigendecompose and project the spectrum.  The
+# result comes back as a factor G with one column per unit of rank; the
+# projection is G @ G.T.
 M = np.diag([3.0, 1.0])
-print("\nPSD/trace projection of diag(3, 1) to trace 2:")
-print(project_psd_trace(M, 2.0))
+G = project_psd_trace(M, 2.0)
+print(f"\nPSD/trace projection of diag(3, 1) to trace 2 (rank {G.shape[1]}):")
+print(G @ G.T)
 M = np.diag([-1.0, -1.0])
-print("negative spectrum lifts to the uniform one:")
-print(project_psd_trace(M, 2.0))
+G = project_psd_trace(M, 2.0)
+print(f"negative spectrum lifts to the uniform one (rank {G.shape[1]}):")
+print(G @ G.T)
 
 # 3. Box with gangster pattern: clamp into [0, 1], then pin the gangster
 # entries (0 inside blocks, 1 at the corner).

@@ -2,7 +2,7 @@
 # End to end: solve the relaxation, watch the bounds close, and check the
 # certificate against exhaustive enumeration.
 
-from scpsolve import brute_force, certified, default_params, random_instance, solve
+from scpsolve import brute_force, default_params, random_instance, solve
 
 instance = random_instance(p=5, m_max=5, energy_range=(-10, 10), seed=7)
 print("instance:", instance.name)
@@ -32,6 +32,6 @@ print(f"assignment: {report.assignment.choice}")
 oracle = brute_force(instance)
 print(f"\nbrute force over {oracle.enumerated} assignments: {oracle.optimum:.10f}")
 assert report.lbd - 1e-6 * (1 + abs(oracle.optimum)) <= oracle.optimum <= report.ubd
-if certified(report.lbd, report.ubd):
+if report.certified:
     assert abs(report.ubd - oracle.optimum) <= 1e-6 * (1 + abs(oracle.optimum))
     print("certificate confirmed: the solver proved global optimality")

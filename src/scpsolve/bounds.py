@@ -37,6 +37,7 @@ class BoundRecord:
     lower: float
     upper: float
     upper_source: str
+    rank: int  # columns of R's factor, the rank of the projected R
 
 
 def dual_lower_bound(Z, geometry: LiftedGeometry) -> float:
@@ -102,8 +103,8 @@ def certified(lower: float, upper: float) -> bool:
     """True when the lower bound meets a finite upper bound to within
     GAP_CLOSE_RTOL relative to the upper bound, which proves the upper
     bound's assignment optimal."""
-    return math.isfinite(upper) and lower >= upper - GAP_CLOSE_RTOL * (
-        1.0 + abs(upper)
+    return math.isfinite(upper) and bool(
+        lower >= upper - GAP_CLOSE_RTOL * (1.0 + abs(upper))
     )
 
 

@@ -16,7 +16,6 @@ import json
 import sys
 from dataclasses import asdict, replace
 
-from .bounds import certified
 from .instances import (
     Assignment,
     InstanceError,
@@ -59,6 +58,7 @@ def build_report(
         "time_sec": report.time_sec,
         "assignment": list(assignment.choice),
         "termination": report.termination,
+        "certified": report.certified,
         "params": asdict(params),
     }
 
@@ -101,7 +101,7 @@ def cmd_solve(args) -> int:
         assignment = reduction.to_original(assignment)
     doc = build_report(instance, report, assignment, params)
     _write_output(json.dumps(doc, indent=2) + "\n", args.out)
-    if certified(report.lbd, report.ubd):
+    if report.certified:
         return EXIT_OK
     if report.termination == TERMINATION_MAX_ITER:
         return EXIT_MAX_ITER

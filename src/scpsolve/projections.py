@@ -27,17 +27,19 @@ def project_simplex(d, total) -> np.ndarray:
 
 
 def project_psd_trace(M, total) -> np.ndarray:
-    """Nearest PSD matrix with fixed trace ``total`` (Frobenius norm).
+    """Nearest PSD matrix with fixed trace ``total`` (Frobenius norm), as
+    a factor G: the projection is ``G @ G.T``.
 
-    Symmetrizes the input, eigendecomposes, projects the spectrum onto the
-    scaled simplex and reassembles with the same eigenvectors.
+    Symmetrizes the input, eigendecomposes and projects the spectrum onto
+    the scaled simplex; G's columns are the eigenvectors with a positive
+    projected eigenvalue, each scaled by its square root (no zero column).
     """
     M = np.asarray(M, dtype=float)
     S = 0.5 * (M + M.T)
     w, U = np.linalg.eigh(S)
     w = project_simplex(w, total)
-    out = (U * w) @ U.T
-    return 0.5 * (out + out.T)
+    keep = w > 0.0
+    return U[:, keep] * np.sqrt(w[keep])
 
 
 def project_box_gangster(M, gangster: np.ndarray) -> np.ndarray:

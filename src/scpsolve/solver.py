@@ -13,9 +13,10 @@ each block:
 
 The mask zeroes the dual coordinates whose optimal values are known (row 0,
 column 0, diagonal), so those entries stay at their initialized values for
-the entire run.  Lower/upper bounds are evaluated periodically; the solve
-stops on a closed gap, on persistently small residuals, or at the
-iteration cap.
+the entire run.  R is kept as its factor G with R = GG', so VRV' is the
+rank-r product (VG)(VG)'.  Lower/upper bounds are evaluated periodically;
+the solve stops on a closed gap, on persistently small residuals, or at
+the iteration cap.
 """
 
 from __future__ import annotations
@@ -84,6 +85,7 @@ class SolveReport:
     time_sec: float
     assignment: Assignment
     termination: str
+    certified: bool
     residuals: tuple[float, float]
     bound_history: tuple[BoundRecord, ...]
 
@@ -103,22 +105,22 @@ def default_params(instance: ScpInstance) -> SolverParams:
 
 
 def initialize(geometry: LiftedGeometry) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Zero primal iterates (R, Y) and dual Z started inside its
-    known-optimal affine set (diagonal at minus the lifted cost diagonal,
-    zero border)."""
+    """Zero primal iterates (R as its factor G with no columns, Y) and dual
+    Z started inside its known-optimal affine set (diagonal at minus the
+    lifted cost diagonal, zero border)."""
     n = geometry.order
     Y = np.zeros((n, n))
     Z = np.zeros((n, n))
     # adding 0.0 normalizes -0.0 so later in-place updates stay bit-identical
     np.fill_diagonal(Z, -np.diag(geometry.lifted_cost) + 0.0)
     Z[0, 0] = 0.0
-    R = np.zeros((geometry.face_dim, geometry.face_dim))
-    return R, Y, Z
+    G = np.zeros((geometry.face_dim, 0))
+    return G, Y, Z
 
 
 def r_update(Y, Z, geometry: LiftedGeometry, beta: float) -> np.ndarray:
     """Closed-form PSD block update: project V'(Y + Z/beta)V onto
-    {R PSD, trace(R) = p + 1}."""
+    {R PSD, trace(R) = p + 1}; returns the factor G with R = GG'."""
     V = geometry.null_basis
     W = V.T @ (Y + Z / beta) @ V
     return project_psd_trace(W, geometry.partition.p + 1.0)
@@ -170,8 +172,8 @@ def solve(
     strictly lower, unless the column value already closes the gap with the
     best lower bound so far.
     ``on_checkpoint(iteration, R, Y, Z)``, if given, is called at every bound
-    evaluation with the live iterates (read-only use).  Deterministic for
-    fixed instance and parameters.
+    evaluation with R formed from its factor and the live Y, Z (read-only
+    use).  Deterministic for fixed instance and parameters.
 
     Returns a SolveReport; ``termination`` is one of "gap_closed",
     "residual" or "max_iter".
@@ -180,7 +182,7 @@ def solve(
         params = default_params(instance)
 
     geometry = build_geometry(instance)
-    R, Y, Z = initialize(geometry)
+    G, Y, Z = initialize(geometry)
     V = geometry.null_basis
     step = params.gamma * params.beta
 
@@ -207,29 +209,32 @@ def solve(
                 lower=lower,
                 upper=upper_here,
                 upper_source=source_here,
+                rank=G.shape[1],
             )
         )
         best_lower = max(best_lower, lower)
         if upper_here < best_upper:
             best_upper, best_assignment = upper_here, assignment_here
         if on_checkpoint is not None:
-            on_checkpoint(iterations, R, Y, Z)
+            on_checkpoint(iterations, G @ G.T, Y, Z)
 
     started = time.perf_counter()
     primal_res = dual_res = math.inf
     reason = None
     while reason is None:
-        R = r_update(Y, Z, geometry, params.beta)
-        T = V @ R @ V.T
-        vrv = 0.5 * (T + T.T)
+        G = r_update(Y, Z, geometry, params.beta)
+        F = V @ G
+        # F @ F.T runs as a symmetric rank-r update, so vrv is exactly symmetric
+        vrv = F @ F.T
         Z_half = dual_step(Z, Y - vrv, step)
         Y_new = y_update(vrv, Z_half, geometry, params.beta)
-        Z = dual_step(Z_half, Y_new - vrv, step)
+        primal = Y_new - vrv
+        Z = dual_step(Z_half, primal, step)
         dual_res = params.beta * float(np.linalg.norm(Y_new - Y))
         Y = Y_new
         iterations += 1
         # (0,0) entry is pinned to 1, so the norm never vanishes
-        primal_res = float(np.linalg.norm(Y - vrv) / np.linalg.norm(Y))
+        primal_res = float(np.linalg.norm(primal) / np.linalg.norm(Y))
         if max(primal_res, dual_res) < params.epsilon:
             consec_ok += 1
         else:
@@ -249,6 +254,7 @@ def solve(
         time_sec=elapsed,
         assignment=best_assignment,
         termination=reason,
+        certified=certified(best_lower, best_upper),
         residuals=(primal_res, dual_res),
         bound_history=tuple(bounds),
     )

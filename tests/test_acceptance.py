@@ -22,7 +22,7 @@ from scpsolve import (
     random_instance,
     solve,
 )
-from scpsolve.bounds import dual_lower_bound, round_to_feasible
+from scpsolve.bounds import certified, dual_lower_bound, round_to_feasible
 from scpsolve.cli import build_report
 from scpsolve.lifting import (
     build_geometry,
@@ -32,9 +32,9 @@ from scpsolve.lifting import (
     lift_indicator,
     null_space_basis,
 )
-from scpsolve.projections import project_psd_trace, project_simplex
+from scpsolve.projections import project_simplex
 from scpsolve.solver import initialize
-from test_projections import simplex_oracle
+from test_projections import psd_trace_matrix, simplex_oracle
 
 INVARIANT_SUBSET = 20
 
@@ -135,13 +135,21 @@ def test_criterion_01_oracle_sandwich(corpus_results):
 
 
 def test_criterion_02_certified_optimality(corpus_results):
+    # the optimum is checked on every solve that is certified (gap_closed
+    # stops included) or within rel_gap 1e-6; the closure rate counts
+    # certificates only
     results = corpus_results["results"]
-    certified = matched = 0
+    checked = matched = closed = within = 0
     for row in results:
         rep = row["report"]
-        if rep.termination != "gap_closed" and rep.rel_gap > 1e-6:
+        is_certified = certified(rep.lbd, rep.ubd)
+        is_within = rep.rel_gap <= 1e-6
+        assert rep.certified == is_certified
+        closed += is_certified
+        within += is_within
+        if not (is_certified or is_within):
             continue
-        certified += 1
+        checked += 1
         opt = row["oracle"].optimum
         inst = row["instance"]
         x = rep.assignment.to_indicator(inst.partition)
@@ -151,12 +159,13 @@ def test_criterion_02_certified_optimality(corpus_results):
             and objective(x, inst.energy) == rep.ubd
         ):
             matched += 1
-    ok = matched == certified
+    ok = matched == checked
     _criterion(
         2,
         "certified solves match the exact optimum",
         ok,
-        f"{matched}/{certified} certified, closure rate {certified}/{len(results)}",
+        f"{matched}/{checked} match, closure rate {closed}/{len(results)} certified, "
+        f"{within}/{len(results)} within rel_gap 1e-6",
     )
 
 
@@ -263,8 +272,8 @@ def test_criterion_06_projection_oracles():
         n = int(rng.integers(1, 15))
         M = rng.normal(scale=2.0, size=(n, n))
         total = float(rng.uniform(0.5, 8.0))
-        out = project_psd_trace(M, total)
-        again = project_psd_trace(out, total)
+        out = psd_trace_matrix(M, total)
+        again = psd_trace_matrix(out, total)
         if (
             np.linalg.eigvalsh(out)[0] >= -1e-10
             and abs(np.trace(out) - total) <= 1e-10

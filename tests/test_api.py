@@ -3,6 +3,9 @@ find every name they patch."""
 
 import ast
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import scpsolve
@@ -82,3 +85,11 @@ def test_tracer_finds_every_hook(tmp_path):
         tracer.remove()
     assert code == cli.EXIT_OK
     assert tracer.not_run() == []
+
+
+def test_import_leaves_scipy_out():
+    # scipy.linalg would add about 0.4 s and 28 MB to every process that
+    # imports scpsolve
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import sys, scpsolve, scpsolve.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

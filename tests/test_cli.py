@@ -29,6 +29,7 @@ class TestSolveCommand:
         assert doc["termination"] in ("gap_closed", "residual")
         assert doc["rel_gap"] == relative_gap(doc["ubd"], doc["lbd"])
         assert certified(doc["lbd"], doc["ubd"])
+        assert doc["certified"] is True
 
     def test_single_rotamer_instance(self, tmp_path):
         inst = make_instance((1,), [[-2.5]], name="tiny")
@@ -48,6 +49,7 @@ class TestSolveCommand:
         doc = json.loads(out.read_text())
         assert doc["termination"] == "max_iter"
         assert not certified(doc["lbd"], doc["ubd"])
+        assert doc["certified"] is False
 
     def test_residual_stop_without_certificate_exit_code(self, tmp_path):
         # corpus instance 146 meets the residual rule with a 2.4% gap left
@@ -59,6 +61,7 @@ class TestSolveCommand:
         doc = json.loads(out.read_text())
         assert doc["termination"] == "residual"
         assert not certified(doc["lbd"], doc["ubd"])
+        assert doc["certified"] is False
         assert doc["rel_gap"] > 0.02
 
     def test_param_overrides_echoed(self, derived_path, tmp_path):
@@ -83,6 +86,7 @@ class TestSolveCommand:
             "time_sec",
             "assignment",
             "termination",
+            "certified",
             "params",
         ]
         assert list(doc["params"].items()) == [

@@ -25,6 +25,12 @@ def simplex_oracle(d, total):
     raise AssertionError("no consistent active set found")
 
 
+def psd_trace_matrix(M, total):
+    """The PSD/trace projection as a matrix, from the factor it returns."""
+    G = project_psd_trace(M, total)
+    return G @ G.T
+
+
 class TestSimplex:
     def test_fixed_point(self):
         assert np.array_equal(project_simplex([1.0, 1.0], 2.0), [1.0, 1.0])
@@ -58,14 +64,14 @@ class TestSimplex:
 class TestPsdTrace:
     def test_scaled_identity_fixed_point(self):
         M = (2.0 / 3.0) * np.eye(3)
-        assert np.allclose(project_psd_trace(M, 2.0), M, atol=1e-14)
+        assert np.allclose(psd_trace_matrix(M, 2.0), M, atol=1e-14)
 
     def test_clips_top_eigenvalue(self):
-        out = project_psd_trace(np.diag([3.0, 1.0]), 2.0)
+        out = psd_trace_matrix(np.diag([3.0, 1.0]), 2.0)
         assert np.allclose(out, np.diag([2.0, 0.0]), atol=1e-14)
 
     def test_lifts_negative_spectrum(self):
-        out = project_psd_trace(np.diag([-1.0, -1.0]), 2.0)
+        out = psd_trace_matrix(np.diag([-1.0, -1.0]), 2.0)
         assert np.allclose(out, np.eye(2), atol=1e-14)
 
     def test_spectrum_and_trace_properties(self):
@@ -74,12 +80,37 @@ class TestPsdTrace:
             n = int(rng.integers(1, 12))
             M = rng.normal(size=(n, n))
             total = float(rng.uniform(0.5, 8.0))
-            out = project_psd_trace(M, total)
+            out = psd_trace_matrix(M, total)
             assert np.array_equal(out, out.T)
             assert np.linalg.eigvalsh(out)[0] >= -1e-10
             assert abs(np.trace(out) - total) <= 1e-10
-            again = project_psd_trace(out, total)
+            again = psd_trace_matrix(out, total)
             assert np.max(np.abs(again - out)) <= 1e-10
+
+    def test_factor_matches_reassembled_projection(self):
+        # the factor against the full reassembly (U * w) U' it replaces, on
+        # random, rank-1 and scaled-identity inputs, where the simplex keeps
+        # one, some or all of the eigenpairs
+        rng = np.random.default_rng(16)
+        for trial in range(600):
+            n = int(rng.integers(1, 16))
+            total = float(rng.uniform(0.1, 20.0))
+            kind = trial % 3
+            if kind == 0:
+                M = rng.normal(scale=float(rng.choice([0.1, 1.0, 10.0])), size=(n, n))
+            elif kind == 1:
+                v = rng.normal(size=n)
+                M = np.outer(v, v) * float(rng.uniform(0.1, 30.0))
+            else:
+                M = float(rng.normal()) * np.eye(n)
+            w, U = np.linalg.eigh(0.5 * (M + M.T))
+            want = (U * project_simplex(w, total)) @ U.T
+            G = project_psd_trace(M, total)
+            out = G @ G.T
+            assert G.shape == (n, np.count_nonzero(project_simplex(w, total) > 0.0))
+            assert np.all(np.linalg.norm(G, axis=0) > 0.0)
+            assert np.array_equal(out, out.T)
+            assert np.max(np.abs(out - want)) <= 1e-12
 
 
 class TestBoxGangster:
@@ -145,7 +176,7 @@ class TestNonexpansiveness:
             c = float(rng.uniform(0.5, 5.0))
             pairs = [
                 (project_simplex(va, c), project_simplex(vb, c)),
-                (project_psd_trace(a, c), project_psd_trace(b, c)),
+                (psd_trace_matrix(a, c), psd_trace_matrix(b, c)),
                 (project_box_gangster(a, idx), project_box_gangster(b, idx)),
                 (zero_border_diag(a), zero_border_diag(b)),
             ]

@@ -1,15 +1,18 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
-from conftest import make_instance
+from conftest import acceptance_corpus, make_instance
 import scpsolve.solver as solver_module
+from perfbench.structured import structured_instance
 from scpsolve import (
     RotamerPartition,
     SolverParams,
     brute_force,
     default_params,
+    goldstein_reduce,
     objective,
     random_instance,
     solve,
@@ -67,17 +70,18 @@ class TestInitialize:
 
     def test_dual_starts_inside_pinned_set(self, derived_instance):
         geo = build_geometry(derived_instance)
-        R, _, Z = initialize(geo)
+        G, _, Z = initialize(geo)
         # off the pinned coordinates (border and diagonal) the dual is zero
         assert np.array_equal(zero_border_diag(Z), np.zeros_like(Z))
-        assert np.array_equal(R, np.zeros((geo.face_dim, geo.face_dim)))
+        assert np.array_equal(G @ G.T, np.zeros((geo.face_dim, geo.face_dim)))
 
 
 class TestRUpdate:
     def test_zero_iterates_give_uniform_spectrum(self, derived_instance):
         geo = build_geometry(derived_instance)
         n, p = geo.face_dim, geo.partition.p
-        R = r_update(np.zeros((5, 5)), np.zeros((5, 5)), geo, beta=1.0)
+        G = r_update(np.zeros((5, 5)), np.zeros((5, 5)), geo, beta=1.0)
+        R = G @ G.T
         assert np.allclose(R, ((p + 1) / n) * np.eye(n), atol=1e-14)
 
     def test_membership_properties(self, derived_instance):
@@ -86,7 +90,8 @@ class TestRUpdate:
         for _ in range(10):
             Y = rng.normal(size=(5, 5))
             Z = rng.normal(size=(5, 5))
-            R = r_update(0.5 * (Y + Y.T), 0.5 * (Z + Z.T), geo, beta=2.0)
+            G = r_update(0.5 * (Y + Y.T), 0.5 * (Z + Z.T), geo, beta=2.0)
+            R = G @ G.T
             assert abs(np.trace(R) - 3.0) <= 1e-10
             assert np.linalg.eigvalsh(R)[0] >= -1e-10
 
@@ -108,9 +113,8 @@ class TestDualStep:
         geo = build_geometry(derived_instance)
         params = default_params(derived_instance)
         _, Y, Z = initialize(geo)
-        V = geo.null_basis
-        R = r_update(Y, Z, geo, params.beta)
-        vrv = V @ R @ V.T
+        F = geo.null_basis @ r_update(Y, Z, geo, params.beta)
+        vrv = F @ F.T
         Z_half = dual_step(Z, Y - vrv, params.gamma * params.beta)
         assert np.all(Z_half[0, :] == 0.0)
         assert np.all(Z_half[:, 0] == 0.0)
@@ -141,9 +145,8 @@ class TestYUpdate:
         geo = build_geometry(inst)
         _, Y0, Z0 = initialize(geo)
         params = default_params(inst)
-        V = geo.null_basis
-        R = r_update(Y0, Z0, geo, params.beta)
-        vrv = V @ R @ V.T
+        F = geo.null_basis @ r_update(Y0, Z0, geo, params.beta)
+        vrv = F @ F.T
         Z_half = dual_step(Z0, Y0 - vrv, params.gamma * params.beta)
         Y = y_update(vrv, Z_half, geo, params.beta)
         assert Y[1, 3] == 0.0 and Y[3, 1] == 0.0
@@ -216,6 +219,7 @@ class TestSolve:
         history = report.bound_history
         assert report.lbd == max(r.lower for r in history)
         assert report.ubd == min(r.upper for r in history)
+        assert report.certified == certified(report.lbd, report.ubd)
         assert report.ubd == objective(
             report.assignment.to_indicator(derived_instance.partition),
             derived_instance.energy,
@@ -323,3 +327,22 @@ class TestSolve:
             assert record.upper == min(value for _, value in calls)
         assert closing == [False, False, True]
         assert report.termination == "gap_closed"
+
+    def test_rank_one_on_reduced_structured_instance(self):
+        instance, _ = structured_instance(101)
+        report = solve(goldstein_reduce(instance).reduced)
+        assert report.bound_history
+        assert all(record.rank == 1 for record in report.bound_history)
+
+    def test_rank_bounds_rank_of_checkpoint_r(self):
+        # the factor may keep eigenvalues below matrix_rank's cutoff, never
+        # fewer columns than the rank of R
+        for inst in itertools.islice(acceptance_corpus(), 5):
+            ranks = []
+            report = solve(
+                inst,
+                on_checkpoint=lambda it, R, Y, Z: ranks.append(np.linalg.matrix_rank(R)),
+            )
+            assert len(ranks) == len(report.bound_history) > 0
+            for record, rank in zip(report.bound_history, ranks):
+                assert 1 <= rank <= record.rank <= inst.partition.n0 + 1 - inst.partition.p
