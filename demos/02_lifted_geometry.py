@@ -5,20 +5,14 @@
 import numpy as np
 
 from scpsolve import RotamerPartition
-from scpsolve.lifting import (
-    exposing_matrix,
-    gangster_indices,
-    gangster_values,
-    homogenized_constraints,
-    lift_indicator,
-    null_space_basis,
-    row_sum_matrix,
-)
+from scpsolve.lifting import gangster_indices, lift_indicator, null_space_basis
 
 partition = RotamerPartition((2, 2))
 
 # Row i of the constraint matrix sums block i; feasible x solve Ax = 1.
-A = row_sum_matrix(partition)
+A = np.zeros((partition.p, partition.n0))
+for i in range(partition.p):
+    A[i, partition.block_slice(i)] = 1.0
 print("row-sum constraint matrix:")
 print(A)
 
@@ -31,19 +25,22 @@ print(Y)
 # The gangster index list pins entries of every lifted matrix: the corner
 # (0,0) is 1, within-block off-diagonal pairs are 0.
 gangster = gangster_indices(partition)
-print("\ngangster indices:", [tuple(r) for r in gangster])
-print("values at those indices:", gangster_values(Y, gangster))
+print("\ngangster indices:", [tuple(r) for r in gangster.tolist()])
+print("values at those indices:", Y[gangster[:, 0], gangster[:, 1]])
 
-# Every feasible lift is annihilated by the exposing matrix, so the whole
-# feasible set lives on a face of the PSD cone...
-K = exposing_matrix(partition)
+# [1; x] solves the homogenized constraints H = [-1 | A], so every feasible
+# lift is annihilated by the exposing matrix H'H and the whole feasible set
+# lives on a face of the PSD cone...
+H = np.hstack([-np.ones((partition.p, 1)), A])
+K = H.T @ H
 print("\n|K Y| max:", np.max(np.abs(K @ Y)))
 
-# ...parametrized by an orthonormal null-space basis V: Y = V R V' with R
-# of order n0 + 1 - p and trace p + 1.
+# ...parametrized by an orthonormal basis V of H's null space: Y = V R V'
+# with R of order n0 + 1 - p and trace p + 1.  V depends only on the block
+# sizes, so it is written down in closed form, one block at a time.
 V = null_space_basis(partition)
-H = homogenized_constraints(partition)
 print("V shape:", V.shape)
+print(np.round(V, 4))
 print("|V'V - I| max:", np.max(np.abs(V.T @ V - np.eye(V.shape[1]))))
 print("|[-1 A] V| max:", np.max(np.abs(H @ V)))
 R = V.T @ Y @ V

@@ -19,7 +19,6 @@ from .lifting import LiftedGeometry
 
 FIRST_COLUMN = "first_column"
 EIGENVECTOR = "dominant_eigenvector"
-UPPER_SOURCES = (FIRST_COLUMN, EIGENVECTOR)
 
 # Bounds are compared at machine-precision scale.  A looser tolerance (e.g.
 # 1e-9) lets the gap close while the primal iterate is still far from the

@@ -122,10 +122,11 @@ class ScpInstance:
 def canonicalize_energy(raw_matrix, partition: RotamerPartition) -> np.ndarray:
     """Symmetrize a raw energy matrix and zero its within-block off-diagonals.
 
-    The input must be square of order ``partition.n0``, finite, and
-    symmetric within ``SYMMETRY_RTOL`` (relative to its largest entry).  The
-    output is a read-only array, exactly symmetric (averaged with its
-    transpose); every other entry is preserved.
+    The input must be square of order ``partition.n0``, finite, at most
+    half the largest float in magnitude, and symmetric within
+    ``SYMMETRY_RTOL`` (relative to its largest entry).  The output is a
+    read-only array, exactly symmetric (averaged with its transpose); every
+    other entry is preserved.
     """
     arr = np.array(raw_matrix, dtype=float)
     n0 = partition.n0
@@ -137,6 +138,9 @@ def canonicalize_energy(raw_matrix, partition: RotamerPartition) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise InstanceError("energy matrix has non-finite entries")
     scale = max(1.0, float(np.max(np.abs(arr))) if arr.size else 1.0)
+    # beyond half the float range, arr - arr.T and arr + arr.T can overflow
+    if scale > 0.5 * np.finfo(float).max:
+        raise InstanceError("energy magnitude exceeds half the float range")
     if float(np.max(np.abs(arr - arr.T))) > SYMMETRY_RTOL * scale:
         raise InstanceError("energy matrix is asymmetric beyond tolerance")
     sym = 0.5 * (arr + arr.T)

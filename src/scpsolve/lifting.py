@@ -3,17 +3,18 @@
 The binary model is lifted to symmetric matrices of order ``n0 + 1`` via
 ``[1; x][1; x]'``.  This module builds everything the relaxation needs:
 
-* the one-per-block row-sum constraint matrix,
 * the lifted cost matrix (zero border row/column, energies in the rest),
 * the gangster index list (entries pinned to 0, plus the (0,0) entry pinned
   to 1),
-* an orthonormal basis of the null space of the homogenized constraints,
-  which parametrizes the minimal face containing every feasible lifted
-  matrix (facial reduction).
+* an orthonormal basis V of the null space of the homogenized one-per-block
+  constraints [-1 | A] (row i of A sums block i).  V spans the minimal face
+  containing every feasible lifted matrix (facial reduction); it depends
+  only on the block sizes and is written down in closed form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,37 +22,30 @@ import numpy as np
 from .instances import RotamerPartition, ScpInstance
 
 
-def row_sum_matrix(partition: RotamerPartition) -> np.ndarray:
-    """p x n0 matrix whose row i has ones exactly on block i's columns."""
-    A = np.zeros((partition.p, partition.n0))
-    for i, (off, mi) in enumerate(zip(partition.offsets, partition.m)):
-        A[i, off : off + mi] = 1.0
-    return A
-
-
-def homogenized_constraints(partition: RotamerPartition) -> np.ndarray:
-    """p x (n0+1) matrix [-1 | A]; feasible lifted vectors lie in its null space."""
-    A = row_sum_matrix(partition)
-    return np.hstack([-np.ones((partition.p, 1)), A])
-
-
 def null_space_basis(partition: RotamerPartition) -> np.ndarray:
     """Orthonormal basis of the null space of the homogenized constraints.
 
-    Computed from a complete QR factorization of the transposed constraint
-    matrix (Householder, no pivoting), so the result is deterministic for a
-    fixed partition.  Shape (n0+1) x (n0+1-p).
+    Column 0 is [1; x] normalized, with x = 1/m_i on block i.  Each block
+    with m_i > 1 adds m_i - 1 columns supported on its own rows,
+    [1'/sqrt(m_i); I - 11'/(m_i - sqrt(m_i))]: the last columns of the
+    Householder reflector mapping e_1 to the block's unit constant vector.
+    They sum to zero over the block, so they are orthogonal to column 0.
+    Shape (n0+1) x (n0+1-p).
     """
-    H = homogenized_constraints(partition)
-    Q, _ = np.linalg.qr(H.T, mode="complete")
-    return Q[:, partition.p :]
-
-
-def exposing_matrix(partition: RotamerPartition) -> np.ndarray:
-    """H'H for the homogenized constraints H: PSD, rank p, annihilates every
-    feasible lifted matrix.  Used for invariant checks, not in the solver."""
-    H = homogenized_constraints(partition)
-    return H.T @ H
+    V = np.zeros((partition.n0 + 1, partition.n0 + 1 - partition.p))
+    V[0, 0] = 1.0
+    col = 1
+    for off, mi in zip(partition.offsets, partition.m):
+        rows = slice(off + 1, off + 1 + mi)
+        V[rows, 0] = 1.0 / mi
+        if mi > 1:  # a singleton block adds no column (m_i - sqrt(m_i) = 0)
+            root = math.sqrt(mi)
+            block = V[rows, col : col + mi - 1]
+            block[0] = 1.0 / root
+            block[1:] = np.eye(mi - 1) - 1.0 / (mi - root)
+            col += mi - 1
+    V[:, 0] /= np.linalg.norm(V[:, 0])
+    return V
 
 
 def gangster_indices(partition: RotamerPartition) -> np.ndarray:
@@ -84,11 +78,6 @@ def lift_indicator(x) -> np.ndarray:
     """Rank-one lifted matrix [1; x][1; x]' of an indicator vector."""
     v = np.concatenate([[1.0], np.asarray(x, dtype=float)])
     return np.outer(v, v)
-
-
-def gangster_values(M, gangster: np.ndarray) -> np.ndarray:
-    """Entries of M at the gangster indices, in their canonical order."""
-    return np.asarray(M)[gangster[:, 0], gangster[:, 1]]
 
 
 @dataclass(frozen=True, eq=False)

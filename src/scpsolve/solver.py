@@ -96,11 +96,7 @@ def default_params(instance: ScpInstance) -> SolverParams:
     p, n0 = instance.partition.p, instance.partition.n0
     return SolverParams(
         beta=float(max(math.floor(0.5 * n0 / p), 1)),
-        gamma=0.9,
-        epsilon=1e-10,
         max_iter=p * (n0 + 1) + 10_000,
-        t_consecutive=100,
-        bound_period=100,
     )
 
 

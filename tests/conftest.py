@@ -1,4 +1,10 @@
-"""Shared fixtures and enumeration helpers for the test suite."""
+"""Shared fixtures and helpers for the test suite.
+
+Besides the fixtures and the enumeration of feasible points, this holds the
+explicit constraint matrices of the lifted geometry ([-1 | A], its exposing
+matrix H'H) and the QR face basis.  The solver never forms them; the tests
+use them as independent references for the closed-form basis in
+``scpsolve.lifting``."""
 
 import itertools
 
@@ -36,6 +42,40 @@ def acceptance_corpus():
     for i in range(CORPUS_SIZE):
         p = int(rng.integers(2, 7))
         yield random_instance(p, 5, (-10, 10), seed=INSTANCE_SEED + i)
+
+
+def row_sum_matrix(partition: RotamerPartition) -> np.ndarray:
+    """p x n0 matrix whose row i has ones exactly on block i's columns."""
+    A = np.zeros((partition.p, partition.n0))
+    for i, (off, mi) in enumerate(zip(partition.offsets, partition.m)):
+        A[i, off : off + mi] = 1.0
+    return A
+
+
+def homogenized_constraints(partition: RotamerPartition) -> np.ndarray:
+    """p x (n0+1) matrix [-1 | A]; feasible lifted vectors lie in its null space."""
+    A = row_sum_matrix(partition)
+    return np.hstack([-np.ones((partition.p, 1)), A])
+
+
+def exposing_matrix(partition: RotamerPartition) -> np.ndarray:
+    """H'H for the homogenized constraints H: PSD, rank p, annihilates every
+    feasible lifted matrix.  Used for invariant checks, not in the solver."""
+    H = homogenized_constraints(partition)
+    return H.T @ H
+
+
+def gangster_values(M, gangster: np.ndarray) -> np.ndarray:
+    """Entries of M at the gangster indices, in their canonical order."""
+    return np.asarray(M)[gangster[:, 0], gangster[:, 1]]
+
+
+def qr_face_basis(partition: RotamerPartition) -> np.ndarray:
+    """Reference face basis: the null space of [-1 | A] from a complete QR
+    of its transpose, dropping the first p columns."""
+    H = homogenized_constraints(partition)
+    Q, _ = np.linalg.qr(H.T, mode="complete")
+    return Q[:, partition.p :]
 
 
 def feasible_indicators(partition):

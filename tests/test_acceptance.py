@@ -11,7 +11,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import acceptance_corpus, feasible_indicators, make_instance
+from conftest import (
+    acceptance_corpus,
+    exposing_matrix,
+    feasible_indicators,
+    homogenized_constraints,
+    make_instance,
+)
 from scpsolve import (
     RotamerPartition,
     brute_force,
@@ -24,14 +30,7 @@ from scpsolve import (
 )
 from scpsolve.bounds import certified, dual_lower_bound, round_to_feasible
 from scpsolve.cli import build_report
-from scpsolve.lifting import (
-    build_geometry,
-    exposing_matrix,
-    gangster_indices,
-    homogenized_constraints,
-    lift_indicator,
-    null_space_basis,
-)
+from scpsolve.lifting import build_geometry, gangster_indices, lift_indicator, null_space_basis
 from scpsolve.projections import project_simplex
 from scpsolve.solver import initialize
 from test_projections import psd_trace_matrix, simplex_oracle

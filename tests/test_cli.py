@@ -215,3 +215,12 @@ def test_nonfinite_energy_rejected(command, tmp_path, capsys):
         captured = capsys.readouterr()
         assert "error: energy matrix has non-finite entries" in captured.err
         assert captured.out == ""
+
+
+def test_energy_overflowing_symmetrization_rejected(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"name": "huge", "p": 2, "m": [1, 1], "E": [[0.0, 1.7e308], [1.7e308, 0.0]]}')
+    assert main(["solve", str(path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert "error: energy magnitude exceeds half the float range" in captured.err
+    assert captured.out == ""

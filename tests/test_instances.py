@@ -233,3 +233,17 @@ class TestInstanceIO:
             doc = f'{{"name": "bad", "p": 1, "m": [1], "E": [[{entry}]]}}'
             with pytest.raises(InstanceError):
                 parse_instance(doc)
+
+    def test_rejects_energies_that_overflow_when_symmetrized(self):
+        # each entry is finite, but their sum in 0.5 * (E + E') is not
+        doc = '{"name": "bad", "p": 2, "m": [1, 1], "E": [[0.0, 1.7e308], [1.7e308, 0.0]]}'
+        with pytest.raises(InstanceError, match="half the float range"):
+            parse_instance(doc)
+
+    def test_accepts_energy_at_half_the_float_range(self):
+        limit = float(0.5 * np.finfo(float).max)
+        doc = f'{{"name": "edge", "p": 2, "m": [1, 1], "E": [[0.0, {limit!r}], [{-limit!r}, 0.0]]}}'
+        with pytest.raises(InstanceError, match="asymmetric"):
+            parse_instance(doc)
+        doc = f'{{"name": "edge", "p": 2, "m": [1, 1], "E": [[0.0, {limit!r}], [{limit!r}, 0.0]]}}'
+        assert parse_instance(doc).energy[0, 1] == limit

@@ -1,17 +1,21 @@
 import numpy as np
 
-from conftest import feasible_indicators, make_instance
+from conftest import (
+    exposing_matrix,
+    feasible_indicators,
+    gangster_values,
+    homogenized_constraints,
+    make_instance,
+    qr_face_basis,
+    row_sum_matrix,
+)
 from scpsolve import RotamerPartition, random_instance
 from scpsolve.lifting import (
     build_geometry,
-    exposing_matrix,
     gangster_indices,
-    gangster_values,
-    homogenized_constraints,
     lift_energy,
     lift_indicator,
     null_space_basis,
-    row_sum_matrix,
 )
 
 
@@ -60,6 +64,28 @@ class TestNullBasis:
             assert V.shape == (n0 + 1, n0 + 1 - p)
             assert np.max(np.abs(V.T @ V - np.eye(n0 + 1 - p))) <= 1e-12
             assert np.max(np.abs(H @ V)) <= 1e-12
+
+    def test_closed_form_spans_the_qr_face(self):
+        # the closed-form basis and the QR reference span the same face, and
+        # the closed form has its stated structure: column 0 proportional to
+        # [1; 1/m_i on block i], every other column supported in one block
+        # and summing to zero over it
+        rng = np.random.default_rng(7)
+        parts = [random_partition(rng, p_max=11, m_max=8) for _ in range(50)]
+        parts += [RotamerPartition((5,)), RotamerPartition((1,) * 6), RotamerPartition((20, 1, 13, 20))]
+        for part in parts:
+            V = null_space_basis(part)
+            Q = qr_face_basis(part)
+            assert V.shape == Q.shape
+            assert np.max(np.abs(V @ V.T - Q @ Q.T)) <= 1e-12
+            u = np.concatenate([[1.0], np.repeat([1.0 / mi for mi in part.m], part.m)])
+            assert np.max(np.abs(V[:, 0] - u / np.linalg.norm(u))) <= 1e-15
+            assert np.all(V[0, 1:] == 0.0)
+            blocks = np.repeat(np.arange(part.p), part.m)
+            for col in V[1:, 1:].T:
+                support = blocks[np.nonzero(col)[0]]
+                assert support.size and np.all(support == support[0])
+                assert abs(col.sum()) <= 1e-14
 
     def test_deterministic(self):
         part = RotamerPartition((3, 1, 4))

@@ -17,7 +17,7 @@ from scpsolve import (
     random_instance,
     solve,
 )
-from scpsolve.bounds import FIRST_COLUMN, UPPER_SOURCES, certified, upper_bound
+from scpsolve.bounds import EIGENVECTOR, FIRST_COLUMN, certified, upper_bound
 from scpsolve.lifting import build_geometry
 from scpsolve.projections import zero_border_diag
 from scpsolve.solver import check_stop, dual_step, initialize, r_update, y_update
@@ -322,7 +322,7 @@ class TestSolve:
             column_value = calls[0][1]
             closing.append(certified(best_lower, column_value))
             sources = [source for source, _ in calls]
-            expected = [FIRST_COLUMN] if closing[-1] else list(UPPER_SOURCES)
+            expected = [FIRST_COLUMN] if closing[-1] else [FIRST_COLUMN, EIGENVECTOR]
             assert sources == expected
             assert record.upper == min(value for _, value in calls)
         assert closing == [False, False, True]
