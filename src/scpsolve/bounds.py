@@ -36,7 +36,7 @@ class BoundRecord:
     lower: float
     upper: float
     upper_source: str
-    rank: int  # columns of R's factor, the rank of the projected R
+    rank: int  # rank of the projected R, rounding-level eigenvalues not counted
 
 
 def dual_lower_bound(Z, geometry: LiftedGeometry) -> float:

@@ -1,12 +1,28 @@
 """Projection kernels used by the splitting solver.
 
 All four operators are Euclidean projections (the last one onto a linear
-subspace), hence nonexpansive and idempotent.
+subspace), hence nonexpansive and idempotent.  The PSD/trace projection of
+a low-rank matrix can come from a warm-started partial eigensolve, used only
+when its Ritz residuals are at rounding level and a Cholesky factorization
+proves that it missed no eigenvalue above the simplex threshold.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# The partial eigensolve's block holds the start's columns plus PAD_COLUMNS
+# seeded ones.  It is tried only while the order is at least MIN_ORDER_RATIO
+# times the block width: a wider block buys little over the full eigh.  It
+# runs at most MAX_SWEEPS sweeps; from sweep MIN_SWEEPS on it gives up as
+# soon as the residual falls too slowly to reach RESIDUAL_RTOL * |S|_F in
+# the sweeps left.
+PAD_COLUMNS = 4
+PAD_SEED = 0
+MIN_ORDER_RATIO = 16
+MAX_SWEEPS = 16
+MIN_SWEEPS = 3
+RESIDUAL_RTOL = 1e-13
 
 
 def project_simplex(d, total) -> np.ndarray:
@@ -26,20 +42,77 @@ def project_simplex(d, total) -> np.ndarray:
     return np.maximum(d - thresholds[k], 0.0)
 
 
-def project_psd_trace(M, total) -> np.ndarray:
+def project_psd_trace(M, total, start=None) -> np.ndarray:
     """Nearest PSD matrix with fixed trace ``total`` (Frobenius norm), as
     a factor G: the projection is ``G @ G.T``.
 
     Symmetrizes the input, eigendecomposes and projects the spectrum onto
     the scaled simplex; G's columns are the eigenvectors with a positive
     projected eigenvalue, each scaled by its square root (no zero column).
+
+    ``start``, a factor from a nearby earlier projection, warm-starts a
+    partial eigensolve when its rank is small beside the order of M (see
+    ``partial_psd_trace``); when that cannot prove its answer, the full
+    eigendecomposition runs as without it.
     """
     M = np.asarray(M, dtype=float)
     S = 0.5 * (M + M.T)
+    if start is not None and MIN_ORDER_RATIO * (start.shape[1] + PAD_COLUMNS) <= S.shape[0]:
+        G = partial_psd_trace(S, total, start)
+        if G is not None:
+            return G
     w, U = np.linalg.eigh(S)
     w = project_simplex(w, total)
     keep = w > 0.0
     return U[:, keep] * np.sqrt(w[keep])
+
+
+def partial_psd_trace(S, total, start) -> np.ndarray | None:
+    """``project_psd_trace`` of symmetric S from its top eigenpairs alone,
+    or None when they cannot be proven to be all it keeps.
+
+    Block subspace sweeps with Rayleigh-Ritz, started from the normalized
+    nonzero columns of ``start`` and PAD_COLUMNS seeded columns, run until
+    every Ritz pair the simplex keeps has a residual at rounding level.  The
+    simplex threshold tau of the Ritz values is then the threshold of the
+    whole spectrum exactly when no other eigenvalue exceeds tau, and one
+    Cholesky factorization of tau I - S + sum_kept (theta_i - tau + 1) u_i u_i'
+    proves that: on the kept Ritz vectors the matrix is the identity, on
+    their complement it is tau I - S.
+    """
+    n = S.shape[0]
+    norms = np.linalg.norm(start, axis=0)
+    start = start[:, norms > 0.0] / norms[norms > 0.0]
+    pad = np.random.default_rng(PAD_SEED).standard_normal((n, PAD_COLUMNS))
+    X = np.linalg.qr(np.hstack([start, pad]))[0]
+    tol = RESIDUAL_RTOL * np.linalg.norm(S)
+    for sweep in range(MAX_SWEEPS):
+        SX = S @ X
+        theta, W = np.linalg.eigh(X.T @ SX)
+        U, SU = X @ W, SX @ W
+        w = project_simplex(theta, total)
+        keep = w > 0.0
+        residual = np.linalg.norm(SU[:, keep] - U[:, keep] * theta[keep], axis=0).max()
+        if residual <= tol:
+            break
+        # the last sweep's rate of decrease, kept up, would still miss tol
+        sweeps_left = MAX_SWEEPS - 1 - sweep
+        if sweep >= MIN_SWEEPS and residual * (residual / previous) ** sweeps_left > tol:
+            return None
+        previous = residual
+        X = np.linalg.qr(SU)[0]
+    else:  # reached only when the residual is not finite
+        return None
+    tau = theta[-1] - w[-1]
+    U = U[:, keep]
+    T = (U * (theta[keep] - tau + 1.0)) @ U.T
+    T -= S
+    T.flat[:: n + 1] += tau
+    try:
+        np.linalg.cholesky(T)
+    except np.linalg.LinAlgError:
+        return None
+    return U * np.sqrt(w[keep])
 
 
 def project_box_gangster(M, gangster: np.ndarray) -> np.ndarray:

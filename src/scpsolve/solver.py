@@ -14,9 +14,12 @@ each block:
 The mask zeroes the dual coordinates whose optimal values are known (row 0,
 column 0, diagonal), so those entries stay at their initialized values for
 the entire run.  R is kept as its factor G with R = GG', so VRV' is the
-rank-r product (VG)(VG)'.  Lower/upper bounds are evaluated periodically;
-the solve stops on a closed gap, on persistently small residuals, or at
-the iteration cap.
+rank-r product (VG)(VG)'.  Each R-update passes the previous G to the
+projection: while R has low rank, a partial eigensolve warm-started on G's
+columns replaces the full eigendecomposition whenever its residual test
+and a Cholesky check prove that it gives the same projection.  Lower/upper
+bounds are evaluated periodically; the solve stops on a closed gap, on
+persistently small residuals, or at the iteration cap.
 """
 
 from __future__ import annotations
@@ -114,12 +117,21 @@ def initialize(geometry: LiftedGeometry) -> tuple[np.ndarray, np.ndarray, np.nda
     return G, Y, Z
 
 
-def r_update(Y, Z, geometry: LiftedGeometry, beta: float) -> np.ndarray:
+def r_update(Y, Z, geometry: LiftedGeometry, beta: float, start=None) -> np.ndarray:
     """Closed-form PSD block update: project V'(Y + Z/beta)V onto
-    {R PSD, trace(R) = p + 1}; returns the factor G with R = GG'."""
+    {R PSD, trace(R) = p + 1}; returns the factor G with R = GG'.
+    ``start``, the previous factor, warm-starts the projection."""
     V = geometry.null_basis
     W = V.T @ (Y + Z / beta) @ V
-    return project_psd_trace(W, geometry.partition.p + 1.0)
+    return project_psd_trace(W, geometry.partition.p + 1.0, start)
+
+
+def factor_rank(G, total: float) -> int:
+    """Rank of R = GG' with trace ``total``: the columns of G whose
+    eigenvalue (squared norm) exceeds the rounding level order*eps*total,
+    so eigenpairs the projection keeps at rounding level do not count."""
+    cutoff = G.shape[0] * np.finfo(float).eps * total
+    return int(np.count_nonzero(np.einsum("ij,ij->j", G, G) > cutoff))
 
 
 def dual_step(Z, residual, step: float) -> np.ndarray:
@@ -205,7 +217,7 @@ def solve(
                 lower=lower,
                 upper=upper_here,
                 upper_source=source_here,
-                rank=G.shape[1],
+                rank=factor_rank(G, instance.partition.p + 1.0),
             )
         )
         best_lower = max(best_lower, lower)
@@ -218,7 +230,7 @@ def solve(
     primal_res = dual_res = math.inf
     reason = None
     while reason is None:
-        G = r_update(Y, Z, geometry, params.beta)
+        G = r_update(Y, Z, geometry, params.beta, G)
         F = V @ G
         # F @ F.T runs as a symmetric rank-r update, so vrv is exactly symmetric
         vrv = F @ F.T

@@ -90,3 +90,19 @@ def feasible_indicators(partition):
 @pytest.fixture
 def derived_instance():
     return make_instance((2, 2), DERIVED_E, name="derived-2x2")
+
+
+@pytest.fixture
+def eigh_orders(monkeypatch):
+    """The order of every matrix passed to ``np.linalg.eigh`` during the
+    test, so a test can tell the full eigendecomposition from the small
+    Rayleigh-Ritz ones."""
+    orders = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        orders.append(np.shape(a)[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return orders

@@ -5,6 +5,8 @@ from conftest import feasible_indicators
 from scpsolve import RotamerPartition
 from scpsolve.lifting import gangster_indices, lift_indicator
 from scpsolve.projections import (
+    PAD_COLUMNS,
+    PAD_SEED,
     project_box_gangster,
     project_psd_trace,
     project_simplex,
@@ -111,6 +113,108 @@ class TestPsdTrace:
             assert np.all(np.linalg.norm(G, axis=0) > 0.0)
             assert np.array_equal(out, out.T)
             assert np.max(np.abs(out - want)) <= 1e-12
+
+
+def with_spectrum(Q, values):
+    """Symmetric matrix with eigenvectors Q's columns and the given values."""
+    return (Q * values) @ Q.T
+
+
+def orthonormal(rng, n, k=None):
+    return np.linalg.qr(rng.normal(size=(n, n if k is None else k)))[0]
+
+
+class TestPartialPsdTrace:
+    """The warm-started partial eigensolve, against the full eigh path."""
+
+    n = 120  # 16 * (start columns + pad) fits for up to 3 start columns
+    total = 60.0
+
+    def project_counting(self, eigh_orders, S, start):
+        """The projection with ``start``, and how many order-n eigh calls
+        (the full path) it made."""
+        eigh_orders.clear()
+        G = project_psd_trace(S, self.total, start)
+        return G, eigh_orders.count(self.n)
+
+    def assert_partial_matches_full(self, eigh_orders, S, start):
+        G, full_calls = self.project_counting(eigh_orders, S, start)
+        assert full_calls == 0
+        want = psd_trace_matrix(S, self.total)
+        assert np.max(np.abs(G @ G.T - want)) <= 1e-12
+        assert np.all(np.linalg.norm(G, axis=0) > 0.0)
+
+    def test_random(self, eigh_orders):
+        rng = np.random.default_rng(21)
+        for _ in range(10):
+            Q = orthonormal(rng, self.n)
+            top = rng.uniform(40.0, 80.0, size=3)
+            values = np.concatenate([top, rng.uniform(-5.0, 5.0, size=self.n - 3)])
+            noise = 1e-3 * rng.normal(size=(self.n, self.n))
+            start = project_psd_trace(with_spectrum(Q, values) + noise, self.total)
+            M = with_spectrum(Q, values) + 1e-2 * rng.normal(size=(self.n, self.n))
+            self.assert_partial_matches_full(eigh_orders, M, start)
+            self.assert_partial_matches_full(eigh_orders, M, rng.normal(size=(self.n, 2)))
+
+    def test_rank_one(self, eigh_orders):
+        rng = np.random.default_rng(22)
+        for _ in range(10):
+            v = orthonormal(rng, self.n, 1)
+            noise = rng.normal(scale=0.05, size=(self.n, self.n))
+            M = float(rng.uniform(60.0, 200.0)) * (v @ v.T) + noise
+            start = v + 1e-3 * rng.normal(size=(self.n, 1))
+            self.assert_partial_matches_full(eigh_orders, M, start)
+
+    def test_crowded_spectrum_just_below_threshold(self, eigh_orders):
+        # one kept eigenvalue 61 gives tau = 1; twenty more sit 1e-6 apart
+        # just under it, so the Cholesky check has almost no margin
+        rng = np.random.default_rng(23)
+        for _ in range(5):
+            Q = orthonormal(rng, self.n)
+            crowd = 1.0 - 1e-6 * np.arange(1, 21)
+            rest = rng.uniform(-1.0, 0.9, size=self.n - 21)
+            S = with_spectrum(Q, np.concatenate([[self.total + 1.0], crowd, rest]))
+            start = Q[:, :1] + 1e-4 * rng.normal(size=(self.n, 1))
+            self.assert_partial_matches_full(eigh_orders, S, start)
+
+    def test_zero_column_start(self, eigh_orders):
+        # a start with no columns, and one whose only column is zero
+        rng = np.random.default_rng(24)
+        for _ in range(5):
+            Q = orthonormal(rng, self.n)
+            values = np.concatenate([[90.0, 70.0], rng.uniform(-4.0, 4.0, size=self.n - 2)])
+            S = with_spectrum(Q, values)
+            self.assert_partial_matches_full(eigh_orders, S, np.zeros((self.n, 0)))
+            self.assert_partial_matches_full(eigh_orders, S, np.zeros((self.n, 1)))
+
+    def test_start_orthogonal_to_top_eigenvector(self, eigh_orders):
+        rng = np.random.default_rng(25)
+        for _ in range(5):
+            Q = orthonormal(rng, self.n)
+            values = np.concatenate([[80.0], rng.uniform(-4.0, 4.0, size=self.n - 1)])
+            S = with_spectrum(Q, values)
+            self.assert_partial_matches_full(eigh_orders, S, Q[:, 1:3])
+
+    def test_eigenvalue_hidden_from_the_block_falls_back(self, eigh_orders):
+        # S leaves the span of the start and pad columns invariant and puts
+        # its largest eigenvalue outside it: the sweeps converge without
+        # ever seeing it, so only the Cholesky check can reject them
+        rng = np.random.default_rng(26)
+        start = rng.normal(size=(self.n, 1))
+        pad = np.random.default_rng(PAD_SEED).standard_normal((self.n, PAD_COLUMNS))
+        block = np.hstack([start, pad])
+        Q = np.linalg.qr(np.hstack([block, rng.normal(size=(self.n, self.n - block.shape[1]))]))[0]
+        values = np.concatenate(
+            [[70.0], rng.uniform(-2.0, 2.0, size=PAD_COLUMNS), [200.0],
+             rng.uniform(-2.0, 2.0, size=self.n - PAD_COLUMNS - 2)]
+        )
+        S = with_spectrum(Q, values)
+        G, full_calls = self.project_counting(eigh_orders, S, start)
+        assert full_calls == 1
+        top = np.linalg.eigh(S)[1][:, -1]
+        assert np.isclose(abs(top @ Q[:, PAD_COLUMNS + 1]), 1.0)
+        assert np.max(np.abs(G @ G.T - psd_trace_matrix(S, self.total))) <= 1e-12
+        assert G.shape[1] == 1 and np.allclose(G[:, 0] @ G[:, 0], self.total)
 
 
 class TestBoxGangster:
