@@ -36,7 +36,7 @@ class BoundRecord:
     lower: float
     upper: float
     upper_source: str
-    rank: int  # rank of the projected R, rounding-level eigenvalues not counted
+    rank: int  # rank of the projected R: the width of its factor G
 
 
 def dual_lower_bound(Z, geometry: LiftedGeometry) -> float:
@@ -101,10 +101,10 @@ def upper_bound(Y, instance: ScpInstance, source: str) -> tuple[float, Assignmen
 def certified(lower: float, upper: float) -> bool:
     """True when the lower bound meets a finite upper bound to within
     GAP_CLOSE_RTOL relative to the upper bound, which proves the upper
-    bound's assignment optimal."""
-    return math.isfinite(upper) and bool(
-        lower >= upper - GAP_CLOSE_RTOL * (1.0 + abs(upper))
-    )
+    bound's assignment optimal.  A lower bound above the upper bound by
+    more than that proves nothing: it shows rounding error in the bound."""
+    slack = GAP_CLOSE_RTOL * (1.0 + abs(upper))
+    return math.isfinite(upper) and bool(upper - slack <= lower <= upper + slack)
 
 
 def relative_gap(ubd: float, lbd: float) -> float:

@@ -38,8 +38,15 @@ def project_simplex(d, total) -> np.ndarray:
         raise ValueError("simplex total must be positive")
     u = np.sort(d)[::-1]
     thresholds = (np.cumsum(u) - total) / np.arange(1, d.size + 1)
-    k = np.nonzero(u > thresholds)[0][-1]
-    return np.maximum(d - thresholds[k], 0.0)
+    active = np.nonzero(u > thresholds)[0]
+    if active.size == 0:  # total lost to rounding beside the entries, or a NaN
+        raise ValueError(f"simplex total {total} is lost to rounding beside the entries")
+    return np.maximum(d - thresholds[active[-1]], 0.0)
+
+
+def kept(w, order: int, total: float) -> np.ndarray:
+    """Mask of the projected eigenvalues above rounding level, order*eps*total."""
+    return w > order * np.finfo(float).eps * total
 
 
 def project_psd_trace(M, total, start=None) -> np.ndarray:
@@ -47,8 +54,9 @@ def project_psd_trace(M, total, start=None) -> np.ndarray:
     a factor G: the projection is ``G @ G.T``.
 
     Symmetrizes the input, eigendecomposes and projects the spectrum onto
-    the scaled simplex; G's columns are the eigenvectors with a positive
-    projected eigenvalue, each scaled by its square root (no zero column).
+    the scaled simplex; G's columns are the eigenvectors whose projected
+    eigenvalue is above rounding level (``kept``), each scaled by its
+    square root, so ``G.shape[1]`` is the rank of the projection.
 
     ``start``, a factor from a nearby earlier projection, warm-starts a
     partial eigensolve when its rank is small beside the order of M (see
@@ -63,7 +71,7 @@ def project_psd_trace(M, total, start=None) -> np.ndarray:
             return G
     w, U = np.linalg.eigh(S)
     w = project_simplex(w, total)
-    keep = w > 0.0
+    keep = kept(w, S.shape[0], total)
     return U[:, keep] * np.sqrt(w[keep])
 
 
@@ -71,18 +79,16 @@ def partial_psd_trace(S, total, start) -> np.ndarray | None:
     """``project_psd_trace`` of symmetric S from its top eigenpairs alone,
     or None when they cannot be proven to be all it keeps.
 
-    Block subspace sweeps with Rayleigh-Ritz, started from the normalized
-    nonzero columns of ``start`` and PAD_COLUMNS seeded columns, run until
-    every Ritz pair the simplex keeps has a residual at rounding level.  The
-    simplex threshold tau of the Ritz values is then the threshold of the
-    whole spectrum exactly when no other eigenvalue exceeds tau, and one
-    Cholesky factorization of tau I - S + sum_kept (theta_i - tau + 1) u_i u_i'
-    proves that: on the kept Ritz vectors the matrix is the identity, on
-    their complement it is tau I - S.
+    Block subspace sweeps with Rayleigh-Ritz, started from an orthonormal
+    basis of ``start`` and PAD_COLUMNS seeded columns, run until every Ritz
+    pair above rounding level (``kept``, also the returned factor's columns)
+    has a residual at rounding level.  The simplex threshold tau of the Ritz
+    values is then that of the whole spectrum exactly when no other
+    eigenvalue exceeds tau, and one Cholesky factorization of tau I - S +
+    sum_kept (theta_i - tau + 1) u_i u_i' proves that: on the kept Ritz
+    vectors the matrix is the identity, on their complement it is tau I - S.
     """
     n = S.shape[0]
-    norms = np.linalg.norm(start, axis=0)
-    start = start[:, norms > 0.0] / norms[norms > 0.0]
     pad = np.random.default_rng(PAD_SEED).standard_normal((n, PAD_COLUMNS))
     X = np.linalg.qr(np.hstack([start, pad]))[0]
     tol = RESIDUAL_RTOL * np.linalg.norm(S)
@@ -91,7 +97,7 @@ def partial_psd_trace(S, total, start) -> np.ndarray | None:
         theta, W = np.linalg.eigh(X.T @ SX)
         U, SU = X @ W, SX @ W
         w = project_simplex(theta, total)
-        keep = w > 0.0
+        keep = kept(w, n, total)
         residual = np.linalg.norm(SU[:, keep] - U[:, keep] * theta[keep], axis=0).max()
         if residual <= tol:
             break

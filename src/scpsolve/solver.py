@@ -13,8 +13,8 @@ each block:
 
 The mask zeroes the dual coordinates whose optimal values are known (row 0,
 column 0, diagonal), so those entries stay at their initialized values for
-the entire run.  R is kept as its factor G with R = GG', so VRV' is the
-rank-r product (VG)(VG)'.  Each R-update passes the previous G to the
+the entire run.  R is kept as its factor G with R = GG' and rank r, G's
+width, so VRV' is the rank-r product (VG)(VG)'.  Each R-update passes the previous G to the
 projection: while R has low rank, a partial eigensolve warm-started on G's
 columns replaces the full eigendecomposition whenever its residual test
 and a Cholesky check prove that it gives the same projection.  Lower/upper
@@ -126,14 +126,6 @@ def r_update(Y, Z, geometry: LiftedGeometry, beta: float, start=None) -> np.ndar
     return project_psd_trace(W, geometry.partition.p + 1.0, start)
 
 
-def factor_rank(G, total: float) -> int:
-    """Rank of R = GG' with trace ``total``: the columns of G whose
-    eigenvalue (squared norm) exceeds the rounding level order*eps*total,
-    so eigenpairs the projection keeps at rounding level do not count."""
-    cutoff = G.shape[0] * np.finfo(float).eps * total
-    return int(np.count_nonzero(np.einsum("ij,ij->j", G, G) > cutoff))
-
-
 def dual_step(Z, residual, step: float) -> np.ndarray:
     """Damped dual update Z + step * mask(residual); masked coordinates keep
     their current values exactly."""
@@ -217,7 +209,7 @@ def solve(
                 lower=lower,
                 upper=upper_here,
                 upper_source=source_here,
-                rank=factor_rank(G, instance.partition.p + 1.0),
+                rank=G.shape[1],
             )
         )
         best_lower = max(best_lower, lower)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from scpsolve import (
 from scpsolve.bounds import (
     EIGENVECTOR,
     FIRST_COLUMN,
+    GAP_CLOSE_RTOL,
+    certified,
     dual_lower_bound,
     extract_fractional,
     round_to_feasible,
@@ -178,3 +182,29 @@ class TestRelativeGap:
             if abs(u + l + 1.0) < 1e-6:
                 continue
             assert relative_gap(u, l) == 2.0 * abs(u - l) / abs(u + l + 1.0)
+
+
+class TestCertified:
+    def test_equal_bounds(self):
+        assert certified(-41.5, -41.5)
+
+    def test_lower_within_tolerance_on_either_side(self):
+        upper = -41.5
+        slack = GAP_CLOSE_RTOL * (1.0 + abs(upper))
+        assert certified(upper - 0.5 * slack, upper)
+        assert certified(upper + 0.5 * slack, upper)
+
+    def test_lower_too_far_below(self):
+        assert not certified(-41.51, -41.5)
+
+    def test_lower_too_far_above(self):
+        # a lower bound above the upper bound shows rounding error in the
+        # bound, not optimality
+        assert not certified(-41.4999, -41.5081)
+        assert not certified(126.39, -27.20)
+
+    def test_infinite_or_nan_bounds(self):
+        assert not certified(-math.inf, 1.0)
+        assert not certified(0.0, math.inf)
+        assert not certified(math.inf, math.inf)
+        assert not certified(math.nan, 1.0)

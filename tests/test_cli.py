@@ -224,3 +224,40 @@ def test_energy_overflowing_symmetrization_rejected(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "error: energy magnitude exceeds half the float range" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1, 2]", "must be a JSON object"),
+        ('{"name": 3, "p": 1, "m": [1], "E": [[0]]}', "'name' must be a string"),
+        ('{"name": "x", "p": 1.0, "m": [1], "E": [[0]]}', "'p' must be an integer"),
+        ('{"name": "x", "p": true, "m": [1], "E": [[0]]}', "'p' must be an integer"),
+        ('{"name": "x", "p": 2, "m": [1], "E": [[0]]}', "'m' must be a list of p"),
+        ('{"name": "x", "p": 1, "m": 1, "E": [[0]]}', "'m' must be a list of p"),
+        ('{"name": "x", "p": 1, "m": [1.5], "E": [[0]]}', "block sizes must be integers"),
+        ('{"name": "x", "p": 1, "m": [false], "E": [[0]]}', "block sizes must be integers"),
+        ('{"name": "x", "p": 1, "m": [2], "E": [[0, 1], [1]]}', "'E' must be square"),
+        ('{"name": "x", "p": 1, "m": [2], "E": [[0, 1], 1]}', "'E' must be square"),
+    ],
+)
+def test_malformed_document_rejected(text, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["solve", str(path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_energies_beyond_the_projection_rejected(tmp_path, capsys):
+    # self energies of 1e17 swamp the trace p + 1 in the simplex projection
+    inst = make_instance((2, 2), np.diag([1e17] * 4), name="huge-self")
+    path = tmp_path / "huge-self.json"
+    save_instance(inst, path)
+    assert main(["solve", str(path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "lost to rounding" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

@@ -62,6 +62,11 @@ class TestSimplex:
         with pytest.raises(ValueError):
             project_simplex([1.0], 0.0)
 
+    def test_rejects_total_lost_to_rounding(self):
+        # 1e17 - 3 rounds to 1e17, so no threshold lies below an entry
+        with pytest.raises(ValueError, match="lost to rounding"):
+            project_simplex([1e17, 1e17], 3.0)
+
 
 class TestPsdTrace:
     def test_scaled_identity_fixed_point(self):
@@ -75,6 +80,15 @@ class TestPsdTrace:
     def test_lifts_negative_spectrum(self):
         out = psd_trace_matrix(np.diag([-1.0, -1.0]), 2.0)
         assert np.allclose(out, np.eye(2), atol=1e-14)
+
+    def test_leaves_out_rounding_level_eigenvalue(self):
+        # the simplex keeps about 5.6e-16 of the second eigenvalue, below the
+        # cutoff order*eps*total = 8.9e-16, so G has one column
+        w = project_simplex([3.0, 1.0 + 1e-15], 2.0)
+        assert 0.0 < w[1] < 2 * np.finfo(float).eps * 2.0
+        G = project_psd_trace(np.diag([3.0, 1.0 + 1e-15]), 2.0)
+        assert G.shape == (2, 1)
+        assert np.allclose(G @ G.T, np.diag([2.0, 0.0]), atol=1e-15)
 
     def test_spectrum_and_trace_properties(self):
         rng = np.random.default_rng(12)
@@ -92,7 +106,8 @@ class TestPsdTrace:
     def test_factor_matches_reassembled_projection(self):
         # the factor against the full reassembly (U * w) U' it replaces, on
         # random, rank-1 and scaled-identity inputs, where the simplex keeps
-        # one, some or all of the eigenpairs
+        # one, some or all of the eigenpairs; the factor leaves out those
+        # kept at rounding level, order*eps*total
         rng = np.random.default_rng(16)
         for trial in range(600):
             n = int(rng.integers(1, 16))
@@ -109,7 +124,8 @@ class TestPsdTrace:
             want = (U * project_simplex(w, total)) @ U.T
             G = project_psd_trace(M, total)
             out = G @ G.T
-            assert G.shape == (n, np.count_nonzero(project_simplex(w, total) > 0.0))
+            cutoff = n * np.finfo(float).eps * total
+            assert G.shape == (n, np.count_nonzero(project_simplex(w, total) > cutoff))
             assert np.all(np.linalg.norm(G, axis=0) > 0.0)
             assert np.array_equal(out, out.T)
             assert np.max(np.abs(out - want)) <= 1e-12

@@ -214,6 +214,21 @@ class TestSolve:
         # bounds still evaluated once, at the final iterate
         assert len(report.bound_history) == 1
 
+    def test_lower_bound_above_upper_bound_does_not_certify(self):
+        # an energy of 1e20 on a rotamer the optimum never uses swamps the
+        # lower bound with rounding error: it rises far above the rounded
+        # upper bound, which is not optimal, and must not certify it
+        base = random_instance(4, 4, (-10, 10), seed=5)
+        energy = np.array(base.energy)
+        energy[0, 0] = 1e20
+        inst = make_instance(base.partition.m, energy)
+        optimum = brute_force(inst)
+        assert optimum.argmin.choice == (3, 1, 1, 2)
+        report = solve(inst, dataclasses.replace(default_params(inst), max_iter=2000))
+        assert report.lbd > report.ubd > optimum.optimum + 1.0
+        assert not report.certified
+        assert report.termination == "max_iter"
+
     def test_report_consistency(self, derived_instance):
         report = solve(derived_instance)
         history = report.bound_history
@@ -348,8 +363,9 @@ class TestSolve:
         assert eigh_orders.count(build_geometry(reduced).face_dim) < 25
 
     def test_rank_leaves_out_rounding_level_eigenvalues(self):
-        # corpus solves 14 and 191 certify rank-1 optima while the projection
-        # still keeps eigenvalues of 2e-16 to 1.5e-15 beside one of 4 to 5
+        # corpus solves 14 and 191 certify rank-1 optima, and the simplex
+        # still gives eigenvalues of 2e-16 to 1.5e-15 beside one of 4 to 5,
+        # which the projection leaves out of G
         corpus = list(itertools.islice(acceptance_corpus(), 192))
         for index in (14, 191):
             report = solve(corpus[index])
@@ -357,7 +373,8 @@ class TestSolve:
             assert report.bound_history[-1].rank == 1
 
     def test_rank_bounds_rank_of_checkpoint_r(self):
-        # the recorded rank is the rank of R at the cutoff order*eps*trace
+        # the recorded rank, G's width, is the rank of R at the cutoff
+        # order*eps*trace
         for inst in itertools.islice(acceptance_corpus(), 5):
             face_dim = inst.partition.n0 + 1 - inst.partition.p
             cutoff = face_dim * np.finfo(float).eps * (inst.partition.p + 1)
