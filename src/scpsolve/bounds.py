@@ -108,7 +108,7 @@ def certified(lower: float, upper: float) -> bool:
 
 
 def relative_gap(ubd: float, lbd: float) -> float:
-    """2 |ubd - lbd| / |ubd + lbd + 1|; zero certifies global optimality."""
+    """2 |ubd - lbd| / |ubd + lbd + 1|, only reported; ``certified`` decides."""
     num = 2.0 * abs(ubd - lbd)
     if num == 0.0:
         return 0.0

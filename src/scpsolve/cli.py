@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 from .instances import (
     Assignment,
@@ -84,17 +84,9 @@ def cmd_solve(args) -> int:
             f"{target.partition.n0} rotamers ({sizes})",
             file=sys.stderr,
         )
-    flags = {
-        "beta": args.beta,
-        "gamma": args.gamma,
-        "epsilon": args.eps,
-        "max_iter": args.max_iter,
-        "t_consecutive": args.t,
-        "bound_period": args.bound_period,
-    }
-    params = replace(
-        default_params(target), **{k: v for k, v in flags.items() if v is not None}
-    )
+    # each SolverParams field has a solve flag with the field's name as dest
+    flags = ((f.name, getattr(args, f.name)) for f in fields(SolverParams))
+    params = replace(default_params(target), **{k: v for k, v in flags if v is not None})
     report = solve(target, params)
     assignment = report.assignment
     if reduction is not None:
@@ -154,9 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--out", default=None, help="write the report here")
     p_solve.add_argument("--beta", type=float, default=None)
     p_solve.add_argument("--gamma", type=float, default=None)
-    p_solve.add_argument("--eps", type=float, default=None)
+    p_solve.add_argument("--eps", type=float, default=None, dest="epsilon")
     p_solve.add_argument("--max-iter", type=int, default=None)
-    p_solve.add_argument("--t", type=int, default=None, dest="t")
+    p_solve.add_argument("--t", type=int, default=None, dest="t_consecutive")
     p_solve.add_argument("--bound-period", type=int, default=None)
     p_solve.add_argument("--dee", action="store_true", help="preprocess with DEE")
     p_solve.set_defaults(func=cmd_solve)

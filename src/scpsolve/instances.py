@@ -57,6 +57,18 @@ class RotamerPartition:
     def block_slice(self, i: int) -> slice:
         return slice(self.offsets[i], self.offsets[i] + self.m[i])
 
+    @property
+    def same_block(self) -> np.ndarray:
+        """n0 x n0 boolean mask of the pairs of distinct rotamers at one
+        position: the off-diagonal support of A'A, with A the one-per-block
+        row-sum matrix.  Built on each access rather than cached, because
+        each instance reads it once or twice and a cache would keep n0^2
+        bytes alive beside every partition."""
+        block = np.repeat(np.arange(self.p), self.m)
+        mask = block[:, None] == block[None, :]
+        np.fill_diagonal(mask, False)
+        return mask
+
 
 @dataclass(frozen=True)
 class Assignment:
@@ -80,19 +92,11 @@ class Assignment:
 
     @classmethod
     def from_indicator(cls, x, partition: RotamerPartition) -> "Assignment":
-        x = np.asarray(x)
-        if x.shape != (partition.n0,):
-            raise InstanceError("indicator length does not match partition")
-        if not np.all((x == 0) | (x == 1)):
-            raise InstanceError("indicator vector must be binary")
-        choice = []
-        for i in range(partition.p):
-            block = x[partition.block_slice(i)]
-            ones = np.nonzero(block == 1)[0]
-            if len(ones) != 1 or block.sum() != 1:
-                raise InstanceError(f"block {i} does not contain exactly one 1")
-            choice.append(int(ones[0]) + 1)
-        return cls(tuple(choice))
+        """Read the choices off a feasible indicator (see ``is_feasible``);
+        any other vector raises ``InstanceError``."""
+        if not is_feasible(x, partition):
+            raise InstanceError("indicator vector is not binary with one 1 per block")
+        return cls(tuple(np.flatnonzero(x) - partition.offsets + 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,8 +129,9 @@ def canonicalize_energy(raw_matrix, partition: RotamerPartition) -> np.ndarray:
     The input must be square of order ``partition.n0``, finite, at most
     half the largest float in magnitude, and symmetric within
     ``SYMMETRY_RTOL`` (relative to its largest entry).  The output is a
-    read-only array, exactly symmetric (averaged with its transpose); every
-    other entry is preserved.
+    read-only array, exactly symmetric (averaged with its transpose), with
+    the entries under ``partition.same_block`` set to +0.0; every other
+    entry is preserved.
     """
     arr = np.array(raw_matrix, dtype=float)
     n0 = partition.n0
@@ -144,10 +149,7 @@ def canonicalize_energy(raw_matrix, partition: RotamerPartition) -> np.ndarray:
     if float(np.max(np.abs(arr - arr.T))) > SYMMETRY_RTOL * scale:
         raise InstanceError("energy matrix is asymmetric beyond tolerance")
     sym = 0.5 * (arr + arr.T)
-    for i in range(partition.p):
-        sl = partition.block_slice(i)
-        block = sym[sl, sl]
-        sym[sl, sl] = np.diag(np.diag(block))
+    sym[partition.same_block] = 0.0
     sym.flags.writeable = False
     return sym
 
@@ -170,16 +172,14 @@ def objective(x, energy: np.ndarray) -> float:
 
 
 def is_feasible(x, partition: RotamerPartition) -> bool:
-    """True iff x is binary with exactly one 1 in every position block."""
+    """True iff x is binary with exactly one 1 in every position block; a
+    vector of the wrong length raises ``InstanceError``."""
     x = np.asarray(x)
     if x.shape != (partition.n0,):
         raise InstanceError("indicator length does not match partition")
     if not np.all((x == 0) | (x == 1)):
         return False
-    for i in range(partition.p):
-        if x[partition.block_slice(i)].sum() != 1:
-            return False
-    return True
+    return bool(np.all(np.add.reduceat(x, partition.offsets) == 1))
 
 
 def random_instance(p, m_max, energy_range, seed, name=None) -> ScpInstance:

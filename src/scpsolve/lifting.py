@@ -49,21 +49,15 @@ def null_space_basis(partition: RotamerPartition) -> np.ndarray:
 
 
 def gangster_indices(partition: RotamerPartition) -> np.ndarray:
-    """Pinned entries of the lifted matrix as a sorted (N, 2) index array.
+    """Pinned entries of the lifted matrix as a sorted (N, 2) ``intp`` array.
 
-    Contains (0, 0) and every ordered off-diagonal pair inside each block's
-    diagonal block (lifted indices 1..n0); equals the support of
-    blkdiag(0, A'A - I).  Row-major order is the canonical ordering shared
+    Row 0 is (0, 0); the rest are the entries of ``partition.same_block``,
+    shifted to lifted indices 1..n0, so the rows index the support of
+    blkdiag(1, A'A - I).  Row-major order is the canonical ordering shared
     by extraction and the box projection.
     """
-    pairs = [(0, 0)]
-    for off, mi in zip(partition.offsets, partition.m):
-        lo = off + 1
-        for r in range(lo, lo + mi):
-            for c in range(lo, lo + mi):
-                if r != c:
-                    pairs.append((r, c))
-    return np.array(pairs, dtype=np.intp)
+    pairs = np.argwhere(partition.same_block) + 1
+    return np.concatenate([np.zeros((1, 2), dtype=np.intp), pairs])
 
 
 def lift_energy(energy: np.ndarray) -> np.ndarray:

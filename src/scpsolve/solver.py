@@ -51,9 +51,9 @@ TERMINATION_GAP = "gap_closed"
 class SolverParams:
     """Penalty, step and stopping parameters.
 
-    beta         quadratic penalty, >= 1
+    beta         quadratic penalty, finite and >= 1
     gamma        dual damping factor, in (0, 1)
-    epsilon      residual tolerance
+    epsilon      residual tolerance, finite and > 0
     max_iter     iteration cap
     t_consecutive  number of consecutive sub-epsilon residual checks required
     bound_period   iterations between bound evaluations
@@ -67,12 +67,12 @@ class SolverParams:
     bound_period: int = 100
 
     def __post_init__(self):
-        if not self.beta >= 1.0:
-            raise ValueError("beta must be at least 1")
+        if not 1.0 <= self.beta < math.inf:
+            raise ValueError("beta must be finite and at least 1")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be finite and positive")
         if self.max_iter < 1 or self.t_consecutive < 1 or self.bound_period < 1:
             raise ValueError("max_iter, t_consecutive and bound_period must be >= 1")
 

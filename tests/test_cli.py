@@ -1,11 +1,23 @@
+import dataclasses
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import acceptance_corpus, make_instance
-from scpsolve import brute_force, certified, load_instance, relative_gap, save_instance
+from scpsolve import (
+    SolverParams,
+    brute_force,
+    certified,
+    load_instance,
+    relative_gap,
+    save_instance,
+)
 from scpsolve.cli import EXIT_ERROR, EXIT_MAX_ITER, EXIT_OK, EXIT_UNCERTIFIED, main
 
 
@@ -97,6 +109,50 @@ class TestSolveCommand:
             ("t_consecutive", 100),
             ("bound_period", 100),
         ]
+
+    def test_every_param_settable_by_its_flag(self, derived_path, tmp_path):
+        values = {
+            "beta": ("--beta", 3.0),
+            "gamma": ("--gamma", 0.5),
+            "epsilon": ("--eps", 1e-6),
+            "max_iter": ("--max-iter", 7),
+            "t_consecutive": ("--t", 2),
+            "bound_period": ("--bound-period", 5),
+        }
+        assert set(values) == {f.name for f in dataclasses.fields(SolverParams)}
+        out = tmp_path / "report.json"
+        argv = ["solve", str(derived_path), "--out", str(out)]
+        for flag, value in values.values():
+            argv += [flag, str(value)]
+        main(argv)
+        doc = json.loads(out.read_text())
+        assert doc["params"] == {name: value for name, (_, value) in values.items()}
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--beta", "inf"],
+            ["--beta", "0.5"],
+            ["--gamma", "1.5"],
+            ["--eps", "inf"],
+            ["--max-iter", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_param_exits_1_cleanly(self, flag, tmp_path):
+        inst = tmp_path / "inst.json"
+        main(["gen", "--p", "4", "--m-max", "4", "--seed", "1", "--out", str(inst)])
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "scpsolve.cli", "solve", str(inst), *flag],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == EXIT_ERROR
+        assert done.stderr.startswith("error:")
+        assert "Traceback" not in done.stderr and "Warning" not in done.stderr
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.json")]) == EXIT_ERROR

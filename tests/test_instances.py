@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import DERIVED_E, feasible_indicators, make_instance
+from conftest import DERIVED_E, feasible_indicators, make_instance, row_sum_matrix
 from scpsolve import (
     Assignment,
     InstanceError,
@@ -35,6 +35,22 @@ class TestCanonicalize:
         energy = canonicalize_energy(np.array([[1.0, 5.0], [5.0, 3.0]]), part)
         assert np.array_equal(energy, [[1.0, 0.0], [0.0, 3.0]])
         assert not energy.flags.writeable
+
+    def test_zeroes_exactly_the_off_diagonal_support_of_AtA(self):
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            p = int(rng.integers(1, 9))
+            part = RotamerPartition(tuple(int(v) for v in rng.integers(1, 7, size=p)))
+            raw = rng.normal(size=(part.n0, part.n0))
+            sym = 0.5 * (raw + raw.T)
+            energy = canonicalize_energy(sym, part)
+            A = row_sum_matrix(part)
+            within = (A.T @ A != 0) & ~np.eye(part.n0, dtype=bool)
+            assert np.array_equal(part.same_block, within)
+            assert np.all(energy[within] == 0.0)
+            assert not np.any(np.signbit(energy[within]))
+            # every other entry is kept bit for bit
+            assert energy[~within].tobytes() == sym[~within].tobytes()
 
     def test_identity_unchanged(self):
         part = RotamerPartition((2, 3))
@@ -165,8 +181,11 @@ class TestAssignment:
             Assignment((3,)).to_indicator(RotamerPartition((2,)))
 
     def test_rejects_infeasible_indicator(self):
-        with pytest.raises(InstanceError):
-            Assignment.from_indicator([1, 1], RotamerPartition((2,)))
+        part = RotamerPartition((2,))
+        # two picks, non-binary, wrong length
+        for x in ([1, 1], [0.5, 0.5], [1, 0, 1]):
+            with pytest.raises(InstanceError):
+                Assignment.from_indicator(x, part)
 
 
 class TestRandomInstance:

@@ -113,6 +113,11 @@ class TestGangster:
             S[1:, 1:] = A.T @ A - np.eye(part.n0)
             support = {(r, c) for r, c in zip(*np.nonzero(S))}
             assert {tuple(r) for r in idx} == support | {(0, 0)}
+            # and as an array: row-major order and intp dtype, after (0, 0)
+            oracle = np.argwhere(A.T @ A - np.eye(part.n0))
+            assert idx.dtype == oracle.dtype == np.intp
+            assert np.array_equal(idx[0], [0, 0])
+            assert np.array_equal(idx[1:] - 1, oracle)
 
 
 class TestLiftEnergy:

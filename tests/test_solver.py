@@ -1,8 +1,12 @@
 import dataclasses
 import itertools
+import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import acceptance_corpus, make_instance
 import scpsolve.solver as solver_module
@@ -14,10 +18,18 @@ from scpsolve import (
     default_params,
     goldstein_reduce,
     objective,
+    parse_instance,
     random_instance,
+    serialize_instance,
     solve,
 )
-from scpsolve.bounds import EIGENVECTOR, FIRST_COLUMN, certified, upper_bound
+from scpsolve.bounds import (
+    EIGENVECTOR,
+    FIRST_COLUMN,
+    GAP_CLOSE_RTOL,
+    certified,
+    upper_bound,
+)
 from scpsolve.lifting import build_geometry
 from scpsolve.projections import zero_border_diag
 from scpsolve.solver import check_stop, dual_step, initialize, r_update, y_update
@@ -55,6 +67,11 @@ class TestDefaultParams:
             SolverParams(beta=1.0, epsilon=0.0)
         with pytest.raises(ValueError):
             SolverParams(beta=1.0, max_iter=0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="beta"):
+                SolverParams(beta=bad)
+            with pytest.raises(ValueError, match="epsilon"):
+                SolverParams(beta=1.0, epsilon=bad)
 
 
 class TestInitialize:
@@ -388,3 +405,33 @@ class TestSolve:
             assert len(ranks) == len(report.bound_history) > 0
             for record, rank in zip(report.bound_history, ranks):
                 assert 1 <= rank == record.rank <= face_dim
+
+
+@st.composite
+def instance_documents(draw):
+    """JSON instance documents with p 1-4, m 1-4 and energies in -10..10;
+    integer energies make ties between assignments likely."""
+    m = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    n0 = sum(m)
+    entry = st.one_of(st.integers(-10, 10), st.floats(-10, 10))
+    E = [[0] * n0 for _ in range(n0)]
+    for r in range(n0):
+        for c in range(r, n0):
+            E[r][c] = E[c][r] = draw(entry)
+    return json.dumps({"name": "property", "p": len(m), "m": m, "E": E})
+
+
+@settings(max_examples=30, deadline=None)
+@given(text=instance_documents())
+def test_parse_solve_sandwich(text):
+    inst = parse_instance(text)
+    assert parse_instance(serialize_instance(inst)) == inst
+    report = solve(inst)
+    opt = brute_force(inst).optimum
+    slack = 1e-6 * (1.0 + abs(opt))
+    assert report.lbd <= opt + slack <= report.ubd + slack
+    x = report.assignment.to_indicator(inst.partition)
+    assert report.ubd == objective(x, inst.energy)
+    if report.certified:
+        # certified: ubd is within the certification tolerance of the optimum
+        assert abs(report.ubd - opt) <= GAP_CLOSE_RTOL * (1.0 + abs(opt))
