@@ -5,6 +5,7 @@ the current multiplier; they are valid for any symmetric multiplier, so
 every value recorded during a solve is a true lower bound.  Upper bounds
 come from rounding a fractional solution extracted from the lifted iterate
 to the nearest feasible assignment, then evaluating the exact energy.
+``screen`` decides cheaply whether a full evaluation of both could certify.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instances import Assignment, RotamerPartition, ScpInstance, objective
+from .instances import Assignment, RotamerPartition, ScpInstance
 from .lifting import LiftedGeometry
 
 FIRST_COLUMN = "first_column"
@@ -39,23 +40,60 @@ class BoundRecord:
     rank: int  # rank of the projected R: the width of its factor G
 
 
-def dual_lower_bound(Z, geometry: LiftedGeometry) -> float:
-    """Lagrangian dual value of the relaxation at multiplier Z.
-
-    The inner minimum over the lifted box has a closed form: the (0, 0)
-    entry of (cost + Z) is taken at value 1, every free entry contributes
-    min(0, entry), gangster entries are fixed at 0.  The reduced PSD term
-    contributes -(p + 1) times the top eigenvalue of V'ZV.
-    """
-    Z = np.asarray(Z, dtype=float)
+def box_term(Z, geometry: LiftedGeometry) -> float:
+    """Minimum of <cost + Z, Y> over the lifted box, in closed form: the
+    (0, 0) entry of (cost + Z) is taken at value 1, every free entry
+    contributes min(0, entry), gangster entries are fixed at 0."""
     C = geometry.lifted_cost + Z
-    clipped = np.minimum(C, 0.0)
-    clipped[geometry.gangster[:, 0], geometry.gangster[:, 1]] = 0.0
-    inner = float(C[0, 0] + clipped.sum())
+    corner = C[0, 0]
+    np.minimum(C, 0.0, out=C)
+    C[geometry.gangster[:, 0], geometry.gangster[:, 1]] = 0.0
+    return float(corner + C.sum())
+
+
+def dual_lower_bound(Z, geometry: LiftedGeometry) -> float:
+    """Lagrangian dual value of the relaxation at multiplier Z: the box
+    term (``box_term``) minus (p + 1) times the top eigenvalue of V'ZV, the
+    reduced PSD term."""
+    Z = np.asarray(Z, dtype=float)
     V = geometry.null_basis
     W = V.T @ Z @ V
     top = float(np.linalg.eigvalsh(0.5 * (W + W.T))[-1])
-    return inner - (geometry.partition.p + 1) * top
+    return box_term(Z, geometry) - (geometry.partition.p + 1) * top
+
+
+def lower_bound_ceiling(Z, geometry: LiftedGeometry, x, floor=-math.inf) -> float:
+    """A value at least ``dual_lower_bound(Z)``, up to rounding, from two
+    products with W = V'ZV: the box term minus (p + 1) times the larger
+    Ritz value of W on span{x, Wx}, one power step from x.  A Ritz value is
+    at most the top eigenvalue.  Each product is three mat-vecs, and W is
+    never formed.  When the value from x alone, its Rayleigh quotient, is
+    below ``floor``, that is returned without the power step, which could
+    only lower it.  A zero x gives inf.
+    """
+    Z = np.asarray(Z, dtype=float)
+    V = geometry.null_basis
+    x = np.asarray(x, dtype=float)
+    norm = math.sqrt(x @ x)
+    if norm == 0.0:
+        return math.inf
+    x = x / norm
+    Wx = V.T @ (Z @ (V @ x))
+    a = float(x @ Wx)
+    box = box_term(Z, geometry)
+    weight = geometry.partition.p + 1
+    ceiling = box - weight * a
+    if ceiling < floor:
+        return ceiling
+    Wx -= a * x
+    b = math.sqrt(Wx @ Wx)
+    if b > 0.0:  # otherwise x is an eigenvector and a its eigenvalue
+        q = Wx / b
+        c = float(q @ (V.T @ (Z @ (V @ q))))
+        # top eigenvalue of the Ritz matrix [[a, b], [b, c]]
+        theta = 0.5 * (a + c) + math.hypot(0.5 * (a - c), b)
+        ceiling = box - weight * theta
+    return ceiling
 
 
 def extract_fractional(Y, source: str) -> np.ndarray:
@@ -78,24 +116,49 @@ def extract_fractional(Y, source: str) -> np.ndarray:
     raise ValueError(f"unknown upper-bound source {source!r}")
 
 
+def block_argmax(x, partition: RotamerPartition) -> np.ndarray:
+    """Index within its block, 0-based, of each block's largest entry of x,
+    the lowest on ties: one gather through ``partition.block_table``, whose
+    padding reads a trailing -inf that no entry falls below."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (partition.n0,):
+        raise ValueError("fractional vector length does not match partition")
+    return np.argmax(np.append(x, -np.inf)[partition.block_table], axis=1)
+
+
 def round_to_feasible(x_approx, partition: RotamerPartition) -> Assignment:
     """Nearest feasible assignment: within each block pick the largest entry
     (lowest index on ties)."""
-    x = np.asarray(x_approx, dtype=float)
-    if x.shape != (partition.n0,):
-        raise ValueError("fractional vector length does not match partition")
-    choice = tuple(
-        int(np.argmax(x[partition.block_slice(i)])) + 1 for i in range(partition.p)
-    )
-    return Assignment(choice)
+    return Assignment(tuple((block_argmax(x_approx, partition) + 1).tolist()))
+
+
+def rounded_energy(Y, instance: ScpInstance, source: str) -> tuple[float, np.ndarray]:
+    """Energy of the rounding of Y from ``source``, and the rounding as its
+    ``block_argmax``.  The energy is ``objective`` of the rounding's
+    indicator, summed over the chosen rows and columns of E without
+    building the indicator."""
+    choice = block_argmax(extract_fractional(Y, source), instance.partition)
+    rows = instance.partition.block_table[:, 0] + choice
+    return float(instance.energy[rows[:, None], rows].sum()), choice
 
 
 def upper_bound(Y, instance: ScpInstance, source: str) -> tuple[float, Assignment]:
     """Feasible objective value obtained by extracting and rounding Y."""
-    x = extract_fractional(Y, source)
-    assignment = round_to_feasible(x, instance.partition)
-    value = objective(assignment.to_indicator(instance.partition), instance.energy)
-    return value, assignment
+    value, choice = rounded_energy(Y, instance, source)
+    return value, Assignment(tuple((choice + 1).tolist()))
+
+
+def certify_floor(upper: float) -> float:
+    """The least lower bound that certifies ``upper``: upper less
+    GAP_CLOSE_RTOL relative to it."""
+    return upper - GAP_CLOSE_RTOL * (1.0 + abs(upper))
+
+
+def could_certify(lower: float, upper: float) -> bool:
+    """True when ``upper`` is finite and ``lower`` reaches its
+    ``certify_floor``.  When this is False, neither ``lower`` nor any
+    smaller lower bound certifies ``upper``."""
+    return math.isfinite(upper) and bool(lower >= certify_floor(upper))
 
 
 def certified(lower: float, upper: float) -> bool:
@@ -104,7 +167,21 @@ def certified(lower: float, upper: float) -> bool:
     bound's assignment optimal.  A lower bound above the upper bound by
     more than that proves nothing: it shows rounding error in the bound."""
     slack = GAP_CLOSE_RTOL * (1.0 + abs(upper))
-    return math.isfinite(upper) and bool(upper - slack <= lower <= upper + slack)
+    return could_certify(lower, upper) and bool(lower <= upper + slack)
+
+
+def screen(Y, Z, G, instance: ScpInstance, geometry: LiftedGeometry, lower, upper) -> bool:
+    """Whether a bound check at the iterate (Y, Z, R = GG') could certify,
+    given the best bounds so far: False only when the lower bound
+    ``dual_lower_bound(Z)`` cannot certify the smaller of ``upper`` and the
+    first-column rounding of Y.  The lower bound is estimated from above by
+    ``lower_bound_ceiling`` from G's last column, R's top eigenvector, and
+    its power step is skipped when R's vector alone already rules a
+    certificate out."""
+    column, _ = rounded_energy(Y, instance, FIRST_COLUMN)
+    target = min(upper, column)
+    ceiling = lower_bound_ceiling(Z, geometry, G[:, -1], certify_floor(target))
+    return could_certify(max(lower, ceiling), target)
 
 
 def relative_gap(ubd: float, lbd: float) -> float:

@@ -57,6 +57,16 @@ class RotamerPartition:
     def block_slice(self, i: int) -> slice:
         return slice(self.offsets[i], self.offsets[i] + self.m[i])
 
+    @cached_property
+    def block_table(self) -> np.ndarray:
+        """p x max(m) index array: row i holds block i's indices in order,
+        padded with n0, one past the last rotamer."""
+        columns = np.arange(max(self.m))
+        table = np.asarray(self.offsets)[:, None] + columns
+        table[columns >= np.asarray(self.m)[:, None]] = self.n0
+        table.flags.writeable = False
+        return table
+
     @property
     def same_block(self) -> np.ndarray:
         """n0 x n0 boolean mask of the pairs of distinct rotamers at one

@@ -56,7 +56,8 @@ def project_psd_trace(M, total, start=None) -> np.ndarray:
     Symmetrizes the input, eigendecomposes and projects the spectrum onto
     the scaled simplex; G's columns are the eigenvectors whose projected
     eigenvalue is above rounding level (``kept``), each scaled by its
-    square root, so ``G.shape[1]`` is the rank of the projection.
+    square root, in increasing order of eigenvalue, so ``G.shape[1]`` is
+    the rank of the projection and ``G[:, -1]`` its top eigenvector.
 
     ``start``, a factor from a nearby earlier projection, warm-starts a
     partial eigensolve when its rank is small beside the order of M (see
@@ -64,7 +65,8 @@ def project_psd_trace(M, total, start=None) -> np.ndarray:
     eigendecomposition runs as without it.
     """
     M = np.asarray(M, dtype=float)
-    S = 0.5 * (M + M.T)
+    S = M + M.T
+    S *= 0.5
     if start is not None and MIN_ORDER_RATIO * (start.shape[1] + PAD_COLUMNS) <= S.shape[0]:
         G = partial_psd_trace(S, total, start)
         if G is not None:
@@ -125,7 +127,9 @@ def project_box_gangster(M, gangster: np.ndarray) -> np.ndarray:
     """Project onto the lifted feasible box: entries clamped into [0, 1],
     gangster entries pinned to 0 and the (0, 0) entry to 1."""
     M = np.asarray(M, dtype=float)
-    out = np.clip(0.5 * (M + M.T), 0.0, 1.0)
+    out = M + M.T
+    out *= 0.5
+    np.clip(out, 0.0, 1.0, out=out)
     out[gangster[:, 0], gangster[:, 1]] = 0.0
     out[0, 0] = 1.0
     return out

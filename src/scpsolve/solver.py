@@ -18,8 +18,10 @@ width, so VRV' is the rank-r product (VG)(VG)'.  Each R-update passes the previo
 projection: while R has low rank, a partial eigensolve warm-started on G's
 columns replaces the full eigendecomposition whenever its residual test
 and a Cholesky check prove that it gives the same projection.  Lower/upper
-bounds are evaluated periodically; the solve stops on a closed gap, on
-persistently small residuals, or at the iteration cap.
+bounds are evaluated every ``bound_period`` iterations, and in between at
+every SCREEN_PERIOD-th iteration whose cheap screen says they could
+certify; the solve stops on a closed gap, on persistently small residuals,
+or at the iteration cap.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .bounds import (
     certified,
     dual_lower_bound,
     relative_gap,
+    screen,
     upper_bound,
 )
 from .instances import Assignment, ScpInstance
@@ -47,6 +50,9 @@ TERMINATION_MAX_ITER = "max_iter"
 TERMINATION_RESIDUAL = "residual"
 TERMINATION_GAP = "gap_closed"
 
+# iterations between screens for an early bound check (see ``solve``)
+SCREEN_PERIOD = 10
+
 @dataclass(frozen=True)
 class SolverParams:
     """Penalty, step and stopping parameters.
@@ -56,7 +62,8 @@ class SolverParams:
     epsilon      residual tolerance, finite and > 0
     max_iter     iteration cap
     t_consecutive  number of consecutive sub-epsilon residual checks required
-    bound_period   iterations between bound evaluations
+    bound_period   iterations between fixed bound evaluations; screened
+                   ones may come in between (see ``solve``)
     """
 
     beta: float
@@ -122,20 +129,27 @@ def r_update(Y, Z, geometry: LiftedGeometry, beta: float, start=None) -> np.ndar
     {R PSD, trace(R) = p + 1}; returns the factor G with R = GG'.
     ``start``, the previous factor, warm-starts the projection."""
     V = geometry.null_basis
-    W = V.T @ (Y + Z / beta) @ V
+    shifted = Z / beta
+    shifted += Y
+    W = V.T @ shifted @ V
     return project_psd_trace(W, geometry.partition.p + 1.0, start)
 
 
 def dual_step(Z, residual, step: float) -> np.ndarray:
     """Damped dual update Z + step * mask(residual); masked coordinates keep
     their current values exactly."""
-    return Z + step * zero_border_diag(residual)
+    out = zero_border_diag(residual)
+    out *= step
+    out += Z
+    return out
 
 
 def y_update(vrv, Z_half, geometry: LiftedGeometry, beta: float) -> np.ndarray:
     """Closed-form box block update: project VRV' - (cost + Z)/beta onto the
     gangster-pinned unit box."""
-    target = vrv - (geometry.lifted_cost + Z_half) / beta
+    target = geometry.lifted_cost + Z_half
+    target /= beta
+    np.subtract(vrv, target, out=target)
     return project_box_gangster(target, geometry.gangster)
 
 
@@ -165,12 +179,18 @@ def solve(
     """Run the splitting method on one instance until termination.
 
     Bounds are evaluated every ``params.bound_period`` iterations and once
-    more at termination if it falls between checkpoints; the report carries
-    the best lower/upper bounds seen and the feasible assignment of smallest
-    energy found by rounding.  Every checkpoint rounds the first column of
-    Y; it also rounds the dominant eigenvector, keeping it only when
-    strictly lower, unless the column value already closes the gap with the
-    best lower bound so far.
+    more at termination unless that iteration was just evaluated; the
+    report carries the best lower/upper bounds seen and the feasible
+    assignment of smallest energy found by rounding.  Between those
+    checkpoints, every SCREEN_PERIOD-th iteration runs ``bounds.screen``,
+    which rounds the first column of Y and estimates the lower bound from
+    above with a few mat-vecs; bounds are evaluated there only when the
+    screen says they could certify.  A screen that fails records and keeps
+    nothing, so a solve whose screens all fail reports as with the fixed
+    checkpoints alone.  Every evaluation rounds the first column of Y; it
+    also rounds the dominant eigenvector, keeping it only when strictly
+    lower, unless the column value already closes the gap with the best
+    lower bound so far.
     ``on_checkpoint(iteration, R, Y, Z)``, if given, is called at every bound
     evaluation with R formed from its factor and the live Y, Z (read-only
     use).  Deterministic for fixed instance and parameters.
@@ -239,10 +259,13 @@ def solve(
             consec_ok += 1
         else:
             consec_ok = 0
-        if iterations % params.bound_period == 0:
+        if iterations % params.bound_period == 0 or (
+            iterations % SCREEN_PERIOD == 0
+            and screen(Y, Z, G, instance, geometry, best_lower, best_upper)
+        ):
             evaluate_bounds()
         reason = check_stop(iterations, consec_ok, best_lower, best_upper, params)
-    if iterations % params.bound_period != 0:
+    if not bounds or bounds[-1].iteration != iterations:
         evaluate_bounds()
     elapsed = time.perf_counter() - started
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import feasible_indicators, make_instance
 from scpsolve import (
@@ -16,9 +18,12 @@ from scpsolve.bounds import (
     EIGENVECTOR,
     FIRST_COLUMN,
     GAP_CLOSE_RTOL,
+    box_term,
     certified,
+    could_certify,
     dual_lower_bound,
     extract_fractional,
+    lower_bound_ceiling,
     round_to_feasible,
     upper_bound,
 )
@@ -36,14 +41,6 @@ def inner_minimum_oracle(Z, geometry):
     return float(np.sum(C * Y))
 
 
-def closed_form_inner(Z, geometry):
-    """The closed form used inside dual_lower_bound, reproduced for testing."""
-    C = geometry.lifted_cost + Z
-    clipped = np.minimum(C, 0.0)
-    clipped[geometry.gangster[:, 0], geometry.gangster[:, 1]] = 0.0
-    return float(C[0, 0] + clipped.sum())
-
-
 class TestDualLowerBound:
     def test_zero_multiplier_nonnegative_energies(self):
         inst = make_instance((2, 2), np.abs(np.arange(16.0)).reshape(4, 4) + np.arange(16.0).reshape(4, 4).T)
@@ -55,7 +52,7 @@ class TestDualLowerBound:
         _, _, Z0 = initialize(geo)
         value = dual_lower_bound(Z0, geo)
         # closed form must agree with direct extreme-point minimization
-        inner = closed_form_inner(Z0, geo)
+        inner = box_term(Z0, geo)
         assert abs(inner - inner_minimum_oracle(Z0, geo)) <= 1e-12
         V = geo.null_basis
         top = np.linalg.eigvalsh(V.T @ Z0 @ V)[-1]
@@ -73,6 +70,47 @@ class TestDualLowerBound:
             Z = 0.5 * (M + M.T)
             value = dual_lower_bound(Z, geo)
             assert value <= opt + 1e-8 * (1.0 + abs(opt))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.lists(st.integers(1, 5), min_size=1, max_size=5),
+    zero_energy=st.booleans(),
+    start=st.sampled_from(["random", "top_eigenvector", "zero"]),
+)
+def test_lower_bound_ceiling_is_at_least_the_bound(seed, m, zero_energy, start):
+    rng = np.random.default_rng(seed)
+    n0 = sum(m)
+    energy = np.zeros((n0, n0)) if zero_energy else rng.uniform(-10, 10, (n0, n0))
+    geo = build_geometry(make_instance(m, 0.5 * (energy + energy.T)))
+    if zero_energy:
+        # the initial multiplier of an all-zero instance is zero, so V'ZVx
+        # vanishes and the Ritz space has one direction
+        Z = initialize(geo)[2]
+    else:
+        M = rng.normal(scale=float(rng.choice([0.1, 1.0, 10.0])), size=(geo.order,) * 2)
+        Z = M + M.T
+    V = geo.null_basis
+    if start == "random":
+        x = rng.normal(size=geo.face_dim)
+    elif start == "top_eigenvector":
+        x = np.linalg.eigh(V.T @ Z @ V)[1][:, -1]
+    else:
+        x = np.zeros(geo.face_dim)
+    ceiling = lower_bound_ceiling(Z, geo, x)
+    # rounding in the Ritz value and in eigvalsh came to at most about
+    # 8 n eps |Z|_F (p + 1) over 12,000 random cases
+    slack = 64 * geo.order * np.finfo(float).eps * (len(m) + 1) * np.linalg.norm(Z)
+    assert ceiling >= dual_lower_bound(Z, geo) - slack
+    # below the floor the value from x alone is returned, which the power
+    # step could only lower
+    assert lower_bound_ceiling(Z, geo, x, floor=math.inf) >= ceiling - slack
+    if start == "zero":
+        assert ceiling == math.inf
+    if start == "top_eigenvector":
+        # on the top eigenvector the ceiling is the bound itself
+        assert ceiling <= dual_lower_bound(Z, geo) + slack
 
 
 class TestExtractFractional:
@@ -134,6 +172,24 @@ class TestRounding:
             )
             rounded = round_to_feasible(x_approx, part).to_indicator(part)
             assert float(np.sum((rounded - x_approx) ** 2)) == best
+
+
+    def test_matches_per_block_argmax(self):
+        # the one-gather rounding against a loop over the blocks, with ties
+        # (entries drawn from a few levels) and singleton blocks
+        rng = np.random.default_rng(26)
+        for trial in range(300):
+            p = int(rng.integers(1, 8))
+            part = RotamerPartition(tuple(int(v) for v in rng.integers(1, 7, size=p)))
+            x = rng.choice([0.0, 0.25, 0.5, 1.0, -np.inf], size=part.n0)
+            expected = tuple(
+                int(np.argmax(x[part.block_slice(i)])) + 1 for i in range(part.p)
+            )
+            assert round_to_feasible(x, part).choice == expected
+
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ValueError):
+            round_to_feasible([0.5, 0.5, 0.5], self.part)
 
 
 class TestUpperBound:
@@ -208,3 +264,18 @@ class TestCertified:
         assert not certified(0.0, math.inf)
         assert not certified(math.inf, math.inf)
         assert not certified(math.nan, 1.0)
+
+
+class TestCouldCertify:
+    def test_lower_within_tolerance_below_or_anywhere_above(self):
+        upper = -41.5
+        slack = GAP_CLOSE_RTOL * (1.0 + abs(upper))
+        assert could_certify(upper - 0.5 * slack, upper)
+        assert could_certify(upper, upper)
+        assert could_certify(126.39, upper)
+        assert not could_certify(upper - 2.0 * slack, upper)
+
+    def test_infinite_or_nan_bounds(self):
+        assert not could_certify(0.0, math.inf)
+        assert not could_certify(math.nan, 1.0)
+        assert not could_certify(-math.inf, 1.0)

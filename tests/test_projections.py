@@ -126,7 +126,9 @@ class TestPsdTrace:
             out = G @ G.T
             cutoff = n * np.finfo(float).eps * total
             assert G.shape == (n, np.count_nonzero(project_simplex(w, total) > cutoff))
-            assert np.all(np.linalg.norm(G, axis=0) > 0.0)
+            # the last column belongs to the top eigenvalue
+            norms = np.linalg.norm(G, axis=0)
+            assert np.all(norms > 0.0) and norms[-1] >= norms.max() * (1.0 - 1e-12)
             assert np.array_equal(out, out.T)
             assert np.max(np.abs(out - want)) <= 1e-12
 
@@ -158,7 +160,8 @@ class TestPartialPsdTrace:
         assert full_calls == 0
         want = psd_trace_matrix(S, self.total)
         assert np.max(np.abs(G @ G.T - want)) <= 1e-12
-        assert np.all(np.linalg.norm(G, axis=0) > 0.0)
+        norms = np.linalg.norm(G, axis=0)
+        assert np.all(norms > 0.0) and norms[-1] >= norms.max() * (1.0 - 1e-12)
 
     def test_random(self, eigh_orders):
         rng = np.random.default_rng(21)
