@@ -132,19 +132,14 @@ def round_to_feasible(x_approx, partition: RotamerPartition) -> Assignment:
     return Assignment(tuple((block_argmax(x_approx, partition) + 1).tolist()))
 
 
-def rounded_energy(Y, instance: ScpInstance, source: str) -> tuple[float, np.ndarray]:
-    """Energy of the rounding of Y from ``source``, and the rounding as its
-    ``block_argmax``.  The energy is ``objective`` of the rounding's
-    indicator, summed over the chosen rows and columns of E without
-    building the indicator."""
+def upper_bound(Y, instance: ScpInstance, source: str) -> tuple[float, Assignment]:
+    """Feasible objective value obtained by extracting and rounding Y, and
+    the rounding.  The value is ``objective`` of the rounding's indicator,
+    summed over the chosen rows and columns of E without building the
+    indicator."""
     choice = block_argmax(extract_fractional(Y, source), instance.partition)
     rows = instance.partition.block_table[:, 0] + choice
-    return float(instance.energy[rows[:, None], rows].sum()), choice
-
-
-def upper_bound(Y, instance: ScpInstance, source: str) -> tuple[float, Assignment]:
-    """Feasible objective value obtained by extracting and rounding Y."""
-    value, choice = rounded_energy(Y, instance, source)
+    value = float(instance.energy[rows[:, None], rows].sum())
     return value, Assignment(tuple((choice + 1).tolist()))
 
 
@@ -178,7 +173,7 @@ def screen(Y, Z, G, instance: ScpInstance, geometry: LiftedGeometry, lower, uppe
     ``lower_bound_ceiling`` from G's last column, R's top eigenvector, and
     its power step is skipped when R's vector alone already rules a
     certificate out."""
-    column, _ = rounded_energy(Y, instance, FIRST_COLUMN)
+    column, _ = upper_bound(Y, instance, FIRST_COLUMN)
     target = min(upper, column)
     ceiling = lower_bound_ceiling(Z, geometry, G[:, -1], certify_floor(target))
     return could_certify(max(lower, ceiling), target)

@@ -149,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--eps", type=float, default=None, dest="epsilon")
     p_solve.add_argument("--max-iter", type=int, default=None)
     p_solve.add_argument("--t", type=int, default=None, dest="t_consecutive")
-    p_solve.add_argument("--bound-period", type=int, default=None)
     p_solve.add_argument("--dee", action="store_true", help="preprocess with DEE")
     p_solve.set_defaults(func=cmd_solve)
 

@@ -194,10 +194,17 @@ def is_feasible(x, partition: RotamerPartition) -> bool:
 
 def random_instance(p, m_max, energy_range, seed, name=None) -> ScpInstance:
     """Seeded random instance: block sizes uniform in 1..m_max, energies
-    i.i.d. uniform on ``energy_range``, then canonicalized."""
+    i.i.d. uniform on ``energy_range``, then canonicalized.  Both ends of
+    the range must be finite and at most half the largest float in
+    magnitude, as ``canonicalize_energy`` requires of the entries."""
     if p < 1 or m_max < 1:
         raise InstanceError("p and m_max must be at least 1")
     lo, hi = float(energy_range[0]), float(energy_range[1])
+    # a finite width for numpy's uniform draw, and no overflow in the
+    # symmetrization below (NaN fails the comparison too)
+    limit = 0.5 * np.finfo(float).max
+    if not (abs(lo) <= limit and abs(hi) <= limit):
+        raise InstanceError("energy range must be finite and within half the float range")
     if lo > hi:
         raise InstanceError("empty energy range")
     rng = np.random.default_rng(seed)
@@ -229,6 +236,8 @@ def parse_instance(text: str) -> ScpInstance:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceError(f"not valid instance JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InstanceError("instance JSON is nested too deeply") from exc
     if not isinstance(doc, dict):
         raise InstanceError("instance document must be a JSON object")
     for key in ("name", "p", "m", "E"):

@@ -18,10 +18,10 @@ width, so VRV' is the rank-r product (VG)(VG)'.  Each R-update passes the previo
 projection: while R has low rank, a partial eigensolve warm-started on G's
 columns replaces the full eigendecomposition whenever its residual test
 and a Cholesky check prove that it gives the same projection.  Lower/upper
-bounds are evaluated every ``bound_period`` iterations, and in between at
-every SCREEN_PERIOD-th iteration whose cheap screen says they could
-certify; the solve stops on a closed gap, on persistently small residuals,
-or at the iteration cap.
+bounds are checked on one schedule: at every SCREEN_PERIOD-th iteration
+that CHECK_PERIOD divides or whose cheap screen says they could certify,
+and at the last iteration; the solve stops on a closed gap, on
+persistently small residuals, or at the iteration cap.
 """
 
 from __future__ import annotations
@@ -50,8 +50,11 @@ TERMINATION_MAX_ITER = "max_iter"
 TERMINATION_RESIDUAL = "residual"
 TERMINATION_GAP = "gap_closed"
 
-# iterations between screens for an early bound check (see ``solve``)
+# the bound-check schedule (see ``solve``): a screen every SCREEN_PERIOD
+# iterations, and a check without one every CHECK_PERIOD iterations, a
+# multiple of SCREEN_PERIOD
 SCREEN_PERIOD = 10
+CHECK_PERIOD = 100
 
 @dataclass(frozen=True)
 class SolverParams:
@@ -62,8 +65,9 @@ class SolverParams:
     epsilon      residual tolerance, finite and > 0
     max_iter     iteration cap
     t_consecutive  number of consecutive sub-epsilon residual checks required
-    bound_period   iterations between fixed bound evaluations; screened
-                   ones may come in between (see ``solve``)
+
+    When the bounds are checked is not a parameter: it is the schedule of
+    SCREEN_PERIOD and CHECK_PERIOD (see ``solve``).
     """
 
     beta: float
@@ -71,7 +75,6 @@ class SolverParams:
     epsilon: float = 1e-10
     max_iter: int = 10_000
     t_consecutive: int = 100
-    bound_period: int = 100
 
     def __post_init__(self):
         if not 1.0 <= self.beta < math.inf:
@@ -80,8 +83,8 @@ class SolverParams:
             raise ValueError("gamma must lie in (0, 1)")
         if not 0.0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be finite and positive")
-        if self.max_iter < 1 or self.t_consecutive < 1 or self.bound_period < 1:
-            raise ValueError("max_iter, t_consecutive and bound_period must be >= 1")
+        if self.max_iter < 1 or self.t_consecutive < 1:
+            raise ValueError("max_iter and t_consecutive must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -178,19 +181,18 @@ def solve(
 ) -> SolveReport:
     """Run the splitting method on one instance until termination.
 
-    Bounds are evaluated every ``params.bound_period`` iterations and once
+    Bounds are evaluated at every SCREEN_PERIOD-th iteration that
+    CHECK_PERIOD divides or at which ``bounds.screen`` passes, and once
     more at termination unless that iteration was just evaluated; the
     report carries the best lower/upper bounds seen and the feasible
-    assignment of smallest energy found by rounding.  Between those
-    checkpoints, every SCREEN_PERIOD-th iteration runs ``bounds.screen``,
-    which rounds the first column of Y and estimates the lower bound from
-    above with a few mat-vecs; bounds are evaluated there only when the
-    screen says they could certify.  A screen that fails records and keeps
-    nothing, so a solve whose screens all fail reports as with the fixed
-    checkpoints alone.  Every evaluation rounds the first column of Y; it
-    also rounds the dominant eigenvector, keeping it only when strictly
-    lower, unless the column value already closes the gap with the best
-    lower bound so far.
+    assignment of smallest energy found by rounding.  The screen rounds
+    the first column of Y and estimates the lower bound from above with a
+    few mat-vecs; it fails only when the bounds cannot certify.  A failed
+    screen records and keeps nothing, so a solve whose screens all fail
+    reports as with the CHECK_PERIOD checks alone.  Every evaluation
+    rounds the first column of Y; it also rounds the dominant eigenvector,
+    keeping it only when strictly lower, unless the column value already
+    closes the gap with the best lower bound so far.
     ``on_checkpoint(iteration, R, Y, Z)``, if given, is called at every bound
     evaluation with R formed from its factor and the live Y, Z (read-only
     use).  Deterministic for fixed instance and parameters.
@@ -259,9 +261,9 @@ def solve(
             consec_ok += 1
         else:
             consec_ok = 0
-        if iterations % params.bound_period == 0 or (
-            iterations % SCREEN_PERIOD == 0
-            and screen(Y, Z, G, instance, geometry, best_lower, best_upper)
+        if iterations % SCREEN_PERIOD == 0 and (
+            iterations % CHECK_PERIOD == 0
+            or screen(Y, Z, G, instance, geometry, best_lower, best_upper)
         ):
             evaluate_bounds()
         reason = check_stop(iterations, consec_ok, best_lower, best_upper, params)

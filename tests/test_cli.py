@@ -28,6 +28,22 @@ def derived_path(tmp_path, derived_instance):
     return path
 
 
+def assert_exits_1_cleanly(*argv):
+    """Run the CLI in a fresh process: it must exit 1 with an ``error:``
+    line, and print no traceback or warning."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "scpsolve.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == EXIT_ERROR
+    assert done.stderr.startswith("error:")
+    assert "Traceback" not in done.stderr and "Warning" not in done.stderr
+
+
 class TestSolveCommand:
     def test_derived_instance_report(self, derived_path, tmp_path):
         out = tmp_path / "report.json"
@@ -107,7 +123,6 @@ class TestSolveCommand:
             ("epsilon", 1e-8),
             ("max_iter", 2 * 5 + 10_000),
             ("t_consecutive", 100),
-            ("bound_period", 100),
         ]
 
     def test_every_param_settable_by_its_flag(self, derived_path, tmp_path):
@@ -117,7 +132,6 @@ class TestSolveCommand:
             "epsilon": ("--eps", 1e-6),
             "max_iter": ("--max-iter", 7),
             "t_consecutive": ("--t", 2),
-            "bound_period": ("--bound-period", 5),
         }
         assert set(values) == {f.name for f in dataclasses.fields(SolverParams)}
         out = tmp_path / "report.json"
@@ -142,17 +156,12 @@ class TestSolveCommand:
     def test_bad_param_exits_1_cleanly(self, flag, tmp_path):
         inst = tmp_path / "inst.json"
         main(["gen", "--p", "4", "--m-max", "4", "--seed", "1", "--out", str(inst)])
-        root = Path(__file__).resolve().parents[1]
-        env = dict(os.environ, PYTHONPATH=str(root / "src"))
-        done = subprocess.run(
-            [sys.executable, "-m", "scpsolve.cli", "solve", str(inst), *flag],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        assert done.returncode == EXIT_ERROR
-        assert done.stderr.startswith("error:")
-        assert "Traceback" not in done.stderr and "Warning" not in done.stderr
+        assert_exits_1_cleanly("solve", str(inst), *flag)
+
+    def test_deeply_nested_file_exits_1_cleanly(self, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        assert_exits_1_cleanly("solve", str(path))
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope.json")]) == EXIT_ERROR
@@ -185,6 +194,10 @@ class TestGenCommand:
         assert main(flags + ["--out", str(a)]) == EXIT_OK
         assert main(flags + ["--out", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("bounds", [("0", "inf"), ("nan", "nan"), ("0", "1e308")], ids=" ".join)
+    def test_bad_range_exits_1_cleanly(self, bounds):
+        assert_exits_1_cleanly("gen", "--p", "3", "--m-max", "3", "--range", *bounds)
 
     def test_trivial_instance(self, tmp_path):
         out = tmp_path / "one.json"

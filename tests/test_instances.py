@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,14 @@ class TestRandomInstance:
         with pytest.raises(InstanceError):
             random_instance(2, 3, (1, -1), seed=1)
 
+    def test_rejects_range_beyond_half_the_float_range(self):
+        # numpy's uniform draw fails on an infinite or NaN end or width,
+        # and symmetrizing overflows on entries near the float maximum
+        inf, nan = math.inf, math.nan
+        for bad in ((0, inf), (-inf, 0), (nan, nan), (0, nan), (-1e308, 1e308), (1e308, 1e308)):
+            with pytest.raises(InstanceError, match="energy range"):
+                random_instance(3, 3, bad, seed=1)
+
 
 class TestInstanceIO:
     def test_round_trip(self, derived_instance):
@@ -235,6 +245,11 @@ class TestInstanceIO:
     def test_rejects_malformed_json(self):
         with pytest.raises(InstanceError):
             parse_instance("not json at all {")
+
+    def test_rejects_deeply_nested_json(self):
+        for text in ("[" * 100_000 + "]" * 100_000, '{"a": ' * 100_000 + "}" * 100_000):
+            with pytest.raises(InstanceError, match="nested too deeply"):
+                parse_instance(text)
 
     def test_rejects_missing_fields(self):
         with pytest.raises(InstanceError):

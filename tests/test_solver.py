@@ -58,7 +58,6 @@ class TestDefaultParams:
         assert params.gamma == 0.9
         assert params.epsilon == 1e-10
         assert params.t_consecutive == 100
-        assert params.bound_period == 100
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -406,7 +405,7 @@ class TestSolve:
 
     def test_failed_screens_leave_the_report_unchanged(self, monkeypatch):
         # a capped p=20 solve that never certifies: its screens all fail,
-        # so the report is that of the fixed checkpoints alone
+        # so the report is that of the CHECK_PERIOD checks alone
         inst = random_instance(20, 10, (-10, 10), seed=3)
         params = dataclasses.replace(default_params(inst), max_iter=250)
         outcomes = []
@@ -432,20 +431,19 @@ class TestSolve:
 
     def test_screen_certifies_as_early_as_checks_every_screen_period(self, monkeypatch):
         # a failed screen never skips a check that would certify: the
-        # screened schedule stops where bounds evaluated at every
-        # SCREEN_PERIOD-th iteration stop, on the reduced structured
-        # instance and on every fifth of the first 100 corpus instances
-        # (the whole corpus agrees too, but takes longer)
+        # screened schedule stops where a screen that always passes, so
+        # bounds evaluated at every SCREEN_PERIOD-th iteration, stops, on
+        # the reduced structured instance and on every fifth of the first
+        # 100 corpus instances (the whole corpus agrees too, but takes
+        # longer)
         instance, _ = structured_instance(101)
         instances = [goldstein_reduce(instance).reduced]
         instances += list(itertools.islice(acceptance_corpus(), 0, 100, 5))
         screened = [solve(inst) for inst in instances]
-        monkeypatch.setattr(solver_module, "screen", lambda *args: False)
+        assert screened[0].iterations < solver_module.CHECK_PERIOD
+        monkeypatch.setattr(solver_module, "screen", lambda *args: True)
         for inst, report in zip(instances, screened):
-            params = dataclasses.replace(
-                default_params(inst), bound_period=solver_module.SCREEN_PERIOD
-            )
-            every = solve(inst, params)
+            every = solve(inst)
             assert (report.iterations, report.termination, report.ubd) == (
                 every.iterations,
                 every.termination,
