@@ -38,6 +38,7 @@ class BoundRecord:
     upper: float
     upper_source: str
     rank: int  # rank of the projected R: the width of its factor G
+    residuals: tuple[float, float]  # primal and dual, as in the solve's report
 
 
 def box_term(Z, geometry: LiftedGeometry) -> float:
@@ -56,8 +57,7 @@ def dual_lower_bound(Z, geometry: LiftedGeometry) -> float:
     term (``box_term``) minus (p + 1) times the top eigenvalue of V'ZV, the
     reduced PSD term."""
     Z = np.asarray(Z, dtype=float)
-    V = geometry.null_basis
-    W = V.T @ Z @ V
+    W = geometry.face.congruence(Z)
     top = float(np.linalg.eigvalsh(0.5 * (W + W.T))[-1])
     return box_term(Z, geometry) - (geometry.partition.p + 1) * top
 
@@ -72,13 +72,13 @@ def lower_bound_ceiling(Z, geometry: LiftedGeometry, x, floor=-math.inf) -> floa
     only lower it.  A zero x gives inf.
     """
     Z = np.asarray(Z, dtype=float)
-    V = geometry.null_basis
+    face = geometry.face
     x = np.asarray(x, dtype=float)
     norm = math.sqrt(x @ x)
     if norm == 0.0:
         return math.inf
     x = x / norm
-    Wx = V.T @ (Z @ (V @ x))
+    Wx = face.apply_transpose(Z @ face.apply(x))
     a = float(x @ Wx)
     box = box_term(Z, geometry)
     weight = geometry.partition.p + 1
@@ -89,7 +89,7 @@ def lower_bound_ceiling(Z, geometry: LiftedGeometry, x, floor=-math.inf) -> floa
     b = math.sqrt(Wx @ Wx)
     if b > 0.0:  # otherwise x is an eigenvector and a its eigenvalue
         q = Wx / b
-        c = float(q @ (V.T @ (Z @ (V @ q))))
+        c = float(q @ face.apply_transpose(Z @ face.apply(q)))
         # top eigenvalue of the Ritz matrix [[a, b], [b, c]]
         theta = 0.5 * (a + c) + math.hypot(0.5 * (a - c), b)
         ceiling = box - weight * theta

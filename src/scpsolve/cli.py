@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict, fields, replace
 
@@ -37,6 +38,10 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_MAX_ITER = 3
 EXIT_UNCERTIFIED = 4
+
+# a negative number in any float syntax; argparse's own pattern takes only
+# -123 and -1.5, so it would read the -1e3 of ``--range -1e3 1e3`` as an option
+NEGATIVE_NUMBER = re.compile(r"-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE)
 
 
 def build_report(
@@ -134,8 +139,17 @@ def cmd_dee(args) -> int:
     return EXIT_OK
 
 
+class ArgumentParser(argparse.ArgumentParser):
+    """An ArgumentParser, and that of each subcommand, that reads every
+    NEGATIVE_NUMBER as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = NEGATIVE_NUMBER
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = ArgumentParser(
         prog="scpsolve",
         description="Certified side-chain positioning solver",
     )

@@ -131,10 +131,9 @@ def r_update(Y, Z, geometry: LiftedGeometry, beta: float, start=None) -> np.ndar
     """Closed-form PSD block update: project V'(Y + Z/beta)V onto
     {R PSD, trace(R) = p + 1}; returns the factor G with R = GG'.
     ``start``, the previous factor, warm-starts the projection."""
-    V = geometry.null_basis
     shifted = Z / beta
     shifted += Y
-    W = V.T @ shifted @ V
+    W = geometry.face.congruence(shifted)
     return project_psd_trace(W, geometry.partition.p + 1.0, start)
 
 
@@ -205,7 +204,7 @@ def solve(
 
     geometry = build_geometry(instance)
     G, Y, Z = initialize(geometry)
-    V = geometry.null_basis
+    face = geometry.face
     step = params.gamma * params.beta
 
     iterations = consec_ok = 0
@@ -232,6 +231,7 @@ def solve(
                 upper=upper_here,
                 upper_source=source_here,
                 rank=G.shape[1],
+                residuals=(primal_res, dual_res),
             )
         )
         best_lower = max(best_lower, lower)
@@ -245,7 +245,7 @@ def solve(
     reason = None
     while reason is None:
         G = r_update(Y, Z, geometry, params.beta, G)
-        F = V @ G
+        F = face.apply(G)
         # F @ F.T runs as a symmetric rank-r update, so vrv is exactly symmetric
         vrv = F @ F.T
         Z_half = dual_step(Z, Y - vrv, step)

@@ -2,11 +2,12 @@
 
 Besides the fixtures and the enumeration of feasible points, this holds the
 explicit constraint matrices of the lifted geometry ([-1 | A], its exposing
-matrix H'H) and the QR face basis.  The solver never forms them; the tests
-use them as independent references for the closed-form basis in
-``scpsolve.lifting``."""
+matrix H'H), the QR face basis and the closed-form basis written one block
+at a time.  The solver never forms them; the tests use them as independent
+references for the face basis in ``scpsolve.lifting``."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -76,6 +77,26 @@ def qr_face_basis(partition: RotamerPartition) -> np.ndarray:
     H = homogenized_constraints(partition)
     Q, _ = np.linalg.qr(H.T, mode="complete")
     return Q[:, partition.p :]
+
+
+def blockwise_face_basis(partition: RotamerPartition) -> np.ndarray:
+    """Reference closed-form face basis, written one block at a time:
+    column 0 is [1; 1/m_i on block i] normalized, and each block with
+    m_i > 1 adds [1'/sqrt(m_i); I - 11'/(m_i - sqrt(m_i))] on its rows."""
+    V = np.zeros((partition.n0 + 1, partition.n0 + 1 - partition.p))
+    V[0, 0] = 1.0
+    col = 1
+    for off, mi in zip(partition.offsets, partition.m):
+        rows = slice(off + 1, off + 1 + mi)
+        V[rows, 0] = 1.0 / mi
+        if mi > 1:
+            root = math.sqrt(mi)
+            block = V[rows, col : col + mi - 1]
+            block[0] = 1.0 / root
+            block[1:] = np.eye(mi - 1) - 1.0 / (mi - root)
+            col += mi - 1
+    V[:, 0] /= np.linalg.norm(V[:, 0])
+    return V
 
 
 def feasible_indicators(partition):

@@ -199,6 +199,15 @@ class TestGenCommand:
     def test_bad_range_exits_1_cleanly(self, bounds):
         assert_exits_1_cleanly("gen", "--p", "3", "--m-max", "3", "--range", *bounds)
 
+    @pytest.mark.parametrize("low", ["-1e3", "-1000"])
+    def test_negative_range_bound_in_any_float_syntax(self, tmp_path, low):
+        out = tmp_path / "wide.json"
+        argv = ["gen", "--p", "2", "--m-max", "2", "--range", low, "1e3", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        energy = load_instance(out).energy
+        assert np.all(np.abs(energy) <= 1e3)
+        assert np.max(np.abs(energy)) > 10.0  # the range was used, not the default
+
     def test_trivial_instance(self, tmp_path):
         out = tmp_path / "one.json"
         assert main(["gen", "--p", "1", "--m-max", "1", "--seed", "0", "--out", str(out)]) == EXIT_OK

@@ -1,6 +1,7 @@
 import numpy as np
 
 from conftest import (
+    blockwise_face_basis,
     exposing_matrix,
     feasible_indicators,
     gangster_values,
@@ -11,6 +12,9 @@ from conftest import (
 )
 from scpsolve import RotamerPartition, random_instance
 from scpsolve.lifting import (
+    FACE_CROSSOVER,
+    DenseFaceBasis,
+    FaceBasis,
     build_geometry,
     gangster_indices,
     lift_energy,
@@ -87,9 +91,63 @@ class TestNullBasis:
                 assert support.size and np.all(support == support[0])
                 assert abs(col.sum()) <= 1e-14
 
+    def test_materialised_from_reflectors_bit_for_bit(self):
+        # the corpus runs the dense products with this V, so its answers
+        # stay bit-identical only while V keeps every bit
+        rng = np.random.default_rng(8)
+        parts = [random_partition(rng, p_max=11, m_max=8) for _ in range(50)]
+        parts += [RotamerPartition((1,)), RotamerPartition((1,) * 6), RotamerPartition((20, 1, 13, 20))]
+        for part in parts:
+            assert np.array_equal(null_space_basis(part), blockwise_face_basis(part))
+
     def test_deterministic(self):
         part = RotamerPartition((3, 1, 4))
         assert np.array_equal(null_space_basis(part), null_space_basis(part))
+
+
+def assert_close(got, want, rtol=1e-12):
+    assert got.shape == want.shape
+    if want.size:
+        assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+class TestFaceBasis:
+    def test_structured_products_match_dense_v(self):
+        # V'XV, VG for G with 0, 1 and many columns (a solve starts from G
+        # with none), and the mat-vecs Vx and V'y, against the dense V
+        rng = np.random.default_rng(13)
+        parts = [random_partition(rng, p_max=11, m_max=8) for _ in range(50)]
+        parts += [RotamerPartition((7,)), RotamerPartition((1,) * 6), RotamerPartition((20, 1, 13, 20))]
+        for part in parts:
+            face = FaceBasis(part)
+            V = null_space_basis(part)
+            n, f = V.shape
+            X = rng.standard_normal((n, n))
+            X += X.T
+            assert_close(face.congruence(X), V.T @ X @ V)
+            for width in (0, 1, 9):
+                G = rng.standard_normal((f, width))
+                assert_close(face.apply(G), V @ G)
+            x, y = rng.standard_normal(f), rng.standard_normal(n)
+            assert_close(face.apply(x), V @ x)
+            assert_close(face.apply_transpose(y), V.T @ y)
+            assert_close(face.apply_transpose(X[:, :3]), V.T @ X[:, :3])
+
+    def test_dense_products_are_those_of_v(self):
+        # below the crossover the solve must run exactly the dense products
+        rng = np.random.default_rng(14)
+        part = RotamerPartition((3, 1, 5, 2))
+        face, V = DenseFaceBasis(part), null_space_basis(part)
+        X = rng.standard_normal((part.n0 + 1,) * 2)
+        G = rng.standard_normal((V.shape[1], 2))
+        assert np.array_equal(face.congruence(X), V.T @ X @ V)
+        assert np.array_equal(face.apply(G), V @ G)
+        assert np.array_equal(face.apply_transpose(X), V.T @ X)
+
+    def test_build_geometry_chooses_the_form_by_size(self):
+        for n0, kind in ((FACE_CROSSOVER - 1, DenseFaceBasis), (FACE_CROSSOVER, FaceBasis)):
+            inst = make_instance((n0,), np.zeros((n0, n0)))
+            assert type(build_geometry(inst).face) is kind
 
 
 class TestGangster:

@@ -31,7 +31,7 @@ from scpsolve.bounds import (
     screen,
     upper_bound,
 )
-from scpsolve import projections
+from scpsolve import lifting, projections
 from scpsolve.lifting import build_geometry
 from scpsolve.projections import project_simplex, zero_border_diag
 from scpsolve.solver import check_stop, dual_step, initialize, r_update, y_update
@@ -450,6 +450,36 @@ class TestSolve:
                 every.ubd,
             )
             assert report.certified == every.certified
+
+    def test_structured_face_products_keep_the_solve(self, monkeypatch):
+        # a capped solve above the crossover runs the same iterations and
+        # roundings with V applied through its reflectors as with dense V
+        inst = random_instance(20, 12, (-10, 10), seed=1)
+        assert inst.partition.n0 >= lifting.FACE_CROSSOVER
+        params = dataclasses.replace(default_params(inst), max_iter=250)
+        structured = solve(inst, params)
+        monkeypatch.setattr(lifting, "FACE_CROSSOVER", inst.partition.n0 + 1)
+        dense = solve(inst, params)
+        assert structured.iterations == dense.iterations == 250
+        assert structured.termination == dense.termination
+        assert (structured.ubd, structured.assignment) == (dense.ubd, dense.assignment)
+        assert [r.rank for r in structured.bound_history] == [r.rank for r in dense.bound_history]
+        assert abs(structured.lbd - dense.lbd) <= 1e-9 * abs(dense.lbd)
+
+    @pytest.mark.parametrize("p, m_max, seed, cap", [(5, 4, 2, None), (20, 10, 3, 130)])
+    def test_last_record_carries_the_report_residuals(self, p, m_max, seed, cap):
+        # a solve checks the bounds at its last iteration, whether it
+        # certifies there (the first) or stops at the cap (the second)
+        inst = random_instance(p, m_max, (-10, 10), seed=seed)
+        params = default_params(inst)
+        if cap is not None:
+            params = dataclasses.replace(params, max_iter=cap)
+        report = solve(inst, params)
+        last = report.bound_history[-1]
+        assert report.termination == ("max_iter" if cap else "gap_closed")
+        assert last.iteration == report.iterations
+        assert last.residuals == report.residuals
+        assert all(math.isfinite(r) for record in report.bound_history for r in record.residuals)
 
     def test_rank_bounds_rank_of_checkpoint_r(self):
         # the recorded rank, G's width, is the rank of R at the cutoff
