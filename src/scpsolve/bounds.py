@@ -5,7 +5,7 @@ the current multiplier; they are valid for any symmetric multiplier, so
 every value recorded during a solve is a true lower bound.  Upper bounds
 come from rounding a fractional solution extracted from the lifted iterate
 to the nearest feasible assignment, then evaluating the exact energy.
-``screen`` decides cheaply whether a full evaluation of both could certify.
+``certified`` is the one test that decides whether they prove optimality.
 """
 
 from __future__ import annotations
@@ -62,14 +62,12 @@ def dual_lower_bound(Z, geometry: LiftedGeometry) -> float:
     return box_term(Z, geometry) - (geometry.partition.p + 1) * top
 
 
-def lower_bound_ceiling(Z, geometry: LiftedGeometry, x, floor=-math.inf) -> float:
+def lower_bound_ceiling(Z, geometry: LiftedGeometry, x) -> float:
     """A value at least ``dual_lower_bound(Z)``, up to rounding, from two
     products with W = V'ZV: the box term minus (p + 1) times the larger
     Ritz value of W on span{x, Wx}, one power step from x.  A Ritz value is
     at most the top eigenvalue.  Each product is three mat-vecs, and W is
-    never formed.  When the value from x alone, its Rayleigh quotient, is
-    below ``floor``, that is returned without the power step, which could
-    only lower it.  A zero x gives inf.
+    never formed.  A zero x gives inf.
     """
     Z = np.asarray(Z, dtype=float)
     face = geometry.face
@@ -83,8 +81,6 @@ def lower_bound_ceiling(Z, geometry: LiftedGeometry, x, floor=-math.inf) -> floa
     box = box_term(Z, geometry)
     weight = geometry.partition.p + 1
     ceiling = box - weight * a
-    if ceiling < floor:
-        return ceiling
     Wx -= a * x
     b = math.sqrt(Wx @ Wx)
     if b > 0.0:  # otherwise x is an eigenvector and a its eigenvalue
@@ -143,40 +139,13 @@ def upper_bound(Y, instance: ScpInstance, source: str) -> tuple[float, Assignmen
     return value, Assignment(tuple((choice + 1).tolist()))
 
 
-def certify_floor(upper: float) -> float:
-    """The least lower bound that certifies ``upper``: upper less
-    GAP_CLOSE_RTOL relative to it."""
-    return upper - GAP_CLOSE_RTOL * (1.0 + abs(upper))
-
-
-def could_certify(lower: float, upper: float) -> bool:
-    """True when ``upper`` is finite and ``lower`` reaches its
-    ``certify_floor``.  When this is False, neither ``lower`` nor any
-    smaller lower bound certifies ``upper``."""
-    return math.isfinite(upper) and bool(lower >= certify_floor(upper))
-
-
 def certified(lower: float, upper: float) -> bool:
     """True when the lower bound meets a finite upper bound to within
     GAP_CLOSE_RTOL relative to the upper bound, which proves the upper
     bound's assignment optimal.  A lower bound above the upper bound by
     more than that proves nothing: it shows rounding error in the bound."""
     slack = GAP_CLOSE_RTOL * (1.0 + abs(upper))
-    return could_certify(lower, upper) and bool(lower <= upper + slack)
-
-
-def screen(Y, Z, G, instance: ScpInstance, geometry: LiftedGeometry, lower, upper) -> bool:
-    """Whether a bound check at the iterate (Y, Z, R = GG') could certify,
-    given the best bounds so far: False only when the lower bound
-    ``dual_lower_bound(Z)`` cannot certify the smaller of ``upper`` and the
-    first-column rounding of Y.  The lower bound is estimated from above by
-    ``lower_bound_ceiling`` from G's last column, R's top eigenvector, and
-    its power step is skipped when R's vector alone already rules a
-    certificate out."""
-    column, _ = upper_bound(Y, instance, FIRST_COLUMN)
-    target = min(upper, column)
-    ceiling = lower_bound_ceiling(Z, geometry, G[:, -1], certify_floor(target))
-    return could_certify(max(lower, ceiling), target)
+    return math.isfinite(upper) and bool(upper - slack <= lower <= upper + slack)
 
 
 def relative_gap(ubd: float, lbd: float) -> float:

@@ -11,6 +11,7 @@ one-per-block constraint, not by the matrix.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -23,6 +24,19 @@ class InstanceError(ValueError):
     """Malformed instance data: bad dimensions, asymmetry, or file contents."""
 
 
+def _as_integers(values, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of Python ints.  Each must be an integer
+    (numpy's included) and not a bool; anything else, a float with an
+    integral value included, raises ``InstanceError``."""
+    try:
+        values = tuple(values)
+        if not any(isinstance(v, bool) for v in values):
+            return tuple(operator.index(v) for v in values)
+    except TypeError:
+        pass
+    raise InstanceError(f"{what} must be integers, got {values!r}")
+
+
 @dataclass(frozen=True)
 class RotamerPartition:
     """Grouping of n0 rotamers into p positions; block i holds m[i] rotamers."""
@@ -30,7 +44,7 @@ class RotamerPartition:
     m: tuple[int, ...]
 
     def __post_init__(self):
-        m = tuple(int(v) for v in self.m)
+        m = _as_integers(self.m, "block sizes")
         if len(m) < 1:
             raise InstanceError("partition needs at least one position")
         if any(v < 1 for v in m):
@@ -87,7 +101,7 @@ class Assignment:
     choice: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "choice", tuple(int(c) for c in self.choice))
+        object.__setattr__(self, "choice", _as_integers(self.choice, "choices"))
 
     def to_indicator(self, partition: RotamerPartition) -> np.ndarray:
         """Expand to the 0/1 vector with a single 1 inside every block."""
@@ -118,10 +132,14 @@ class ScpInstance:
     name: str = ""
 
     def __post_init__(self):
-        if self.energy.shape[0] != self.partition.n0:
-            raise InstanceError(
-                f"energy order {self.energy.shape[0]} != total rotamers {self.partition.n0}"
-            )
+        energy, n0 = self.energy, self.partition.n0
+        if not (
+            isinstance(energy, np.ndarray)
+            and energy.shape == (n0, n0)
+            and energy.dtype.kind in "fiu"
+            and np.isfinite(energy).all()
+        ):
+            raise InstanceError(f"energy must be a finite real {n0} x {n0} array")
 
     def __eq__(self, other):
         if not isinstance(other, ScpInstance):

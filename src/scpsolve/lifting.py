@@ -74,15 +74,9 @@ class FaceBasis:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """V itself, of shape (n0+1) x (n0+1-p), read-only."""
-        V = np.zeros((self.order, self.dim))
-        V[:, 0] = self.a
-        B = V[:, 1:]
-        B[self.rest, np.arange(self.rest.size)] = 1.0
-        for i, (lead, count) in enumerate(zip(self.leads, self.counts)):
-            start = lead - 1 - i  # columns of B before block i
-            block = B[lead : lead + count + 1, start : start + count]
-            block += self.d[lead - 1 : lead + count, None]
+        """V itself, of shape (n0+1) x (n0+1-p), read-only: ``apply`` of
+        the identity (FaceBasis's own, as DenseFaceBasis.apply reads V)."""
+        V = FaceBasis.apply(self, np.eye(self.dim))
         V.flags.writeable = False
         return V
 

@@ -17,11 +17,10 @@ the entire run.  R is kept as its factor G with R = GG' and rank r, G's
 width, so VRV' is the rank-r product (VG)(VG)'.  Each R-update passes the previous G to the
 projection: while R has low rank, a partial eigensolve warm-started on G's
 columns replaces the full eigendecomposition whenever its residual test
-and a Cholesky check prove that it gives the same projection.  Lower/upper
-bounds are checked on one schedule: at every SCREEN_PERIOD-th iteration
-that CHECK_PERIOD divides or whose cheap screen says they could certify,
-and at the last iteration; the solve stops on a closed gap, on
-persistently small residuals, or at the iteration cap.
+and a Cholesky check prove that it gives the same projection.  Lower and
+upper bounds are checked on the schedule stated in ``solve``; the solve
+stops on a closed gap, on persistently small residuals, or at the
+iteration cap.
 """
 
 from __future__ import annotations
@@ -38,8 +37,8 @@ from .bounds import (
     BoundRecord,
     certified,
     dual_lower_bound,
+    lower_bound_ceiling,
     relative_gap,
-    screen,
     upper_bound,
 )
 from .instances import Assignment, ScpInstance
@@ -50,9 +49,8 @@ TERMINATION_MAX_ITER = "max_iter"
 TERMINATION_RESIDUAL = "residual"
 TERMINATION_GAP = "gap_closed"
 
-# the bound-check schedule (see ``solve``): a screen every SCREEN_PERIOD
-# iterations, and a check without one every CHECK_PERIOD iterations, a
-# multiple of SCREEN_PERIOD
+# the bound-check schedule, stated in ``solve``; CHECK_PERIOD is a multiple
+# of SCREEN_PERIOD
 SCREEN_PERIOD = 10
 CHECK_PERIOD = 100
 
@@ -66,8 +64,7 @@ class SolverParams:
     max_iter     iteration cap
     t_consecutive  number of consecutive sub-epsilon residual checks required
 
-    When the bounds are checked is not a parameter: it is the schedule of
-    SCREEN_PERIOD and CHECK_PERIOD (see ``solve``).
+    When the bounds are checked is not a parameter (see ``solve``).
     """
 
     beta: float
@@ -180,21 +177,23 @@ def solve(
 ) -> SolveReport:
     """Run the splitting method on one instance until termination.
 
-    Bounds are evaluated at every SCREEN_PERIOD-th iteration that
-    CHECK_PERIOD divides or at which ``bounds.screen`` passes, and once
-    more at termination unless that iteration was just evaluated; the
-    report carries the best lower/upper bounds seen and the feasible
-    assignment of smallest energy found by rounding.  The screen rounds
-    the first column of Y and estimates the lower bound from above with a
-    few mat-vecs; it fails only when the bounds cannot certify.  A failed
-    screen records and keeps nothing, so a solve whose screens all fail
-    reports as with the CHECK_PERIOD checks alone.  Every evaluation
-    rounds the first column of Y; it also rounds the dominant eigenvector,
+    The bounds are checked at every SCREEN_PERIOD-th iteration and once
+    more at termination unless a check at that iteration was recorded.
+    Each check rounds the first column of Y.  At a screened iteration,
+    one that CHECK_PERIOD does not divide, it then estimates the lower
+    bound from above with a few mat-vecs (``lower_bound_ceiling`` from
+    R's top eigenvector) and stops there, recording and keeping nothing,
+    unless the estimate, capped at the smaller of the best and the column
+    upper bound, passes ``certified`` with it.  So a solve whose screened
+    checks all stop reports as with the CHECK_PERIOD checks alone.  A check that goes on takes the lower
+    bound ``dual_lower_bound`` and also rounds the dominant eigenvector,
     keeping it only when strictly lower, unless the column value already
-    closes the gap with the best lower bound so far.
-    ``on_checkpoint(iteration, R, Y, Z)``, if given, is called at every bound
-    evaluation with R formed from its factor and the live Y, Z (read-only
-    use).  Deterministic for fixed instance and parameters.
+    closes the gap with the best lower bound so far.  The report carries
+    the best lower/upper bounds recorded and the feasible assignment of
+    smallest energy found by rounding.
+    ``on_checkpoint(iteration, R, Y, Z)``, if given, is called at every
+    recorded check with R formed from its factor and the live Y, Z
+    (read-only use).  Deterministic for fixed instance and parameters.
 
     Returns a SolveReport; ``termination`` is one of "gap_closed",
     "residual" or "max_iter".
@@ -213,11 +212,19 @@ def solve(
     best_upper = math.inf
     best_assignment: Assignment | None = None
 
-    def evaluate_bounds():
+    def check(screened):
         nonlocal best_lower, best_upper, best_assignment
-        lower = dual_lower_bound(Z, geometry)
         source_here = FIRST_COLUMN
         upper_here, assignment_here = upper_bound(Y, instance, FIRST_COLUMN)
+        if screened:
+            # the ceiling is at least the lower bound; capped at the target
+            # it fails ``certified`` only when no lower bound so far or here
+            # reaches the target, and then the check is skipped
+            target = min(best_upper, upper_here)
+            ceiling = lower_bound_ceiling(Z, geometry, G[:, -1])
+            if not certified(min(max(best_lower, ceiling), target), target):
+                return
+        lower = dual_lower_bound(Z, geometry)
         # no feasible energy lies below the lower bound, so once the column
         # rounding meets it the eigenvector rounding cannot win
         if not certified(max(best_lower, lower), upper_here):
@@ -261,14 +268,11 @@ def solve(
             consec_ok += 1
         else:
             consec_ok = 0
-        if iterations % SCREEN_PERIOD == 0 and (
-            iterations % CHECK_PERIOD == 0
-            or screen(Y, Z, G, instance, geometry, best_lower, best_upper)
-        ):
-            evaluate_bounds()
+        if iterations % SCREEN_PERIOD == 0:
+            check(screened=iterations % CHECK_PERIOD != 0)
         reason = check_stop(iterations, consec_ok, best_lower, best_upper, params)
     if not bounds or bounds[-1].iteration != iterations:
-        evaluate_bounds()
+        check(screened=False)
     elapsed = time.perf_counter() - started
 
     return SolveReport(

@@ -20,7 +20,6 @@ from scpsolve.bounds import (
     GAP_CLOSE_RTOL,
     box_term,
     certified,
-    could_certify,
     dual_lower_bound,
     extract_fractional,
     lower_bound_ceiling,
@@ -103,9 +102,6 @@ def test_lower_bound_ceiling_is_at_least_the_bound(seed, m, zero_energy, start):
     # 8 n eps |Z|_F (p + 1) over 12,000 random cases
     slack = 64 * geo.order * np.finfo(float).eps * (len(m) + 1) * np.linalg.norm(Z)
     assert ceiling >= dual_lower_bound(Z, geo) - slack
-    # below the floor the value from x alone is returned, which the power
-    # step could only lower
-    assert lower_bound_ceiling(Z, geo, x, floor=math.inf) >= ceiling - slack
     if start == "zero":
         assert ceiling == math.inf
     if start == "top_eigenvector":
@@ -267,15 +263,22 @@ class TestCertified:
 
 
 class TestCouldCertify:
+    # a screened check caps its estimate of the lower bound at the upper
+    # bound, so ``certified`` tests only whether the estimate reaches it
+
+    @staticmethod
+    def capped(lower, upper):
+        return certified(min(lower, upper), upper)
+
     def test_lower_within_tolerance_below_or_anywhere_above(self):
         upper = -41.5
         slack = GAP_CLOSE_RTOL * (1.0 + abs(upper))
-        assert could_certify(upper - 0.5 * slack, upper)
-        assert could_certify(upper, upper)
-        assert could_certify(126.39, upper)
-        assert not could_certify(upper - 2.0 * slack, upper)
+        assert self.capped(upper - 0.5 * slack, upper)
+        assert self.capped(upper, upper)
+        assert self.capped(126.39, upper)
+        assert not self.capped(upper - 2.0 * slack, upper)
 
     def test_infinite_or_nan_bounds(self):
-        assert not could_certify(0.0, math.inf)
-        assert not could_certify(math.nan, 1.0)
-        assert not could_certify(-math.inf, 1.0)
+        assert not self.capped(0.0, math.inf)
+        assert not self.capped(math.nan, 1.0)
+        assert not self.capped(-math.inf, 1.0)

@@ -8,6 +8,7 @@ from scpsolve import (
     Assignment,
     InstanceError,
     RotamerPartition,
+    ScpInstance,
     canonicalize_energy,
     is_feasible,
     objective,
@@ -29,6 +30,29 @@ class TestPartition:
             RotamerPartition(())
         with pytest.raises(InstanceError):
             RotamerPartition((2, 0))
+
+    def test_rejects_fractional_size(self):
+        with pytest.raises(InstanceError):
+            RotamerPartition((2.5, 3))
+
+    def test_rejects_string_size(self):
+        with pytest.raises(InstanceError):
+            RotamerPartition(("3",))
+
+    def test_rejects_boolean_size(self):
+        with pytest.raises(InstanceError):
+            RotamerPartition((True, 2))
+        with pytest.raises(InstanceError):
+            RotamerPartition((np.True_, 2))
+
+    def test_rejects_nan_size(self):
+        with pytest.raises(InstanceError):
+            RotamerPartition((math.nan, 2))
+
+    def test_accepts_numpy_integers_as_python_ints(self):
+        part = RotamerPartition((np.int64(2), np.int32(3)))
+        assert part.m == (2, 3)
+        assert all(type(v) is int for v in part.m)
 
 
 class TestCanonicalize:
@@ -182,12 +206,41 @@ class TestAssignment:
         with pytest.raises(InstanceError):
             Assignment((3,)).to_indicator(RotamerPartition((2,)))
 
+    def test_rejects_fractional_choice(self):
+        with pytest.raises(InstanceError):
+            Assignment((1.7, 2))
+        assert Assignment((np.int64(1), 2)).choice == (1, 2)
+
     def test_rejects_infeasible_indicator(self):
         part = RotamerPartition((2,))
         # two picks, non-binary, wrong length
         for x in ([1, 1], [0.5, 0.5], [1, 0, 1]):
             with pytest.raises(InstanceError):
                 Assignment.from_indicator(x, part)
+
+
+class TestScpInstance:
+    partition = RotamerPartition((2, 2))
+
+    def test_rejects_a_single_column(self):
+        with pytest.raises(InstanceError):
+            ScpInstance(self.partition, np.zeros((4, 1)))
+
+    def test_rejects_a_three_dimensional_energy(self):
+        with pytest.raises(InstanceError):
+            ScpInstance(self.partition, np.zeros((4, 4, 1)))
+
+    def test_rejects_non_finite_energy(self):
+        with pytest.raises(InstanceError):
+            ScpInstance(self.partition, np.full((4, 4), math.nan))
+        energy = np.zeros((4, 4))
+        energy[1, 2] = energy[2, 1] = math.inf
+        with pytest.raises(InstanceError):
+            ScpInstance(self.partition, energy)
+
+    def test_rejects_an_energy_that_is_not_an_array(self):
+        with pytest.raises(InstanceError):
+            ScpInstance(self.partition, [[0.0] * 4] * 4)
 
 
 class TestRandomInstance:

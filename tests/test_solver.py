@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import acceptance_corpus, make_instance
+import scpsolve.bounds as bounds_module
 import scpsolve.solver as solver_module
 from perfbench.structured import structured_instance
 from scpsolve import (
@@ -28,7 +29,7 @@ from scpsolve.bounds import (
     FIRST_COLUMN,
     GAP_CLOSE_RTOL,
     certified,
-    screen,
+    lower_bound_ceiling,
     upper_bound,
 )
 from scpsolve import lifting, projections
@@ -335,8 +336,9 @@ class TestSolve:
         assert report.lbd - 1e-6 * (1.0 + abs(oracle.optimum)) <= oracle.optimum
 
     def test_eigenvector_rounding_only_while_gap_open(self, monkeypatch):
-        # seed 703 checks bounds at iteration 100 and at every screen that
-        # passes from 160 on; only the last check, at 260, closes the gap
+        # seed 703 checks bounds at iteration 100 and at every screened
+        # iteration that passes from 160 on; only the last check, at 260,
+        # closes the gap
         inst = random_instance(4, 4, (-10, 10), seed=703)
         tried, per_checkpoint = [], []
 
@@ -346,7 +348,13 @@ class TestSolve:
             return value, assignment
 
         def end_checkpoint(iteration, R, Y, Z):
-            per_checkpoint.append(list(tried))
+            # the screened iterations that stopped early since the last
+            # checkpoint rounded the first column too: the checkpoint's own
+            # roundings start at the last first-column call
+            sources = [source for source, _ in tried]
+            last_column = len(sources) - 1 - sources[::-1].index(FIRST_COLUMN)
+            assert set(sources[:last_column]) <= {FIRST_COLUMN}
+            per_checkpoint.append(tried[last_column:])
             tried.clear()
 
         monkeypatch.setattr(solver_module, "upper_bound", recording_upper_bound)
@@ -404,20 +412,20 @@ class TestSolve:
         assert report.bound_history[-1].rank == 1 < last["positive"]
 
     def test_failed_screens_leave_the_report_unchanged(self, monkeypatch):
-        # a capped p=20 solve that never certifies: its screens all fail,
-        # so the report is that of the CHECK_PERIOD checks alone
+        # a capped p=20 solve that never certifies: its screened checks all
+        # stop early, so the report is that of the CHECK_PERIOD checks alone
         inst = random_instance(20, 10, (-10, 10), seed=3)
         params = dataclasses.replace(default_params(inst), max_iter=250)
-        outcomes = []
+        estimates = []
 
-        def recording_screen(*args):
-            outcomes.append(screen(*args))
-            return outcomes[-1]
+        def recording_ceiling(*args):
+            estimates.append(lower_bound_ceiling(*args))
+            return estimates[-1]
 
-        monkeypatch.setattr(solver_module, "screen", recording_screen)
+        monkeypatch.setattr(solver_module, "lower_bound_ceiling", recording_ceiling)
         screened = solve(inst, params)
-        assert len(outcomes) == 23 and not any(outcomes)
-        monkeypatch.setattr(solver_module, "screen", lambda *args: False)
+        assert len(estimates) == 23
+        monkeypatch.setattr(solver_module, "lower_bound_ceiling", lambda *args: -math.inf)
         fixed = solve(inst, params)
         assert not screened.certified
         assert [record.iteration for record in screened.bound_history] == [100, 200, 250]
@@ -430,18 +438,18 @@ class TestSolve:
         )
 
     def test_screen_certifies_as_early_as_checks_every_screen_period(self, monkeypatch):
-        # a failed screen never skips a check that would certify: the
-        # screened schedule stops where a screen that always passes, so
-        # bounds evaluated at every SCREEN_PERIOD-th iteration, stops, on
-        # the reduced structured instance and on every fifth of the first
-        # 100 corpus instances (the whole corpus agrees too, but takes
-        # longer)
+        # a screened check that stops early never skips one that would
+        # certify: the solve stops where one whose screened checks always
+        # go on, so bounds evaluated at every SCREEN_PERIOD-th iteration,
+        # stops, on the reduced structured instance and on every fifth of
+        # the first 100 corpus instances (the whole corpus agrees too, but
+        # takes longer)
         instance, _ = structured_instance(101)
         instances = [goldstein_reduce(instance).reduced]
         instances += list(itertools.islice(acceptance_corpus(), 0, 100, 5))
         screened = [solve(inst) for inst in instances]
         assert screened[0].iterations < solver_module.CHECK_PERIOD
-        monkeypatch.setattr(solver_module, "screen", lambda *args: True)
+        monkeypatch.setattr(solver_module, "lower_bound_ceiling", lambda *args: math.inf)
         for inst, report in zip(instances, screened):
             every = solve(inst)
             assert (report.iterations, report.termination, report.ubd) == (
@@ -450,6 +458,29 @@ class TestSolve:
                 every.ubd,
             )
             assert report.certified == every.certified
+
+    def test_one_first_column_rounding_per_screened_iteration(self, monkeypatch):
+        # a screened check that goes on reuses the rounding it screened
+        # with: each of these solves certifies at a screened iteration, and
+        # rounds the first column once at each SCREEN_PERIOD-th iteration
+        columns = []
+
+        def counting(original):
+            def wrapper(Y, instance, source):
+                columns.append(source == FIRST_COLUMN)
+                return original(Y, instance, source)
+
+            return wrapper
+
+        monkeypatch.setattr(solver_module, "upper_bound", counting(solver_module.upper_bound))
+        monkeypatch.setattr(bounds_module, "upper_bound", counting(bounds_module.upper_bound))
+        for seed in (101, 102):
+            instance, _ = structured_instance(seed)
+            columns.clear()
+            report = solve(goldstein_reduce(instance).reduced)
+            assert report.termination == "gap_closed"
+            assert report.iterations % solver_module.CHECK_PERIOD != 0
+            assert sum(columns) == report.iterations // solver_module.SCREEN_PERIOD
 
     def test_structured_face_products_keep_the_solve(self, monkeypatch):
         # a capped solve above the crossover runs the same iterations and
