@@ -1,16 +1,13 @@
 #!/usr/bin/env python3
-# The four projection kernels the splitting solver is made of.
+# The three projection kernels the splitting solver is made of, and the mask
+# of its dual steps.
 
 import numpy as np
 
-from scpsolve import RotamerPartition
-from scpsolve.lifting import gangster_indices
-from scpsolve.projections import (
-    project_box_gangster,
-    project_psd_trace,
-    project_simplex,
-    zero_border_diag,
-)
+from scpsolve import random_instance
+from scpsolve.lifting import build_geometry
+from scpsolve.projections import project_box_gangster, project_psd_trace, project_simplex
+from scpsolve.solver import dual_step
 
 # 1. Scaled simplex: nearest nonnegative vector with a fixed coordinate sum.
 print("simplex projection of (3, 1) with total 2:", project_simplex([3.0, 1.0], 2.0))
@@ -29,17 +26,21 @@ print(f"negative spectrum lifts to the uniform one (rank {G.shape[1]}):")
 print(G @ G.T)
 
 # 3. Box with gangster pattern: clamp into [0, 1], then pin the gangster
-# entries (0 inside blocks, 1 at the corner).
-partition = RotamerPartition((2, 2))
-gangster = gangster_indices(partition)
+# entries (0 inside blocks, 1 at the corner).  The input must be symmetric,
+# as it always is in a solve, and is overwritten with the projection.  The
+# lifted geometry of a 2 x 2 instance holds the pinned entries as flat
+# indices.
+geometry = build_geometry(random_instance(2, 2, (-10, 10), seed=0))
 rng = np.random.default_rng(0)
 M = rng.normal(scale=2.0, size=(5, 5))
-boxed = project_box_gangster(M, gangster)
-print("\nbox/gangster projection of a random matrix:")
+boxed = project_box_gangster(M + M.T, geometry.pinned)
+print("\nbox/gangster projection of a random symmetric matrix:")
 print(np.round(boxed, 3))
 print("corner:", boxed[0, 0], " pinned zeros:", boxed[1, 2], boxed[3, 4])
 
 # 4. Border/diagonal mask: the dual coordinates with known optimal values
-# are zeroed out of every dual residual, so they never drift.
+# are zeroed out of every dual residual, so they never drift.  The mask is
+# the geometry's ``dual_fixed``; a dual step from Z = 0 with unit step
+# shows it.
 print("\nmask applied to the identity (all support is pinned):")
-print(zero_border_diag(np.eye(4)))
+print(dual_step(np.zeros((5, 5)), np.eye(5), 1.0, geometry.dual_fixed))

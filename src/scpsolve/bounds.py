@@ -48,7 +48,7 @@ def box_term(Z, geometry: LiftedGeometry) -> float:
     C = geometry.lifted_cost + Z
     corner = C[0, 0]
     np.minimum(C, 0.0, out=C)
-    C[geometry.gangster[:, 0], geometry.gangster[:, 1]] = 0.0
+    C.put(geometry.pinned, 0.0)
     return float(corner + C.sum())
 
 
@@ -102,7 +102,7 @@ def extract_fractional(Y, source: str) -> np.ndarray:
     """
     Y = np.asarray(Y, dtype=float)
     if source == FIRST_COLUMN:
-        return np.clip(Y[1:, 0], 0.0, 1.0)
+        return Y[1:, 0].clip(0.0, 1.0)
     if source == EIGENVECTOR:
         _, U = np.linalg.eigh(0.5 * (Y + Y.T))
         v = U[:, -1]

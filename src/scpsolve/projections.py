@@ -1,10 +1,10 @@
 """Projection kernels used by the splitting solver.
 
-All four operators are Euclidean projections (the last one onto a linear
-subspace), hence nonexpansive and idempotent.  The PSD/trace projection of
-a low-rank matrix can come from a warm-started partial eigensolve, used only
-when its Ritz residuals are at rounding level and a Cholesky factorization
-proves that it missed no eigenvalue above the simplex threshold.
+All three operators are Euclidean projections, hence nonexpansive and
+idempotent.  The PSD/trace projection of a low-rank matrix can come from a
+warm-started partial eigensolve, used only when its Ritz residuals are at
+rounding level and a Cholesky factorization proves that it missed no
+eigenvalue above the simplex threshold.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ MIN_ORDER_RATIO = 16
 MAX_SWEEPS = 16
 MIN_SWEEPS = 3
 RESIDUAL_RTOL = 1e-13
+EPS = float(np.finfo(float).eps)
 
 
 def project_simplex(d, total) -> np.ndarray:
@@ -37,8 +38,10 @@ def project_simplex(d, total) -> np.ndarray:
     if total <= 0.0:
         raise ValueError("simplex total must be positive")
     u = np.sort(d)[::-1]
-    thresholds = (np.cumsum(u) - total) / np.arange(1, d.size + 1)
-    active = np.nonzero(u > thresholds)[0]
+    thresholds = u.cumsum()
+    thresholds -= total
+    thresholds /= np.arange(1, d.size + 1)
+    active = (u > thresholds).nonzero()[0]
     if active.size == 0:  # total lost to rounding beside the entries, or a NaN
         raise ValueError(f"simplex total {total} is lost to rounding beside the entries")
     return np.maximum(d - thresholds[active[-1]], 0.0)
@@ -46,7 +49,7 @@ def project_simplex(d, total) -> np.ndarray:
 
 def kept(w, order: int, total: float) -> np.ndarray:
     """Mask of the projected eigenvalues above rounding level, order*eps*total."""
-    return w > order * np.finfo(float).eps * total
+    return w > order * EPS * total
 
 
 def project_psd_trace(M, total, start=None) -> np.ndarray:
@@ -123,27 +126,13 @@ def partial_psd_trace(S, total, start) -> np.ndarray | None:
     return U * np.sqrt(w[keep])
 
 
-def project_box_gangster(M, gangster: np.ndarray) -> np.ndarray:
-    """Project onto the lifted feasible box: entries clamped into [0, 1],
-    gangster entries pinned to 0 and the (0, 0) entry to 1."""
+def project_box_gangster(M, pinned: np.ndarray) -> np.ndarray:
+    """Project symmetric M onto the lifted feasible box, overwriting M:
+    entries clamped into [0, 1], the gangster entries (``pinned``, flat
+    indices as in ``LiftedGeometry.pinned``) to 0 and the (0, 0) entry to 1.
+    A symmetric M needs no symmetrization, and the result is symmetric."""
     M = np.asarray(M, dtype=float)
-    out = M + M.T
-    out *= 0.5
-    np.clip(out, 0.0, 1.0, out=out)
-    out[gangster[:, 0], gangster[:, 1]] = 0.0
-    out[0, 0] = 1.0
-    return out
-
-
-def zero_border_diag(M) -> np.ndarray:
-    """Zero row 0, column 0 and the diagonal; keep every other entry.
-
-    This is the mask applied to residuals in the dual updates: the zeroed
-    coordinates are exactly those where the optimal multiplier is known, so
-    a dual iterate initialized at those values never moves off them.
-    """
-    out = np.array(M, dtype=float)
-    out[0, :] = 0.0
-    out[:, 0] = 0.0
-    np.fill_diagonal(out, 0.0)
-    return out
+    M.clip(0.0, 1.0, out=M)
+    M.put(pinned, 0.0)
+    M[0, 0] = 1.0
+    return M

@@ -43,7 +43,7 @@ from .bounds import (
 )
 from .instances import Assignment, ScpInstance
 from .lifting import LiftedGeometry, build_geometry
-from .projections import project_box_gangster, project_psd_trace, zero_border_diag
+from .projections import project_box_gangster, project_psd_trace
 
 TERMINATION_MAX_ITER = "max_iter"
 TERMINATION_RESIDUAL = "residual"
@@ -134,13 +134,16 @@ def r_update(Y, Z, geometry: LiftedGeometry, beta: float, start=None) -> np.ndar
     return project_psd_trace(W, geometry.partition.p + 1.0, start)
 
 
-def dual_step(Z, residual, step: float) -> np.ndarray:
-    """Damped dual update Z + step * mask(residual); masked coordinates keep
-    their current values exactly."""
-    out = zero_border_diag(residual)
-    out *= step
-    out += Z
-    return out
+def dual_step(Z, residual, step: float, fixed: np.ndarray) -> np.ndarray:
+    """Damped dual update Z + step * mask(residual), computed in place in
+    ``residual``, which it overwrites and returns.  The mask zeroes the
+    coordinates ``fixed`` (flat indices, ``LiftedGeometry.dual_fixed``), so
+    there the update keeps Z's values exactly, barring a -0.0 in Z, which
+    would come out as 0.0 (``initialize`` leaves none)."""
+    residual *= step
+    residual.put(fixed, 0.0)
+    residual += Z
+    return residual
 
 
 def y_update(vrv, Z_half, geometry: LiftedGeometry, beta: float) -> np.ndarray:
@@ -149,7 +152,14 @@ def y_update(vrv, Z_half, geometry: LiftedGeometry, beta: float) -> np.ndarray:
     target = geometry.lifted_cost + Z_half
     target /= beta
     np.subtract(vrv, target, out=target)
-    return project_box_gangster(target, geometry.gangster)
+    return project_box_gangster(target, geometry.pinned)
+
+
+def frobenius(x) -> float:
+    """Frobenius norm of an array, computed as ``np.linalg.norm`` does,
+    bit for bit, without its wrapper."""
+    flat = x.ravel()
+    return math.sqrt(flat.dot(flat))
 
 
 def check_stop(
@@ -204,6 +214,7 @@ def solve(
     geometry = build_geometry(instance)
     G, Y, Z = initialize(geometry)
     face = geometry.face
+    fixed = geometry.dual_fixed
     step = params.gamma * params.beta
 
     iterations = consec_ok = 0
@@ -212,10 +223,16 @@ def solve(
     best_upper = math.inf
     best_assignment: Assignment | None = None
 
+    # the iteration of the last column rounding and its result: a screened
+    # check that stops at the last iteration leaves it to the final check
+    column_at, column = -1, None
+
     def check(screened):
-        nonlocal best_lower, best_upper, best_assignment
+        nonlocal best_lower, best_upper, best_assignment, column_at, column
+        if column_at != iterations:
+            column_at, column = iterations, upper_bound(Y, instance, FIRST_COLUMN)
         source_here = FIRST_COLUMN
-        upper_here, assignment_here = upper_bound(Y, instance, FIRST_COLUMN)
+        upper_here, assignment_here = column
         if screened:
             # the ceiling is at least the lower bound; capped at the target
             # it fails ``certified`` only when no lower bound so far or here
@@ -253,17 +270,19 @@ def solve(
     while reason is None:
         G = r_update(Y, Z, geometry, params.beta, G)
         F = face.apply(G)
-        # F @ F.T runs as a symmetric rank-r update, so vrv is exactly symmetric
+        # F @ F.T runs as a symmetric rank-r update, so vrv is exactly
+        # symmetric, and so are Z, Y and the box projection's input
         vrv = F @ F.T
-        Z_half = dual_step(Z, Y - vrv, step)
+        Z_half = dual_step(Z, Y - vrv, step, fixed)
         Y_new = y_update(vrv, Z_half, geometry, params.beta)
         primal = Y_new - vrv
-        Z = dual_step(Z_half, primal, step)
-        dual_res = params.beta * float(np.linalg.norm(Y_new - Y))
+        primal_norm = frobenius(primal)  # before the dual step overwrites it
+        Z = dual_step(Z_half, primal, step, fixed)
+        dual_res = params.beta * frobenius(Y_new - Y)
         Y = Y_new
         iterations += 1
         # (0,0) entry is pinned to 1, so the norm never vanishes
-        primal_res = float(np.linalg.norm(primal) / np.linalg.norm(Y))
+        primal_res = primal_norm / frobenius(Y)
         if max(primal_res, dual_res) < params.epsilon:
             consec_ok += 1
         else:

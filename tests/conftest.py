@@ -4,7 +4,9 @@ Besides the fixtures and the enumeration of feasible points, this holds the
 explicit constraint matrices of the lifted geometry ([-1 | A], its exposing
 matrix H'H), the QR face basis and the closed-form basis written one block
 at a time.  The solver never forms them; the tests use them as independent
-references for the face basis in ``scpsolve.lifting``."""
+references for the face basis in ``scpsolve.lifting``.  It also holds the
+PRSM iteration written pass by pass, unfused (``reference_iterations``),
+against which the solver's iterates are compared bit for bit."""
 
 import itertools
 import math
@@ -13,6 +15,8 @@ import numpy as np
 import pytest
 
 from scpsolve import RotamerPartition, ScpInstance, canonicalize_energy, random_instance
+from scpsolve.projections import MIN_ORDER_RATIO, PAD_COLUMNS, partial_psd_trace
+from scpsolve.solver import initialize
 
 # the acceptance gate's fixed corpus
 CORPUS_SIZE = 200
@@ -97,6 +101,76 @@ def blockwise_face_basis(partition: RotamerPartition) -> np.ndarray:
             col += mi - 1
     V[:, 0] /= np.linalg.norm(V[:, 0])
     return V
+
+
+def zero_border_diag(M) -> np.ndarray:
+    """A copy of M with row 0, column 0 and the diagonal zeroed: the mask of
+    the dual steps, written out."""
+    out = np.array(M, dtype=float)
+    out[0, :] = 0.0
+    out[:, 0] = 0.0
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
+def reference_simplex(d, total):
+    """Sort-and-threshold projection onto {x >= 0, sum(x) = total}."""
+    u = np.sort(d)[::-1]
+    thresholds = (np.cumsum(u) - total) / np.arange(1, d.size + 1)
+    active = np.nonzero(u > thresholds)[0]
+    return np.maximum(d - thresholds[active[-1]], 0.0)
+
+
+def reference_psd_trace(M, total, start):
+    """PSD/trace projection as a factor: symmetrize, then the partial
+    eigensolve when it applies and succeeds, else the full ``eigh``, keeping
+    the eigenpairs whose projected eigenvalue is above order*eps*total."""
+    S = M + M.T
+    S *= 0.5
+    if MIN_ORDER_RATIO * (start.shape[1] + PAD_COLUMNS) <= S.shape[0]:
+        G = partial_psd_trace(S, total, start)
+        if G is not None:
+            return G
+    w, U = np.linalg.eigh(S)
+    w = reference_simplex(w, total)
+    keep = w > S.shape[0] * np.finfo(float).eps * total
+    return U[:, keep] * np.sqrt(w[keep])
+
+
+def reference_box_gangster(M, gangster):
+    """Box/gangster projection of a copy of M, symmetrized first."""
+    out = M + M.T
+    out *= 0.5
+    np.clip(out, 0.0, 1.0, out=out)
+    out[gangster[:, 0], gangster[:, 1]] = 0.0
+    out[0, 0] = 1.0
+    return out
+
+
+def reference_iterations(geometry, params, iterations):
+    """``iterations`` PRSM iterations from ``initialize``, one numpy pass at
+    a time, with the mask and the box projection applied to copies and the
+    norms taken by ``np.linalg.norm``.  Returns the factor G of R, Y, Z and
+    the residuals (primal, dual) of the last iteration."""
+    G, Y, Z = initialize(geometry)
+    beta = params.beta
+    step = params.gamma * beta
+    for _ in range(iterations):
+        shifted = Z / beta
+        shifted += Y
+        W = geometry.face.congruence(shifted)
+        G = reference_psd_trace(W, geometry.partition.p + 1.0, G)
+        F = geometry.face.apply(G)
+        vrv = F @ F.T
+        Z_half = zero_border_diag(Y - vrv) * step + Z
+        target = (geometry.lifted_cost + Z_half) / beta
+        Y_new = reference_box_gangster(vrv - target, geometry.gangster)
+        primal = Y_new - vrv
+        Z = zero_border_diag(primal) * step + Z_half
+        dual_res = beta * float(np.linalg.norm(Y_new - Y))
+        Y = Y_new
+        primal_res = float(np.linalg.norm(primal) / np.linalg.norm(Y))
+    return G, Y, Z, (primal_res, dual_res)
 
 
 def feasible_indicators(partition):

@@ -133,6 +133,20 @@ class TestFaceBasis:
             assert_close(face.apply_transpose(y), V.T @ y)
             assert_close(face.apply_transpose(X[:, :3]), V.T @ X[:, :3])
 
+    def test_symmetric_block_sums_read_along_rows_are_the_same(self):
+        # congruence reads the block sums of its symmetric X along the
+        # rows; they must be the column sums bit for bit, for blocks of
+        # every size up to the benchmark's m = 20 and singletons
+        rng = np.random.default_rng(15)
+        parts = [random_partition(rng, p_max=11, m_max=8) for _ in range(20)]
+        parts.append(random_instance(80, 20, (-10, 10), seed=3).partition)
+        parts.append(RotamerPartition((20, 1, 13, 20, 1)))
+        for part in parts:
+            face = FaceBasis(part)
+            X = rng.standard_normal((part.n0 + 1,) * 2)
+            X += X.T
+            assert face._dt(X, symmetric=True).tobytes() == face._dt(X).tobytes()
+
     def test_dense_products_are_those_of_v(self):
         # below the crossover the solve must run exactly the dense products
         rng = np.random.default_rng(14)

@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
-from conftest import feasible_indicators
+from conftest import feasible_indicators, make_instance
 from scpsolve import RotamerPartition
-from scpsolve.lifting import gangster_indices, lift_indicator
+from scpsolve.lifting import build_geometry, lift_indicator
 from scpsolve.projections import (
     PAD_COLUMNS,
     PAD_SEED,
     project_box_gangster,
     project_psd_trace,
     project_simplex,
-    zero_border_diag,
 )
+from scpsolve.solver import dual_step
 
 
 def simplex_oracle(d, total):
@@ -25,6 +25,22 @@ def simplex_oracle(d, total):
         if u[k - 1] > tau and (k == n or u[k] <= tau):
             return np.maximum(d - tau, 0.0)
     raise AssertionError("no consistent active set found")
+
+
+def geometry_of(m):
+    """Lifted geometry of a zero-energy instance with block sizes m."""
+    return build_geometry(make_instance(m, np.zeros((sum(m), sum(m)))))
+
+
+def box_matrix(M, pinned):
+    """The box/gangster projection of a copy of M, which is left as it is."""
+    return project_box_gangster(np.array(M, dtype=float), pinned)
+
+
+def dual_mask(M, fixed):
+    """The dual steps' mask applied to a copy of M: a dual step from a zero
+    Z with unit step."""
+    return dual_step(np.zeros_like(M), np.array(M, dtype=float), 1.0, fixed)
 
 
 def psd_trace_matrix(M, total):
@@ -238,10 +254,11 @@ class TestPartialPsdTrace:
 
 class TestBoxGangster:
     part = RotamerPartition((2, 2))
-    idx = gangster_indices(part)
+    geometry = geometry_of(part.m)
+    pinned = geometry.pinned
 
     def test_zero_matrix_gets_unit_corner(self):
-        out = project_box_gangster(np.zeros((5, 5)), self.idx)
+        out = project_box_gangster(np.zeros((5, 5)), self.pinned)
         expected = np.zeros((5, 5))
         expected[0, 0] = 1.0
         assert np.array_equal(out, expected)
@@ -249,45 +266,62 @@ class TestBoxGangster:
     def test_upper_clamp(self):
         M = np.zeros((5, 5))
         M[1, 3] = M[3, 1] = 7.3
-        out = project_box_gangster(M, self.idx)
+        out = project_box_gangster(M, self.pinned)
         assert out[1, 3] == 1.0 and out[3, 1] == 1.0
+        assert out is M  # the projection overwrites its input
 
     def test_feasible_lift_unchanged(self):
         for x in feasible_indicators(self.part):
             Y = lift_indicator(x)
-            assert np.array_equal(project_box_gangster(Y, self.idx), Y)
+            assert np.array_equal(box_matrix(Y, self.pinned), Y)
 
     def test_output_in_feasible_box_exactly(self):
         rng = np.random.default_rng(13)
         M = rng.normal(scale=4.0, size=(5, 5))
-        out = project_box_gangster(M, self.idx)
+        out = project_box_gangster(M + M.T, self.pinned)
         assert np.array_equal(out, out.T)
         assert out.min() >= 0.0 and out.max() <= 1.0
         assert out[0, 0] == 1.0
-        assert np.all(out[self.idx[1:, 0], self.idx[1:, 1]] == 0.0)
+        g = self.geometry.gangster
+        assert np.all(out[g[1:, 0], g[1:, 1]] == 0.0)
 
 
 class TestBorderDiagMask:
     def test_identity_maps_to_zero(self):
-        assert np.array_equal(zero_border_diag(np.eye(4)), np.zeros((4, 4)))
+        fixed = geometry_of((1, 2)).dual_fixed
+        assert np.array_equal(dual_mask(np.eye(4), fixed), np.zeros((4, 4)))
 
     def test_interior_off_diagonal_unchanged(self):
+        fixed = geometry_of((1, 2)).dual_fixed
         M = np.zeros((4, 4))
         M[1, 2] = M[2, 1] = 3.5
-        assert np.array_equal(zero_border_diag(M), M)
+        assert np.array_equal(dual_mask(M, fixed), M)
 
     def test_idempotent(self):
         rng = np.random.default_rng(14)
+        fixed = geometry_of((2, 3)).dual_fixed
         M = rng.normal(size=(6, 6))
-        once = zero_border_diag(M)
-        assert np.array_equal(zero_border_diag(once), once)
+        once = dual_mask(M, fixed)
+        assert np.array_equal(dual_mask(once, fixed), once)
+
+    def test_fixed_coordinates_are_the_border_and_the_diagonal(self):
+        for m in [(1,), (1, 2), (2, 3), (1, 1, 4)]:
+            geometry = geometry_of(m)
+            n = geometry.order
+            rows, cols = np.unravel_index(geometry.dual_fixed, (n, n))
+            fixed = np.zeros((n, n), dtype=bool)
+            fixed[rows, cols] = True
+            expected = np.eye(n, dtype=bool)
+            expected[0] = expected[:, 0] = True
+            assert np.array_equal(fixed, expected)
+            assert not geometry.dual_fixed.flags.writeable
 
 
 class TestNonexpansiveness:
     def test_all_four_operators(self):
         rng = np.random.default_rng(15)
         part = RotamerPartition((2, 3))
-        idx = gangster_indices(part)
+        geometry = geometry_of(part.m)
         n = part.n0 + 1
         for _ in range(40):
             a = rng.normal(scale=3.0, size=(n, n))
@@ -300,8 +334,8 @@ class TestNonexpansiveness:
             pairs = [
                 (project_simplex(va, c), project_simplex(vb, c)),
                 (psd_trace_matrix(a, c), psd_trace_matrix(b, c)),
-                (project_box_gangster(a, idx), project_box_gangster(b, idx)),
-                (zero_border_diag(a), zero_border_diag(b)),
+                (box_matrix(a, geometry.pinned), box_matrix(b, geometry.pinned)),
+                (dual_mask(a, geometry.dual_fixed), dual_mask(b, geometry.dual_fixed)),
             ]
             assert np.linalg.norm(pairs[0][0] - pairs[0][1]) <= np.linalg.norm(va - vb) + 1e-12
             for pa, pb in pairs[1:]:

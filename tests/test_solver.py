@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import acceptance_corpus, make_instance
+from conftest import acceptance_corpus, make_instance, reference_iterations, zero_border_diag
 import scpsolve.bounds as bounds_module
 import scpsolve.solver as solver_module
 from perfbench.structured import structured_instance
@@ -34,7 +34,7 @@ from scpsolve.bounds import (
 )
 from scpsolve import lifting, projections
 from scpsolve.lifting import build_geometry
-from scpsolve.projections import project_simplex, zero_border_diag
+from scpsolve.projections import project_simplex
 from scpsolve.solver import check_stop, dual_step, initialize, r_update, y_update
 
 
@@ -117,16 +117,21 @@ class TestRUpdate:
 
 class TestDualStep:
     def test_zero_residual_is_fixed_point(self, derived_instance):
-        _, _, Z = initialize(build_geometry(derived_instance))
-        out = dual_step(Z, np.zeros((5, 5)), step=0.9)
+        geo = build_geometry(derived_instance)
+        _, _, Z = initialize(geo)
+        out = dual_step(Z, np.zeros((5, 5)), 0.9, geo.dual_fixed)
         assert np.array_equal(out, Z)
 
     def test_diagonal_never_moves(self):
         rng = np.random.default_rng(32)
+        geo = build_geometry(make_instance((2, 3), np.zeros((5, 5))))
         Z = rng.normal(size=(6, 6))
         residual = rng.normal(size=(6, 6))
-        out = dual_step(Z, residual, step=1.7)
+        expected = zero_border_diag(residual) * 1.7 + Z
+        out = dual_step(Z, residual, 1.7, geo.dual_fixed)
+        assert out is residual  # the step overwrites the residual
         assert np.array_equal(np.diag(out), np.diag(Z))
+        assert np.array_equal(out, expected)
 
     def test_border_stays_zero_through_one_iteration(self, derived_instance):
         geo = build_geometry(derived_instance)
@@ -134,11 +139,11 @@ class TestDualStep:
         _, Y, Z = initialize(geo)
         F = geo.null_basis @ r_update(Y, Z, geo, params.beta)
         vrv = F @ F.T
-        Z_half = dual_step(Z, Y - vrv, params.gamma * params.beta)
+        Z_half = dual_step(Z, Y - vrv, params.gamma * params.beta, geo.dual_fixed)
         assert np.all(Z_half[0, :] == 0.0)
         assert np.all(Z_half[:, 0] == 0.0)
         Y1 = y_update(vrv, Z_half, geo, params.beta)
-        Z1 = dual_step(Z_half, Y1 - vrv, params.gamma * params.beta)
+        Z1 = dual_step(Z_half, Y1 - vrv, params.gamma * params.beta, geo.dual_fixed)
         assert np.all(Z1[0, :] == 0.0)
         assert np.array_equal(np.diag(Z1), np.diag(Z))
 
@@ -166,7 +171,7 @@ class TestYUpdate:
         params = default_params(inst)
         F = geo.null_basis @ r_update(Y0, Z0, geo, params.beta)
         vrv = F @ F.T
-        Z_half = dual_step(Z0, Y0 - vrv, params.gamma * params.beta)
+        Z_half = dual_step(Z0, Y0 - vrv, params.gamma * params.beta, geo.dual_fixed)
         Y = y_update(vrv, Z_half, geo, params.beta)
         assert Y[1, 3] == 0.0 and Y[3, 1] == 0.0
 
@@ -461,8 +466,11 @@ class TestSolve:
 
     def test_one_first_column_rounding_per_screened_iteration(self, monkeypatch):
         # a screened check that goes on reuses the rounding it screened
-        # with: each of these solves certifies at a screened iteration, and
-        # rounds the first column once at each SCREEN_PERIOD-th iteration
+        # with, and the final check reuses that of a screened check at the
+        # same iteration that stopped early: each of these solves ends at a
+        # screened iteration, the two structured ones certifying there and
+        # the p=20 one at its cap, and rounds the first column once at each
+        # SCREEN_PERIOD-th iteration
         columns = []
 
         def counting(original):
@@ -474,11 +482,16 @@ class TestSolve:
 
         monkeypatch.setattr(solver_module, "upper_bound", counting(solver_module.upper_bound))
         monkeypatch.setattr(bounds_module, "upper_bound", counting(bounds_module.upper_bound))
+        solves = []
         for seed in (101, 102):
             instance, _ = structured_instance(seed)
+            solves.append((goldstein_reduce(instance).reduced, None, "gap_closed"))
+        capped = random_instance(20, 10, (-10, 10), seed=3)
+        solves.append((capped, dataclasses.replace(default_params(capped), max_iter=250), "max_iter"))
+        for instance, params, termination in solves:
             columns.clear()
-            report = solve(goldstein_reduce(instance).reduced)
-            assert report.termination == "gap_closed"
+            report = solve(instance, params)
+            assert report.termination == termination
             assert report.iterations % solver_module.CHECK_PERIOD != 0
             assert sum(columns) == report.iterations // solver_module.SCREEN_PERIOD
 
@@ -496,6 +509,39 @@ class TestSolve:
         assert (structured.ubd, structured.assignment) == (dense.ubd, dense.assignment)
         assert [r.rank for r in structured.bound_history] == [r.rank for r in dense.bound_history]
         assert abs(structured.lbd - dense.lbd) <= 1e-9 * abs(dense.lbd)
+
+    @pytest.mark.parametrize("case", ["corpus", "above_crossover", "singletons"])
+    def test_iterates_match_the_unfused_reference(self, case, monkeypatch):
+        # the solver's fused passes give the reference's G, Y, Z and
+        # residuals bit for bit, sign bits included, through the dense
+        # products (corpus instance 0, which has a singleton block) and the
+        # structured ones (a p=20 instance, and one with many singletons)
+        if case == "corpus":
+            inst = next(acceptance_corpus())
+        elif case == "above_crossover":
+            inst = random_instance(20, 12, (-10, 10), seed=1)
+        else:
+            m = (1, 2, 1, 7, 1, 3) * 8
+            raw = np.random.default_rng(9).uniform(-10.0, 10.0, size=(sum(m), sum(m)))
+            inst = make_instance(m, raw + raw.T)
+        geometry = build_geometry(inst)
+        assert (case == "corpus") == (inst.partition.n0 < lifting.FACE_CROSSOVER)
+        assert case != "singletons" or 1 in inst.partition.m
+        params = dataclasses.replace(default_params(inst), max_iter=30)
+        factors, iterates = [], []
+
+        def recording_r_update(*args):
+            factors.append(r_update(*args))
+            return factors[-1]
+
+        monkeypatch.setattr(solver_module, "r_update", recording_r_update)
+        report = solve(inst, params, on_checkpoint=lambda i, R, Y, Z: iterates.append((Y.copy(), Z.copy())))
+        assert report.iterations == 30
+        G, Y, Z, residuals = reference_iterations(geometry, params, 30)
+        for ours, reference in zip((factors[-1], *iterates[-1]), (G, Y, Z)):
+            assert ours.shape == reference.shape
+            assert ours.tobytes() == reference.tobytes()
+        assert report.residuals == residuals
 
     @pytest.mark.parametrize("p, m_max, seed, cap", [(5, 4, 2, None), (20, 10, 3, 130)])
     def test_last_record_carries_the_report_residuals(self, p, m_max, seed, cap):
