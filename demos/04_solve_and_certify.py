@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 # End to end: solve the relaxation, watch the bounds close, and check the
-# certificate against exhaustive enumeration.
+# certificate against exhaustive enumeration.  Each checkpoint line shows
+# the penalty beta of its iteration: it starts at the default and grows at
+# each bound check at a multiple of 100 that leaves the gap open.
 
 from scpsolve import brute_force, default_params, random_instance, solve
 
@@ -19,7 +21,7 @@ print(f"\nbound trace ({len(report.bound_history)} checkpoints):")
 for rec in report.bound_history:
     print(
         f"  iter {rec.iteration:5d}   lower {rec.lower:12.6f}   "
-        f"upper {rec.upper:12.6f}   via {rec.upper_source}"
+        f"upper {rec.upper:12.6f}   via {rec.upper_source:20s} beta {rec.beta:g}"
     )
 
 print(f"\ntermination: {report.termination} after {report.iterations} iterations")

@@ -39,6 +39,7 @@ class BoundRecord:
     upper_source: str
     rank: int  # rank of the projected R: the width of its factor G
     residuals: tuple[float, float]  # primal and dual, as in the solve's report
+    beta: float  # the penalty of the iteration the check follows
 
 
 def box_term(Z, geometry: LiftedGeometry) -> float:

@@ -21,6 +21,14 @@ and a Cholesky check prove that it gives the same projection.  Lower and
 upper bounds are checked on the schedule stated in ``solve``; the solve
 stops on a closed gap, on persistently small residuals, or at the
 iteration cap.
+
+The penalty beta starts at ``SolverParams.beta`` and grows on a fixed
+schedule: after every CHECK_PERIOD-th iteration whose check leaves the
+solve running, beta is multiplied by BETA_GROWTH, up to BETA_GROWTH_CAP
+times its starting value.  A solve that ends by iteration CHECK_PERIOD
+never changes it.  The penalty changes finitely often, which keeps the
+splitting's convergence, and every lower bound is valid for any Z, so the
+certificate does not depend on beta.
 """
 
 from __future__ import annotations
@@ -53,12 +61,16 @@ TERMINATION_GAP = "gap_closed"
 # of SCREEN_PERIOD
 SCREEN_PERIOD = 10
 CHECK_PERIOD = 100
+# the penalty schedule, stated in the module docstring
+BETA_GROWTH = 4.0
+BETA_GROWTH_CAP = 16.0
 
 @dataclass(frozen=True)
 class SolverParams:
     """Penalty, step and stopping parameters.
 
-    beta         quadratic penalty, finite and >= 1
+    beta         starting quadratic penalty, finite and >= 1 (``solve``
+                 raises it on a fixed schedule)
     gamma        dual damping factor, in (0, 1)
     epsilon      residual tolerance, finite and > 0
     max_iter     iteration cap
@@ -198,7 +210,10 @@ def solve(
     checks all stop reports as with the CHECK_PERIOD checks alone.  A check that goes on takes the lower
     bound ``dual_lower_bound`` and also rounds the dominant eigenvector,
     keeping it only when strictly lower, unless the column value already
-    closes the gap with the best lower bound so far.  The report carries
+    closes the gap with the best lower bound so far.  After a
+    CHECK_PERIOD check that does not stop the solve, beta and the dual
+    step gamma*beta grow as the module docstring states; each record
+    carries the beta of the iteration it follows.  The report carries
     the best lower/upper bounds recorded and the feasible assignment of
     smallest energy found by rounding.
     ``on_checkpoint(iteration, R, Y, Z)``, if given, is called at every
@@ -215,7 +230,8 @@ def solve(
     G, Y, Z = initialize(geometry)
     face = geometry.face
     fixed = geometry.dual_fixed
-    step = params.gamma * params.beta
+    beta = params.beta
+    step = params.gamma * beta
 
     iterations = consec_ok = 0
     bounds: list[BoundRecord] = []
@@ -256,6 +272,7 @@ def solve(
                 upper_source=source_here,
                 rank=G.shape[1],
                 residuals=(primal_res, dual_res),
+                beta=beta,
             )
         )
         best_lower = max(best_lower, lower)
@@ -268,17 +285,17 @@ def solve(
     primal_res = dual_res = math.inf
     reason = None
     while reason is None:
-        G = r_update(Y, Z, geometry, params.beta, G)
+        G = r_update(Y, Z, geometry, beta, G)
         F = face.apply(G)
         # F @ F.T runs as a symmetric rank-r update, so vrv is exactly
         # symmetric, and so are Z, Y and the box projection's input
         vrv = F @ F.T
         Z_half = dual_step(Z, Y - vrv, step, fixed)
-        Y_new = y_update(vrv, Z_half, geometry, params.beta)
+        Y_new = y_update(vrv, Z_half, geometry, beta)
         primal = Y_new - vrv
         primal_norm = frobenius(primal)  # before the dual step overwrites it
         Z = dual_step(Z_half, primal, step, fixed)
-        dual_res = params.beta * frobenius(Y_new - Y)
+        dual_res = beta * frobenius(Y_new - Y)
         Y = Y_new
         iterations += 1
         # (0,0) entry is pinned to 1, so the norm never vanishes
@@ -290,6 +307,9 @@ def solve(
         if iterations % SCREEN_PERIOD == 0:
             check(screened=iterations % CHECK_PERIOD != 0)
         reason = check_stop(iterations, consec_ok, best_lower, best_upper, params)
+        if reason is None and iterations % CHECK_PERIOD == 0:
+            beta = min(BETA_GROWTH * beta, BETA_GROWTH_CAP * params.beta)
+            step = params.gamma * beta
     if not bounds or bounds[-1].iteration != iterations:
         check(screened=False)
     elapsed = time.perf_counter() - started

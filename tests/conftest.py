@@ -41,12 +41,13 @@ def make_instance(m, entries, name="test"):
     return ScpInstance(partition, canonicalize_energy(np.asarray(entries, dtype=float), partition), name)
 
 
-def acceptance_corpus():
-    """The acceptance corpus: p uniform in 2..6, m_max 5, energies in (-10, 10)."""
-    rng = np.random.default_rng(CORPUS_SEED)
-    for i in range(CORPUS_SIZE):
+def acceptance_corpus(size=CORPUS_SIZE, corpus_seed=CORPUS_SEED, instance_seed=INSTANCE_SEED):
+    """The acceptance corpus: p uniform in 2..6, m_max 5, energies in (-10, 10).
+    Other seeds give corpus-like instances held out from the gate."""
+    rng = np.random.default_rng(corpus_seed)
+    for i in range(size):
         p = int(rng.integers(2, 7))
-        yield random_instance(p, 5, (-10, 10), seed=INSTANCE_SEED + i)
+        yield random_instance(p, 5, (-10, 10), seed=instance_seed + i)
 
 
 def row_sum_matrix(partition: RotamerPartition) -> np.ndarray:
