@@ -29,24 +29,29 @@ rng = np.random.default_rng(1)
 W = rng.normal(size=Z0.shape)
 print("dual bound at a random multiplier:  ", dual_lower_bound(0.5 * (W + W.T), geometry))
 
-# Upper bounds round a fractional solution read off a lifted matrix.  On the
-# exact lift of a feasible point both extraction routes recover it.
+# Upper bounds round a lifted vector, a multiple of [1; x] when x is
+# feasible.  The solver rounds two: the first column of Y, and R's top
+# eigenvector lifted by V (the last column of F = VG, which every iteration
+# forms anyway).  The exact lift of a feasible point is Y = VRV' with
+# R = V'YV of rank one, and both vectors recover the point.
 x_opt = oracle.argmin.to_indicator(instance.partition)
 Y = lift_indicator(x_opt)
-col = extract_fractional(Y, FIRST_COLUMN)
-eig = extract_fractional(Y, EIGENVECTOR)
+V = geometry.face.matrix
+_, U = np.linalg.eigh(V.T @ Y @ V)
+top = V @ U[:, -1]  # of either sign
+col = extract_fractional(Y[:, 0])
+eig = extract_fractional(top)
 print("\nfirst-column extraction:", np.round(col, 3))
 print("eigenvector extraction: ", np.round(eig, 3), "(same direction, unit scale)")
 assert round_to_feasible(col, instance.partition) == oracle.argmin
 assert round_to_feasible(eig, instance.partition) == oracle.argmin
 
-for source in (FIRST_COLUMN, EIGENVECTOR):
-    value, assignment = upper_bound(Y, instance, source)
+for source, v in ((FIRST_COLUMN, Y[:, 0]), (EIGENVECTOR, top)):
+    value, assignment = upper_bound(v, instance, source)
     print(f"upper bound via {source}: {value:g} at {assignment.choice}")
 
-# A fuzzy lifted matrix still rounds to something feasible, just not optimal.
-noisy = np.clip(Y + rng.normal(scale=0.3, size=Y.shape), 0.0, 1.0)
-noisy = 0.5 * (noisy + noisy.T)
+# A fuzzy lifted vector still rounds to something feasible, just not optimal.
+noisy = Y[:, 0] + rng.normal(scale=0.3, size=Y.shape[0])
 value, assignment = upper_bound(noisy, instance, FIRST_COLUMN)
-print(f"\nnoisy matrix rounds to {assignment.choice} with energy {value:g}")
+print(f"\nnoisy vector rounds to {assignment.choice} with energy {value:g}")
 print("gap between that and the exact optimum:", relative_gap(value, oracle.optimum))

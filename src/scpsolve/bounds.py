@@ -3,8 +3,9 @@
 Lower bounds come from the Lagrangian dual of the relaxation evaluated at
 the current multiplier; they are valid for any symmetric multiplier, so
 every value recorded during a solve is a true lower bound.  Upper bounds
-come from rounding a fractional solution extracted from the lifted iterate
-to the nearest feasible assignment, then evaluating the exact energy.
+come from rounding a lifted vector (a column of Y, or R's top eigenvector
+lifted by V) to the nearest feasible assignment, then evaluating the exact
+energy.
 ``certified`` is the one test that decides whether they prove optimality.
 """
 
@@ -93,24 +94,15 @@ def lower_bound_ceiling(Z, geometry: LiftedGeometry, x) -> float:
     return ceiling
 
 
-def extract_fractional(Y, source: str) -> np.ndarray:
-    """Fractional rotamer weights in [0, 1]^n0 read off a lifted matrix.
-
-    ``first_column`` takes entries 1..n0 of column 0; ``dominant_eigenvector``
-    takes entries 1..n0 of the top unit eigenvector, sign-flipped so its
-    entrywise sum is nonnegative.  Both are clamped into [0, 1] to absorb
-    finite-precision excursions.
-    """
-    Y = np.asarray(Y, dtype=float)
-    if source == FIRST_COLUMN:
-        return Y[1:, 0].clip(0.0, 1.0)
-    if source == EIGENVECTOR:
-        _, U = np.linalg.eigh(0.5 * (Y + Y.T))
-        v = U[:, -1]
-        if v.sum() < 0.0:
-            v = -v
-        return np.clip(v[1:], 0.0, 1.0)
-    raise ValueError(f"unknown upper-bound source {source!r}")
+def extract_fractional(v) -> np.ndarray:
+    """Nonnegative rotamer weights read off a lifted vector v of length
+    n0+1, a multiple of [1; x] for a feasible x: entries 1..n0, negated when
+    they sum below zero, with negative entries set to 0.  The scale is left
+    as it is, which the rounding does not see."""
+    x = np.asarray(v, dtype=float)[1:]
+    if x.sum() < 0.0:
+        x = -x
+    return np.maximum(x, 0.0)
 
 
 def block_argmax(x, partition: RotamerPartition) -> np.ndarray:
@@ -129,12 +121,18 @@ def round_to_feasible(x_approx, partition: RotamerPartition) -> Assignment:
     return Assignment(tuple((block_argmax(x_approx, partition) + 1).tolist()))
 
 
-def upper_bound(Y, instance: ScpInstance, source: str) -> tuple[float, Assignment]:
-    """Feasible objective value obtained by extracting and rounding Y, and
-    the rounding.  The value is ``objective`` of the rounding's indicator,
-    summed over the chosen rows and columns of E without building the
-    indicator."""
-    choice = block_argmax(extract_fractional(Y, source), instance.partition)
+def upper_bound(v, instance: ScpInstance, source: str) -> tuple[float, Assignment]:
+    """Feasible objective value obtained by rounding the lifted vector v,
+    and the rounding.  The value is ``objective`` of the rounding's
+    indicator, summed over the chosen rows and columns of E without
+    building the indicator.  ``source`` names where v came from, Y's first
+    column (``first_column``) or R's top eigenvector lifted by V
+    (``dominant_eigenvector``); any other is rejected.  Both are rounded
+    alike: the source only labels the call, for ``perfbench/tracing.py``,
+    which wraps this function and names its per-layer spans after it."""
+    if source not in (FIRST_COLUMN, EIGENVECTOR):
+        raise ValueError(f"unknown upper-bound source {source!r}")
+    choice = block_argmax(extract_fractional(v), instance.partition)
     rows = instance.partition.block_table[:, 0] + choice
     value = float(instance.energy[rows[:, None], rows].sum())
     return value, Assignment(tuple((choice + 1).tolist()))

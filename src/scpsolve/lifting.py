@@ -198,11 +198,6 @@ class LiftedGeometry:
         """Order of the reduced PSD variable, n0 + 1 - p."""
         return self.face.dim
 
-    @property
-    def null_basis(self) -> np.ndarray:
-        """The face basis V as a matrix."""
-        return self.face.matrix
-
     @cached_property
     def pinned(self) -> np.ndarray:
         """The gangster entries as read-only indices into the raveled lifted

@@ -207,10 +207,11 @@ def solve(
     R's top eigenvector) and stops there, recording and keeping nothing,
     unless the estimate, capped at the smaller of the best and the column
     upper bound, passes ``certified`` with it.  So a solve whose screened
-    checks all stop reports as with the CHECK_PERIOD checks alone.  A check that goes on takes the lower
-    bound ``dual_lower_bound`` and also rounds the dominant eigenvector,
-    keeping it only when strictly lower, unless the column value already
-    closes the gap with the best lower bound so far.  After a
+    checks all stop reports as with the CHECK_PERIOD checks alone.  A
+    check that goes on takes the lower bound ``dual_lower_bound`` and also
+    rounds R's top eigenvector lifted by V, the last column of F = VG,
+    which the iteration has already formed, so no eigensolve is needed;
+    it keeps that rounding only when strictly lower.  After a
     CHECK_PERIOD check that does not stop the solve, beta and the dual
     step gamma*beta grow as the module docstring states; each record
     carries the beta of the iteration it follows.  The report carries
@@ -246,7 +247,7 @@ def solve(
     def check(screened):
         nonlocal best_lower, best_upper, best_assignment, column_at, column
         if column_at != iterations:
-            column_at, column = iterations, upper_bound(Y, instance, FIRST_COLUMN)
+            column_at, column = iterations, upper_bound(Y[:, 0], instance, FIRST_COLUMN)
         source_here = FIRST_COLUMN
         upper_here, assignment_here = column
         if screened:
@@ -258,12 +259,9 @@ def solve(
             if not certified(min(max(best_lower, ceiling), target), target):
                 return
         lower = dual_lower_bound(Z, geometry)
-        # no feasible energy lies below the lower bound, so once the column
-        # rounding meets it the eigenvector rounding cannot win
-        if not certified(max(best_lower, lower), upper_here):
-            value, assignment = upper_bound(Y, instance, EIGENVECTOR)
-            if value < upper_here:
-                source_here, upper_here, assignment_here = EIGENVECTOR, value, assignment
+        value, assignment = upper_bound(F[:, -1], instance, EIGENVECTOR)
+        if value < upper_here:
+            source_here, upper_here, assignment_here = EIGENVECTOR, value, assignment
         bounds.append(
             BoundRecord(
                 iteration=iterations,

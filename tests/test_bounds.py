@@ -53,7 +53,7 @@ class TestDualLowerBound:
         # closed form must agree with direct extreme-point minimization
         inner = box_term(Z0, geo)
         assert abs(inner - inner_minimum_oracle(Z0, geo)) <= 1e-12
-        V = geo.null_basis
+        V = geo.face.matrix
         top = np.linalg.eigvalsh(V.T @ Z0 @ V)[-1]
         assert value == pytest.approx(inner - 3.0 * top, abs=1e-12)
         assert value <= 6.0
@@ -90,7 +90,7 @@ def test_lower_bound_ceiling_is_at_least_the_bound(seed, m, zero_energy, start):
     else:
         M = rng.normal(scale=float(rng.choice([0.1, 1.0, 10.0])), size=(geo.order,) * 2)
         Z = M + M.T
-    V = geo.null_basis
+    V = geo.face.matrix
     if start == "random":
         x = rng.normal(size=geo.face_dim)
     elif start == "top_eigenvector":
@@ -109,35 +109,43 @@ def test_lower_bound_ceiling_is_at_least_the_bound(seed, m, zero_energy, start):
         assert ceiling <= dual_lower_bound(Z, geo) + slack
 
 
+def lifted_vector(x, scale=1.0):
+    """scale * [1; x], which rounds to a feasible x at any nonzero scale."""
+    return scale * np.concatenate([[1.0], x])
+
+
 class TestExtractFractional:
     part = RotamerPartition((2, 2))
 
     def test_first_column_recovers_indicator(self):
         for x in feasible_indicators(self.part):
-            assert np.array_equal(extract_fractional(lift_indicator(x), FIRST_COLUMN), x)
+            assert np.array_equal(extract_fractional(lift_indicator(x)[:, 0]), x)
 
     def test_eigenvector_recovers_direction(self):
+        # the top eigenvector of the lift, either sign, and any multiple
+        # c [1; x] give |c| x
         for x in feasible_indicators(self.part):
-            got = extract_fractional(lift_indicator(x), EIGENVECTOR)
-            scale = np.sqrt(1.0 + self.part.p)
-            assert np.allclose(got, x / scale, atol=1e-12)
-            assert round_to_feasible(got, self.part) == Assignment.from_indicator(x, self.part)
+            w, U = np.linalg.eigh(lift_indicator(x))
+            top = U[:, -1] * np.sqrt(w[-1])
+            assert np.allclose(extract_fractional(top), x, atol=1e-12)
+            for c in (2.5, 0.3, -0.3, -2.5):
+                assert np.array_equal(extract_fractional(lifted_vector(x, c)), abs(c) * x)
+
+    def test_negative_entries_set_to_zero(self):
+        got = extract_fractional([-1.0, -0.5, 0.25, -2.0, -0.5])
+        assert np.array_equal(got, [0.5, 0.0, 2.0, 0.5])
 
     def test_corner_only_matrix_gives_zeros(self):
-        Y = np.zeros((5, 5))
-        Y[0, 0] = 1.0
-        for source in (FIRST_COLUMN, EIGENVECTOR):
-            assert np.array_equal(extract_fractional(Y, source), np.zeros(4))
+        # the first column and the top eigenvector of a matrix whose only
+        # nonzero entry is Y[0, 0] = 1 are e_0, up to sign
+        for v in (np.eye(5)[0], -np.eye(5)[0]):
+            assert np.array_equal(extract_fractional(v), np.zeros(4))
 
     def test_first_column_identity_on_box_member(self):
         rng = np.random.default_rng(22)
         Y = rng.uniform(0.0, 1.0, size=(5, 5))
         Y = 0.5 * (Y + Y.T)
-        assert np.array_equal(extract_fractional(Y, FIRST_COLUMN), Y[1:, 0])
-
-    def test_unknown_source_rejected(self):
-        with pytest.raises(ValueError):
-            extract_fractional(np.eye(3), "median")
+        assert np.array_equal(extract_fractional(Y[:, 0]), Y[1:, 0])
 
 
 class TestRounding:
@@ -192,13 +200,14 @@ class TestUpperBound:
     def test_optimal_lift_gives_optimal_value(self, derived_instance):
         x = Assignment((1, 2)).to_indicator(derived_instance.partition)
         for source in (FIRST_COLUMN, EIGENVECTOR):
-            value, assignment = upper_bound(lift_indicator(x), derived_instance, source)
-            assert value == 6.0
-            assert assignment.choice == (1, 2)
+            for c in (1.0, 0.2, -0.2, -3.0):
+                value, assignment = upper_bound(lifted_vector(x, c), derived_instance, source)
+                assert value == 6.0
+                assert assignment.choice == (1, 2)
 
     def test_zero_energy_instance(self):
         inst = make_instance((2, 2), np.zeros((4, 4)))
-        value, _ = upper_bound(np.zeros((5, 5)), inst, FIRST_COLUMN)
+        value, _ = upper_bound(np.zeros(5), inst, FIRST_COLUMN)
         assert value == 0.0
 
     def test_never_below_optimum(self):
@@ -206,15 +215,17 @@ class TestUpperBound:
         for trial in range(20):
             inst = random_instance(3, 3, (-6, 6), seed=500 + trial)
             opt = brute_force(inst).optimum
-            n = inst.partition.n0 + 1
-            Y = rng.uniform(0.0, 1.0, size=(n, n))
-            Y = 0.5 * (Y + Y.T)
+            v = rng.normal(size=inst.partition.n0 + 1)
             for source in (FIRST_COLUMN, EIGENVECTOR):
-                value, assignment = upper_bound(Y, inst, source)
+                value, assignment = upper_bound(v, inst, source)
                 assert value >= opt
                 assert value == objective(
                     assignment.to_indicator(inst.partition), inst.energy
                 )
+
+    def test_unknown_source_rejected(self, derived_instance):
+        with pytest.raises(ValueError, match="median"):
+            upper_bound(np.ones(5), derived_instance, "median")
 
 
 class TestRelativeGap:

@@ -268,4 +268,4 @@ class TestFaceParametrization:
         assert geo.order == 5
         assert geo.face_dim == 3
         assert geo.lifted_cost[0, 0] == 0.0
-        assert not geo.null_basis.flags.writeable
+        assert not geo.face.matrix.flags.writeable

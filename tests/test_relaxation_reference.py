@@ -20,7 +20,7 @@ def test_relaxation_value_matches_reference_solver(seed):
     inst = random_instance(3, 3, (-8, 8), seed=seed)
     geometry = build_geometry(inst)
     R = cp.Variable((geometry.face_dim, geometry.face_dim), symmetric=True)
-    Y = geometry.null_basis @ R @ geometry.null_basis.T
+    Y = geometry.face.matrix @ R @ geometry.face.matrix.T
     constraints = [R >> 0, cp.trace(R) == geometry.partition.p + 1]
     constraints += [
         Y[r, c] == (1.0 if (r, c) == (0, 0) else 0.0)

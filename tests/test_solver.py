@@ -137,7 +137,7 @@ class TestDualStep:
         geo = build_geometry(derived_instance)
         params = default_params(derived_instance)
         _, Y, Z = initialize(geo)
-        F = geo.null_basis @ r_update(Y, Z, geo, params.beta)
+        F = geo.face.matrix @ r_update(Y, Z, geo, params.beta)
         vrv = F @ F.T
         Z_half = dual_step(Z, Y - vrv, params.gamma * params.beta, geo.dual_fixed)
         assert np.all(Z_half[0, :] == 0.0)
@@ -169,7 +169,7 @@ class TestYUpdate:
         geo = build_geometry(inst)
         _, Y0, Z0 = initialize(geo)
         params = default_params(inst)
-        F = geo.null_basis @ r_update(Y0, Z0, geo, params.beta)
+        F = geo.face.matrix @ r_update(Y0, Z0, geo, params.beta)
         vrv = F @ F.T
         Z_half = dual_step(Z0, Y0 - vrv, params.gamma * params.beta, geo.dual_fixed)
         Y = y_update(vrv, Z_half, geo, params.beta)
@@ -340,15 +340,15 @@ class TestSolve:
         assert report.assignment == oracle.argmin
         assert report.lbd - 1e-6 * (1.0 + abs(oracle.optimum)) <= oracle.optimum
 
-    def test_eigenvector_rounding_only_while_gap_open(self, monkeypatch):
+    def test_every_recorded_check_tries_both_roundings(self, monkeypatch):
         # seed 736 checks bounds at iteration 100 and at every screened
         # iteration that passes from 180 on; only the last check, at 210,
-        # closes the gap
+        # closes the gap, and it too rounds R's top eigenvector
         inst = random_instance(4, 4, (-10, 10), seed=736)
         tried, per_checkpoint = [], []
 
-        def recording_upper_bound(Y, instance, source):
-            value, assignment = upper_bound(Y, instance, source)
+        def recording_upper_bound(v, instance, source):
+            value, assignment = upper_bound(v, instance, source)
             tried.append((source, value))
             return value, assignment
 
@@ -369,14 +369,31 @@ class TestSolve:
         closing = []
         for calls, record in zip(per_checkpoint, report.bound_history):
             best_lower = max(best_lower, record.lower)
-            column_value = calls[0][1]
+            (_, column_value), (_, eigenvector_value) = calls
             closing.append(certified(best_lower, column_value))
-            sources = [source for source, _ in calls]
-            expected = [FIRST_COLUMN] if closing[-1] else [FIRST_COLUMN, EIGENVECTOR]
-            assert sources == expected
-            assert record.upper == min(value for _, value in calls)
+            assert [source for source, _ in calls] == [FIRST_COLUMN, EIGENVECTOR]
+            assert record.upper == min(column_value, eigenvector_value)
+            winner = EIGENVECTOR if eigenvector_value < column_value else FIRST_COLUMN
+            assert record.upper_source == winner
         assert closing == [False] * (len(closing) - 1) + [True]
         assert report.termination == "gap_closed"
+
+    def test_eigenvector_rounding_runs_no_lifted_eigensolve(self, eigh_orders, monkeypatch):
+        # the eigenvector rounding reads R's top eigenvector off the
+        # iteration's factor: no eigh of a lifted matrix, order n0 + 1, runs
+        inst = random_instance(4, 4, (-10, 10), seed=736)
+        sources = []
+
+        def recording_upper_bound(v, instance, source):
+            sources.append(source)
+            return upper_bound(v, instance, source)
+
+        monkeypatch.setattr(solver_module, "upper_bound", recording_upper_bound)
+        report = solve(inst)
+        assert report.certified
+        assert EIGENVECTOR in sources
+        assert eigh_orders, "the projection's eigensolves were not counted"
+        assert inst.partition.n0 + 1 not in eigh_orders
 
     def test_rank_one_on_reduced_structured_instance(self):
         # guards the certificate's margin: each reduced instance certifies
