@@ -74,7 +74,9 @@ class DeeReduction:
 
     def to_original(self, assignment: Assignment) -> Assignment:
         """Translate an assignment on the reduced instance back to original
-        block-local indices."""
+        block-local indices.  An assignment that does not fit the reduced
+        partition raises ``InstanceError``."""
+        assignment.to_indicator(self.reduced.partition)  # validates it
         return Assignment(
             tuple(block[c - 1] for block, c in zip(self.kept, assignment.choice))
         )

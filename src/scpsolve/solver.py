@@ -199,24 +199,26 @@ def solve(
 ) -> SolveReport:
     """Run the splitting method on one instance until termination.
 
-    The bounds are checked at every SCREEN_PERIOD-th iteration and once
-    more at termination unless a check at that iteration was recorded.
-    Each check rounds the first column of Y.  At a screened iteration,
-    one that CHECK_PERIOD does not divide, it then estimates the lower
-    bound from above with a few mat-vecs (``lower_bound_ceiling`` from
-    R's top eigenvector) and stops there, recording and keeping nothing,
-    unless the estimate, capped at the smaller of the best and the column
-    upper bound, passes ``certified`` with it.  So a solve whose screened
-    checks all stop reports as with the CHECK_PERIOD checks alone.  A
-    check that goes on takes the lower bound ``dual_lower_bound`` and also
-    rounds R's top eigenvector lifted by V, the last column of F = VG,
-    which the iteration has already formed, so no eigensolve is needed;
-    it keeps that rounding only when strictly lower.  After a
-    CHECK_PERIOD check that does not stop the solve, beta and the dual
-    step gamma*beta grow as the module docstring states; each record
-    carries the beta of the iteration it follows.  The report carries
-    the best lower/upper bounds recorded and the feasible assignment of
-    smallest energy found by rounding.
+    The bounds are checked at every SCREEN_PERIOD-th iteration and at the
+    last one; the check is full at a multiple of CHECK_PERIOD and at the
+    last iteration, and screened otherwise.  The last iteration is known
+    before its check, because the gap closes only at a check: it is the
+    one where the cap or the residual rule stops the solve.  Each check
+    rounds the first column of Y.  A screened check then estimates the
+    lower bound from above with a few mat-vecs (``lower_bound_ceiling``
+    from R's top eigenvector) and stops there, recording and keeping
+    nothing, unless the estimate, capped at the smaller of the best and
+    the column upper bound, passes ``certified`` with it.  So a solve
+    whose screened checks all stop reports as with the full checks
+    alone.  A check that goes on takes the lower bound
+    ``dual_lower_bound`` and also rounds R's top eigenvector lifted by V,
+    the last column of F = VG, which the iteration has already formed, so
+    no eigensolve is needed; it keeps that rounding only when strictly
+    lower.  After a CHECK_PERIOD check that does not stop the solve,
+    beta and the dual step gamma*beta grow as the module docstring
+    states; each record carries the beta of the iteration it follows.
+    The report carries the best lower/upper bounds recorded and the
+    feasible assignment of smallest energy found by rounding.
     ``on_checkpoint(iteration, R, Y, Z)``, if given, is called at every
     recorded check with R formed from its factor and the live Y, Z
     (read-only use).  Deterministic for fixed instance and parameters.
@@ -240,16 +242,10 @@ def solve(
     best_upper = math.inf
     best_assignment: Assignment | None = None
 
-    # the iteration of the last column rounding and its result: a screened
-    # check that stops at the last iteration leaves it to the final check
-    column_at, column = -1, None
-
     def check(screened):
-        nonlocal best_lower, best_upper, best_assignment, column_at, column
-        if column_at != iterations:
-            column_at, column = iterations, upper_bound(Y[:, 0], instance, FIRST_COLUMN)
+        nonlocal best_lower, best_upper, best_assignment
         source_here = FIRST_COLUMN
-        upper_here, assignment_here = column
+        upper_here, assignment_here = upper_bound(Y[:, 0], instance, FIRST_COLUMN)
         if screened:
             # the ceiling is at least the lower bound; capped at the target
             # it fails ``certified`` only when no lower bound so far or here
@@ -302,14 +298,13 @@ def solve(
             consec_ok += 1
         else:
             consec_ok = 0
-        if iterations % SCREEN_PERIOD == 0:
-            check(screened=iterations % CHECK_PERIOD != 0)
         reason = check_stop(iterations, consec_ok, best_lower, best_upper, params)
+        if reason is not None or iterations % SCREEN_PERIOD == 0:
+            check(screened=reason is None and iterations % CHECK_PERIOD != 0)
+            reason = check_stop(iterations, consec_ok, best_lower, best_upper, params)
         if reason is None and iterations % CHECK_PERIOD == 0:
             beta = min(BETA_GROWTH * beta, BETA_GROWTH_CAP * params.beta)
             step = params.gamma * beta
-    if not bounds or bounds[-1].iteration != iterations:
-        check(screened=False)
     elapsed = time.perf_counter() - started
 
     return SolveReport(

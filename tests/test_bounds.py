@@ -273,7 +273,7 @@ class TestCertified:
         assert not certified(math.nan, 1.0)
 
 
-class TestCouldCertify:
+class TestCertifiedOnCappedEstimate:
     # a screened check caps its estimate of the lower bound at the upper
     # bound, so ``certified`` tests only whether the estimate reaches it
 

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from conftest import acceptance_corpus, make_instance
 from scpsolve import (
+    Assignment,
+    InstanceError,
     OracleSizeError,
     brute_force,
     goldstein_reduce,
@@ -132,6 +134,17 @@ class TestGoldsteinReduce:
             # the mapped-back argmin must reach the same energy
             mapped = reduction.to_original(after.argmin)
             assert objective(mapped.to_indicator(inst.partition), inst.energy) == before.optimum
+
+    def test_to_original_rejects_assignments_off_the_reduced_partition(self):
+        # every block keeps one rotamer, so only choice 1 fits; a choice of
+        # 0 used to map to the block's last survivor, a short assignment
+        # came back cut short and choice 9 raised an IndexError
+        reduction = goldstein_reduce(random_instance(4, 4, (-10, 10), seed=11003))
+        assert reduction.kept == ((1,), (3,), (1,), (1,))
+        assert reduction.to_original(Assignment((1, 1, 1, 1))) == Assignment((1, 3, 1, 1))
+        for choice in [(0, 1, 1, 1), (1, 1, 1), (9, 1, 1, 1)]:
+            with pytest.raises(InstanceError):
+                reduction.to_original(Assignment(choice))
 
     def test_idempotent(self):
         for trial in range(10):

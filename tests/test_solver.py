@@ -435,7 +435,10 @@ class TestSolve:
 
     def test_failed_screens_leave_the_report_unchanged(self, monkeypatch):
         # a capped p=20 solve that never certifies: its screened checks all
-        # stop early, so the report is that of the CHECK_PERIOD checks alone
+        # stop early, so the report is that of the full checks alone; the
+        # screens run at the 22 SCREEN_PERIOD-th iterations short of 250
+        # that CHECK_PERIOD does not divide, and none at 250, the last,
+        # whose check is full
         inst = random_instance(20, 10, (-10, 10), seed=3)
         params = dataclasses.replace(default_params(inst), max_iter=250)
         estimates = []
@@ -446,7 +449,7 @@ class TestSolve:
 
         monkeypatch.setattr(solver_module, "lower_bound_ceiling", recording_ceiling)
         screened = solve(inst, params)
-        assert len(estimates) == 23
+        assert len(estimates) == 22
         monkeypatch.setattr(solver_module, "lower_bound_ceiling", lambda *args: -math.inf)
         fixed = solve(inst, params)
         assert not screened.certified
@@ -482,35 +485,52 @@ class TestSolve:
             assert report.certified == every.certified
 
     def test_one_first_column_rounding_per_screened_iteration(self, monkeypatch):
-        # a screened check that goes on reuses the rounding it screened
-        # with, and the final check reuses that of a screened check at the
-        # same iteration that stopped early: each of these solves ends at a
-        # screened iteration, the two structured ones certifying there and
-        # the p=20 one at its cap, and rounds the first column once at each
-        # SCREEN_PERIOD-th iteration
-        columns = []
+        # a solve checks at every SCREEN_PERIOD-th iteration and at the
+        # last, rounding the first column once at each and recording the
+        # last; a screened check that goes on reuses the rounding it
+        # screened with.  The two structured solves certify at a screened
+        # iteration, the p=20 ones stop at their caps (250 a
+        # SCREEN_PERIOD-th iteration, 255 not) and corpus instance 115 on
+        # the residual rule at 3,130; a solve that stops on the cap or the
+        # residual rule knows its last iteration before the check, so it
+        # runs no screen there
+        events = []
 
         def counting(original):
             def wrapper(Y, instance, source):
-                columns.append(source == FIRST_COLUMN)
+                events.append(source)
                 return original(Y, instance, source)
 
             return wrapper
 
+        def ceiling(*args):
+            events.append("ceiling")
+            return lower_bound_ceiling(*args)
+
         monkeypatch.setattr(solver_module, "upper_bound", counting(solver_module.upper_bound))
         monkeypatch.setattr(bounds_module, "upper_bound", counting(bounds_module.upper_bound))
+        monkeypatch.setattr(solver_module, "lower_bound_ceiling", ceiling)
         solves = []
         for seed in (101, 102):
             instance, _ = structured_instance(seed)
             solves.append((goldstein_reduce(instance).reduced, None, "gap_closed"))
         capped = random_instance(20, 10, (-10, 10), seed=3)
-        solves.append((capped, dataclasses.replace(default_params(capped), max_iter=250), "max_iter"))
+        for cap in (250, 255):
+            solves.append((capped, dataclasses.replace(default_params(capped), max_iter=cap), "max_iter"))
+        residual = next(itertools.islice(acceptance_corpus(), 115, None))
+        solves.append((residual, None, "residual"))
         for instance, params, termination in solves:
-            columns.clear()
+            events.clear()
             report = solve(instance, params)
             assert report.termination == termination
             assert report.iterations % solver_module.CHECK_PERIOD != 0
-            assert sum(columns) == report.iterations // solver_module.SCREEN_PERIOD
+            checked = math.ceil(report.iterations / solver_module.SCREEN_PERIOD)
+            assert events.count(FIRST_COLUMN) == checked
+            recorded = [r.iteration for r in report.bound_history]
+            assert recorded.count(report.iterations) == 1
+            last = len(events) - events[::-1].index(FIRST_COLUMN)
+            assert ("ceiling" in events[last:]) == (termination == "gap_closed")
+        assert report.iterations == 3130
 
     def test_structured_face_products_keep_the_solve(self, monkeypatch):
         # a capped solve above the crossover runs the same iterations and
