@@ -22,13 +22,12 @@ upper bounds are checked on the schedule stated in ``solve``; the solve
 stops on a closed gap, on persistently small residuals, or at the
 iteration cap.
 
-The penalty beta starts at ``SolverParams.beta`` and grows on a fixed
-schedule: after every CHECK_PERIOD-th iteration whose check leaves the
-solve running, beta is multiplied by BETA_GROWTH, up to BETA_GROWTH_CAP
-times its starting value.  A solve that ends by iteration CHECK_PERIOD
-never changes it.  The penalty changes finitely often, which keeps the
-splitting's convergence, and every lower bound is valid for any Z, so the
-certificate does not depend on beta.
+The penalty beta starts at ``SolverParams.beta`` and changes once, 8x,
+after iteration 50: when the solve is still running after iteration
+BETA_STEP_AT, beta becomes BETA_STEP times its starting value.  A solve
+that ends by iteration BETA_STEP_AT never changes it.  The penalty changes
+finitely often, which keeps the splitting's convergence, and every lower
+bound is valid for any Z, so the certificate does not depend on beta.
 """
 
 from __future__ import annotations
@@ -61,16 +60,16 @@ TERMINATION_GAP = "gap_closed"
 # of SCREEN_PERIOD
 SCREEN_PERIOD = 10
 CHECK_PERIOD = 100
-# the penalty schedule, stated in the module docstring
-BETA_GROWTH = 4.0
-BETA_GROWTH_CAP = 16.0
+# the penalty step, stated in the module docstring
+BETA_STEP = 8.0
+BETA_STEP_AT = 50
 
 @dataclass(frozen=True)
 class SolverParams:
     """Penalty, step and stopping parameters.
 
     beta         starting quadratic penalty, finite and >= 1 (``solve``
-                 raises it on a fixed schedule)
+                 changes it once, 8x, after iteration 50)
     gamma        dual damping factor, in (0, 1)
     epsilon      residual tolerance, finite and > 0
     max_iter     iteration cap
@@ -214,11 +213,11 @@ def solve(
     ``dual_lower_bound`` and also rounds R's top eigenvector lifted by V,
     the last column of F = VG, which the iteration has already formed, so
     no eigensolve is needed; it keeps that rounding only when strictly
-    lower.  After a CHECK_PERIOD check that does not stop the solve,
-    beta and the dual step gamma*beta grow as the module docstring
-    states; each record carries the beta of the iteration it follows.
-    The report carries the best lower/upper bounds recorded and the
-    feasible assignment of smallest energy found by rounding.
+    lower.  beta changes once, 8x, after iteration 50 (BETA_STEP after
+    BETA_STEP_AT) if the solve is still running, and the dual step
+    gamma*beta with it; each record carries the beta of the iteration it
+    follows.  The report carries the best lower/upper bounds recorded and
+    the feasible assignment of smallest energy found by rounding.
     ``on_checkpoint(iteration, R, Y, Z)``, if given, is called at every
     recorded check with R formed from its factor and the live Y, Z
     (read-only use).  Deterministic for fixed instance and parameters.
@@ -302,8 +301,8 @@ def solve(
         if reason is not None or iterations % SCREEN_PERIOD == 0:
             check(screened=reason is None and iterations % CHECK_PERIOD != 0)
             reason = check_stop(iterations, consec_ok, best_lower, best_upper, params)
-        if reason is None and iterations % CHECK_PERIOD == 0:
-            beta = min(BETA_GROWTH * beta, BETA_GROWTH_CAP * params.beta)
+        if reason is None and iterations == BETA_STEP_AT:
+            beta = BETA_STEP * params.beta
             step = params.gamma * beta
     elapsed = time.perf_counter() - started
 

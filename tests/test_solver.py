@@ -341,10 +341,10 @@ class TestSolve:
         assert report.lbd - 1e-6 * (1.0 + abs(oracle.optimum)) <= oracle.optimum
 
     def test_every_recorded_check_tries_both_roundings(self, monkeypatch):
-        # seed 736 checks bounds at iteration 100 and at every screened
-        # iteration that passes from 180 on; only the last check, at 210,
-        # closes the gap, and it too rounds R's top eigenvector
-        inst = random_instance(4, 4, (-10, 10), seed=736)
+        # seed 714 records checks at iterations 50, 100 and 120, the first
+        # at the starting beta and the others after the step; only the last,
+        # at 120, closes the gap, and it too rounds R's top eigenvector
+        inst = random_instance(4, 4, (-10, 10), seed=714)
         tried, per_checkpoint = [], []
 
         def recording_upper_bound(v, instance, source):
@@ -418,9 +418,11 @@ class TestSolve:
         assert full < 0.4 * report.iterations
 
     def test_rank_leaves_out_rounding_level_eigenvalues(self, monkeypatch):
-        # corpus solve 197 certifies a rank-1 optimum, and at its last
+        # corpus solve 197 at the fixed penalty (the step patched to 1)
+        # certifies a rank-1 optimum at iteration 70, and at its last
         # R-update the simplex still gives an eigenvalue of 4e-15 beside
-        # one of about 5, which the projection leaves out of G
+        # one of about 5, which the projection leaves out of G.  No solve
+        # of the corpus that certifies under the step ends this way
         last = {}
 
         def recording_simplex(d, total):
@@ -429,8 +431,9 @@ class TestSolve:
             return w
 
         monkeypatch.setattr(projections, "project_simplex", recording_simplex)
+        monkeypatch.setattr(solver_module, "BETA_STEP", 1.0)
         report = solve(list(itertools.islice(acceptance_corpus(), 198))[197])
-        assert report.certified
+        assert report.certified and report.iterations == 70
         assert report.bound_history[-1].rank == 1 < last["positive"]
 
     def test_failed_screens_leave_the_report_unchanged(self, monkeypatch):
@@ -491,7 +494,7 @@ class TestSolve:
         # screened with.  The two structured solves certify at a screened
         # iteration, the p=20 ones stop at their caps (250 a
         # SCREEN_PERIOD-th iteration, 255 not) and corpus instance 115 on
-        # the residual rule at 3,130; a solve that stops on the cap or the
+        # the residual rule at 5,203; a solve that stops on the cap or the
         # residual rule knows its last iteration before the check, so it
         # runs no screen there
         events = []
@@ -530,7 +533,7 @@ class TestSolve:
             assert recorded.count(report.iterations) == 1
             last = len(events) - events[::-1].index(FIRST_COLUMN)
             assert ("ceiling" in events[last:]) == (termination == "gap_closed")
-        assert report.iterations == 3130
+        assert report.iterations == 5203
 
     def test_structured_face_products_keep_the_solve(self, monkeypatch):
         # a capped solve above the crossover runs the same iterations and
@@ -581,43 +584,45 @@ class TestSolve:
         assert report.residuals == residuals
 
     def test_beta_follows_the_schedule(self):
-        # a capped p=20 solve that never certifies records its checks at
-        # 100, 200, 300 and 350: the first follows iterations at the
-        # starting beta, and each CHECK_PERIOD check multiplies it by
-        # BETA_GROWTH until it reaches BETA_GROWTH_CAP times the start
+        # a p=20 solve that never certifies, capped at BETA_STEP_AT, records
+        # its last check at the starting beta; capped one iteration later,
+        # its last check follows the step, and so do all of those of a
+        # solve capped at 350, which records at 100, 200, 300 and 350
         inst = random_instance(20, 10, (-10, 10), seed=3)
-        params = dataclasses.replace(default_params(inst), max_iter=350)
-        report = solve(inst, params)
-        assert not report.certified
-        history = report.bound_history
-        assert [record.iteration for record in history] == [100, 200, 300, 350]
-        growth, cap = solver_module.BETA_GROWTH, solver_module.BETA_GROWTH_CAP
-        assert growth > 1.0 and growth * growth == cap
-        assert [record.beta for record in history] == [
-            params.beta,
-            growth * params.beta,
-            cap * params.beta,
-            cap * params.beta,
-        ]
+        at, factor = solver_module.BETA_STEP_AT, solver_module.BETA_STEP
+        assert factor > 1.0
+        history = {}
+        for cap in (at, at + 1, 350):
+            report = solve(inst, dataclasses.replace(default_params(inst), max_iter=cap))
+            assert not report.certified
+            history[cap] = report.bound_history
+        beta = default_params(inst).beta
+        assert [(r.iteration, r.beta) for r in history[at]] == [(at, beta)]
+        assert [(r.iteration, r.beta) for r in history[at + 1]] == [(at + 1, factor * beta)]
+        assert [record.iteration for record in history[350]] == [100, 200, 300, 350]
+        assert [record.beta for record in history[350]] == [factor * beta] * 4
 
-    def test_solves_within_one_check_period_keep_the_starting_beta(self, monkeypatch):
-        # with BETA_GROWTH 1 the penalty stays fixed; a solve that ends by
-        # iteration CHECK_PERIOD reports the same with and without growth,
-        # every field but the time, while one that runs on does not
-        instance, _ = structured_instance(101)
+    def test_solves_ending_by_the_step_keep_the_starting_beta(self, monkeypatch):
+        # with BETA_STEP 1 the penalty stays fixed; a solve that ends by
+        # iteration BETA_STEP_AT reports the same with and without the
+        # step, every field but the time, while one that runs on does not.
+        # The reduced structured instances 102 and 101 certify at 50 and
+        # 60, and every tenth corpus instance ends at 30 to 150
+        solves = []
+        for seed in (101, 102):
+            instance, _ = structured_instance(seed)
+            solves.append((goldstein_reduce(instance).reduced, None))
         capped = random_instance(20, 10, (-10, 10), seed=3)
-        solves = [
-            (goldstein_reduce(instance).reduced, None),
-            (capped, dataclasses.replace(default_params(capped), max_iter=100)),
-        ]
+        for cap in (solver_module.BETA_STEP_AT, 100):
+            solves.append((capped, dataclasses.replace(default_params(capped), max_iter=cap)))
         solves += [(inst, None) for inst in itertools.islice(acceptance_corpus(), 0, 200, 10)]
-        growing = [solve(inst, params) for inst, params in solves]
-        monkeypatch.setattr(solver_module, "BETA_GROWTH", 1.0)
+        stepped = [solve(inst, params) for inst, params in solves]
+        monkeypatch.setattr(solver_module, "BETA_STEP", 1.0)
         short = 0
-        for (inst, params), report in zip(solves, growing):
+        for (inst, params), report in zip(solves, stepped):
             fixed = solve(inst, params)
             same = dataclasses.replace(report, time_sec=0.0) == dataclasses.replace(fixed, time_sec=0.0)
-            assert same == (report.iterations <= solver_module.CHECK_PERIOD)
+            assert same == (report.iterations <= solver_module.BETA_STEP_AT)
             short += same
         assert 2 < short < len(solves)
 
@@ -668,6 +673,21 @@ def test_held_out_solves_bracket_the_optimum():
             certified_count += 1
             assert report.ubd == opt
     assert certified_count >= 45
+
+
+def test_small_instances_certify_within_an_iteration_budget():
+    # random_instance(4, 4, ...) seeds 700-899, which the acceptance gate
+    # does not use: every solve certifies the exhaustive optimum, and all
+    # 200 take at most 21,000 iterations (19,270 with the penalty step;
+    # a fixed beta takes 46,224)
+    total = 0
+    for seed in range(700, 900):
+        inst = random_instance(4, 4, (-10, 10), seed=seed)
+        report = solve(inst)
+        assert report.certified
+        assert report.ubd == brute_force(inst).optimum
+        total += report.iterations
+    assert total <= 21_000
 
 
 @st.composite
