@@ -5,8 +5,9 @@ seeded random instance, ``oracle`` for the exact enumeration answer, and
 ``dee`` for dead-end-elimination preprocessing.  Data goes to stdout or
 ``--out``; diagnostics go to stderr.  ``solve`` exits 0 only when the
 bounds certify the reported assignment optimal; without a certificate it
-exits 3 on the iteration cap and 4 when the residual rule stopped the
-solve.  All commands exit 1 on bad input and 2 on a usage error.
+exits 3 on the iteration cap and 4 when the solve stopped before the cap,
+by the residual rule or by a relaxation gap.  All commands exit 1 on bad
+input and 2 on a usage error.
 """
 
 from __future__ import annotations

@@ -82,6 +82,14 @@ class DeeReduction:
         )
 
 
+def block_contacts(instance: ScpInstance) -> np.ndarray:
+    """p x p boolean matrix, True where the pair block of blocks i and j
+    has a nonzero entry (the diagonal holds the self blocks)."""
+    offsets = instance.partition.offsets
+    rows = np.logical_or.reduceat(instance.energy != 0.0, offsets, axis=0)
+    return np.logical_or.reduceat(rows, offsets, axis=1)
+
+
 def goldstein_reduce(instance: ScpInstance) -> DeeReduction:
     """Iterated dead-end elimination with the Goldstein dominance test.
 
@@ -99,14 +107,17 @@ def goldstein_reduce(instance: ScpInstance) -> DeeReduction:
     The scores of block i depend only on the survivors of the other blocks,
     so each block evaluates all its (r, t) scores at once: one broadcast
     difference of the surviving rows of block i against the surviving
-    columns of every other block, reduced to per-block minima.  A pass costs
-    O(n0^2 m_max) and holds m_i^2 n0 floats transiently.  The j terms are
-    summed left to right in ascending j, so every score is the same float
-    as evaluating one (r, t) pair at a time gives.
+    columns of every other block in contact with it (``block_contacts``),
+    reduced to per-block minima.  A block out of contact adds exactly 0.0
+    to every score, so it is skipped.  A pass costs O(n0^2 m_max) at most
+    and holds m_i^2 n0 floats transiently.  The j terms are summed left to
+    right in ascending j, so every score is the same float as evaluating
+    one (r, t) pair at a time against every other block gives.
     """
     partition = instance.partition
     E = instance.energy
     offsets = partition.offsets
+    contacts = block_contacts(instance)
     # global indices of the surviving rotamers of each block, ascending
     surviving = [off + np.arange(mi) for off, mi in zip(offsets, partition.m)]
 
@@ -115,7 +126,7 @@ def goldstein_reduce(instance: ScpInstance) -> DeeReduction:
         changed = False
         for i in range(partition.p):
             rows = surviving[i]
-            others = surviving[:i] + surviving[i + 1 :]
+            others = [surviving[j] for j in range(partition.p) if j != i and contacts[i, j]]
             self_energy = E[rows, rows]
             terms = [(self_energy[:, None] - self_energy[None, :])[:, :, None]]
             if others:

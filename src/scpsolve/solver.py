@@ -19,8 +19,9 @@ projection: while R has low rank, a partial eigensolve warm-started on G's
 columns replaces the full eigendecomposition whenever its residual test
 and a Cholesky check prove that it gives the same projection.  Lower and
 upper bounds are checked on the schedule stated in ``solve``; the solve
-stops on a closed gap, on persistently small residuals, or at the
-iteration cap.
+stops on a closed gap, on persistently small residuals, on a relaxation
+that has converged below the incumbent (at a recorded full check, like a
+closed gap), or at the iteration cap.
 
 The penalty beta starts at ``SolverParams.beta`` and changes once, 8x,
 after iteration 50: when the solve is still running after iteration
@@ -55,11 +56,14 @@ from .projections import project_box_gangster, project_psd_trace
 TERMINATION_MAX_ITER = "max_iter"
 TERMINATION_RESIDUAL = "residual"
 TERMINATION_GAP = "gap_closed"
+TERMINATION_RELAXATION_GAP = "relaxation_gap"
 
 # the bound-check schedule, stated in ``solve``; CHECK_PERIOD is a multiple
 # of SCREEN_PERIOD
 SCREEN_PERIOD = 10
 CHECK_PERIOD = 100
+# the relaxation stop, stated in ``solve``
+RELAXATION_GAP_RTOL = 0.01
 # the penalty step, stated in the module docstring
 BETA_STEP = 8.0
 BETA_STEP_AT = 50
@@ -201,8 +205,9 @@ def solve(
     The bounds are checked at every SCREEN_PERIOD-th iteration and at the
     last one; the check is full at a multiple of CHECK_PERIOD and at the
     last iteration, and screened otherwise.  The last iteration is known
-    before its check, because the gap closes only at a check: it is the
-    one where the cap or the residual rule stops the solve.  Each check
+    before its check where that matters: the cap and the residual rule
+    stop the solve before the check, and the gap closes and the
+    relaxation stop fires only at a recorded full check.  Each check
     rounds the first column of Y.  A screened check then estimates the
     lower bound from above with a few mat-vecs (``lower_bound_ceiling``
     from R's top eigenvector) and stops there, recording and keeping
@@ -222,8 +227,19 @@ def solve(
     recorded check with R formed from its factor and the live Y, Z
     (read-only use).  Deterministic for fixed instance and parameters.
 
+    The relaxation stop: at each full check at a multiple of CHECK_PERIOD
+    that leaves the gap open, the relaxation's primal value <L, Y> (L the
+    lifted cost) is compared with the best bounds.  When it lies within
+    RELAXATION_GAP_RTOL times the open gap (best ubd - best lbd) of the
+    best lbd, strictly, at this check and at the previous one, the solve
+    stops with "relaxation_gap", uncertified: no dual bound rises above
+    the relaxation's optimum, so the gap cannot close.  One such check is
+    not enough (``random_instance(8, 6, (-10, 10), seed=7023)`` meets it
+    at 200 and certifies at 320).  The rule leaves the iterates alone, and
+    a RELAXATION_GAP_RTOL of 0 switches it off.
+
     Returns a SolveReport; ``termination`` is one of "gap_closed",
-    "residual" or "max_iter".
+    "relaxation_gap", "residual" or "max_iter".
     """
     if params is None:
         params = default_params(instance)
@@ -276,6 +292,8 @@ def solve(
 
     started = time.perf_counter()
     primal_res = dual_res = math.inf
+    cost = geometry.lifted_cost.ravel()
+    near_before = False
     reason = None
     while reason is None:
         G = r_update(Y, Z, geometry, beta, G)
@@ -301,6 +319,12 @@ def solve(
         if reason is not None or iterations % SCREEN_PERIOD == 0:
             check(screened=reason is None and iterations % CHECK_PERIOD != 0)
             reason = check_stop(iterations, consec_ok, best_lower, best_upper, params)
+            if reason is None and iterations % CHECK_PERIOD == 0:
+                relaxed = cost.dot(Y.ravel())
+                near = abs(relaxed - best_lower) < RELAXATION_GAP_RTOL * (best_upper - best_lower)
+                if near and near_before:
+                    reason = TERMINATION_RELAXATION_GAP
+                near_before = near
         if reason is None and iterations == BETA_STEP_AT:
             beta = BETA_STEP * params.beta
             step = params.gamma * beta

@@ -18,6 +18,7 @@ from scpsolve import (
     relative_gap,
     save_instance,
 )
+import scpsolve.solver as solver_module
 from scpsolve.cli import EXIT_ERROR, EXIT_MAX_ITER, EXIT_OK, EXIT_UNCERTIFIED, main
 
 
@@ -79,8 +80,10 @@ class TestSolveCommand:
         assert not certified(doc["lbd"], doc["ubd"])
         assert doc["certified"] is False
 
-    def test_residual_stop_without_certificate_exit_code(self, tmp_path):
-        # corpus instance 146 meets the residual rule with a 2.4% gap left
+    def test_residual_stop_without_certificate_exit_code(self, tmp_path, monkeypatch):
+        # corpus instance 146, with the relaxation stop switched off, meets
+        # the residual rule with a 2.4% gap left
+        monkeypatch.setattr(solver_module, "RELAXATION_GAP_RTOL", 0.0)
         inst = next(itertools.islice(acceptance_corpus(), 146, None))
         path = tmp_path / "c146.json"
         save_instance(inst, path)
@@ -91,6 +94,20 @@ class TestSolveCommand:
         assert not certified(doc["lbd"], doc["ubd"])
         assert doc["certified"] is False
         assert doc["rel_gap"] > 0.02
+
+    def test_relaxation_gap_stop_exit_code(self, tmp_path):
+        # corpus instance 147, whose relaxation is not tight, stops at
+        # iteration 300 with the relaxation converged below the incumbent
+        inst = next(itertools.islice(acceptance_corpus(), 147, None))
+        path = tmp_path / "c147.json"
+        save_instance(inst, path)
+        out = tmp_path / "report.json"
+        assert main(["solve", str(path), "--out", str(out)]) == EXIT_UNCERTIFIED
+        doc = json.loads(out.read_text())
+        assert doc["termination"] == "relaxation_gap"
+        assert doc["iter"] == 300
+        assert not certified(doc["lbd"], doc["ubd"])
+        assert doc["certified"] is False
 
     def test_param_overrides_echoed(self, derived_path, tmp_path):
         out = tmp_path / "report.json"

@@ -493,10 +493,11 @@ class TestSolve:
         # last; a screened check that goes on reuses the rounding it
         # screened with.  The two structured solves certify at a screened
         # iteration, the p=20 ones stop at their caps (250 a
-        # SCREEN_PERIOD-th iteration, 255 not) and corpus instance 115 on
-        # the residual rule at 5,203; a solve that stops on the cap or the
-        # residual rule knows its last iteration before the check, so it
-        # runs no screen there
+        # SCREEN_PERIOD-th iteration, 255 not) and corpus instance 115,
+        # with the relaxation stop switched off, on the residual rule at
+        # 5,203; a solve that stops on the cap or the residual rule knows
+        # its last iteration before the check, so it runs no screen there
+        monkeypatch.setattr(solver_module, "RELAXATION_GAP_RTOL", 0.0)
         events = []
 
         def counting(original):
@@ -657,6 +658,105 @@ class TestSolve:
             assert len(ranks) == len(report.bound_history) > 0
             for record, rank in zip(report.bound_history, ranks):
                 assert 1 <= rank == record.rank <= face_dim
+
+
+# the corpus solves whose relaxation is not tight
+RELAXATION_GAP_SOLVES = (115, 121, 146, 147)
+
+
+@pytest.fixture(scope="module")
+def corpus_reports():
+    """Every corpus instance with its report, with the relaxation stop on
+    and switched off (RELAXATION_GAP_RTOL 0), time_sec zeroed."""
+    runs = []
+    for inst in acceptance_corpus():
+        on = solve(inst)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver_module, "RELAXATION_GAP_RTOL", 0.0)
+            off = solve(inst)
+        runs.append((inst, dataclasses.replace(on, time_sec=0.0), dataclasses.replace(off, time_sec=0.0)))
+    return runs
+
+
+def relaxation_ratios(instance, report, Y_at):
+    """|<L, Y> - best lbd| / (best ubd - best lbd) at each full check whose
+    Y is in ``Y_at``, the best bounds over the records up to it."""
+    cost = build_geometry(instance).lifted_cost.ravel()
+    ratios = {}
+    for iteration, Y in Y_at.items():
+        lower = max(r.lower for r in report.bound_history if r.iteration <= iteration)
+        upper = min(r.upper for r in report.bound_history if r.iteration <= iteration)
+        ratios[iteration] = abs(cost.dot(Y.ravel()) - lower) / (upper - lower)
+    return ratios
+
+
+def full_check_iterates(instance):
+    """Solve ``instance``, keeping a copy of Y at each check at a multiple
+    of CHECK_PERIOD."""
+    Y_at = {}
+
+    def keep(iteration, R, Y, Z):
+        if iteration % solver_module.CHECK_PERIOD == 0:
+            Y_at[iteration] = Y.copy()
+
+    return solve(instance, on_checkpoint=keep), Y_at
+
+
+class TestRelaxationStop:
+    def test_loose_relaxations_stop_at_two_converged_full_checks(self, corpus_reports):
+        # the four stop at a full check, where <L, Y> sits within 1% of the
+        # open gap above the best lbd at that check and at the one before;
+        # the rule off, they run on to the residual rule or the cap, with
+        # the same incumbent
+        period = solver_module.CHECK_PERIOD
+        stops = {}
+        for index in RELAXATION_GAP_SOLVES:
+            inst, on, off = corpus_reports[index]
+            assert on.termination == "relaxation_gap"
+            assert not on.certified and not certified(on.lbd, on.ubd)
+            assert on.iterations % period == 0
+            assert on.bound_history[-1].iteration == on.iterations
+            assert off.termination in ("residual", "max_iter")
+            assert off.iterations > on.iterations
+            assert (on.ubd, on.assignment) == (off.ubd, off.assignment)
+            opt = brute_force(inst).optimum
+            assert on.lbd - 1e-6 * (1.0 + abs(opt)) <= opt <= on.ubd
+            rerun, Y_at = full_check_iterates(inst)
+            assert dataclasses.replace(rerun, time_sec=0.0) == on
+            ratios = relaxation_ratios(inst, on, Y_at)
+            last = on.iterations
+            assert ratios[last] < solver_module.RELAXATION_GAP_RTOL
+            assert ratios[last - period] < solver_module.RELAXATION_GAP_RTOL
+            stops[index] = last
+        assert stops == {115: 700, 121: 600, 146: 300, 147: 300}
+
+    def test_certified_reports_do_not_change(self, corpus_reports):
+        # the rule runs only at full checks that leave the gap open and
+        # never touches the iterates, so every certified solve is the same;
+        # only the four loose relaxations stop by it
+        stopped = []
+        for index, (inst, on, off) in enumerate(corpus_reports):
+            if on.termination == "relaxation_gap":
+                stopped.append(index)
+            else:
+                assert on == off
+        assert stopped == list(RELAXATION_GAP_SOLVES)
+        assert sum(on.certified for _, on, _ in corpus_reports) == 196
+        assert sum(on.iterations for _, on, _ in corpus_reports) == 20_310
+        assert sum(off.iterations for _, _, off in corpus_reports) == 36_935
+
+    def test_one_converged_check_does_not_stop(self):
+        # random_instance(8, 6, ...) seed 7023: <L, Y> meets the best lbd
+        # at iteration 200 and moves away by 300; the solve certifies at
+        # 320, which a rule on one full check would have stopped at 200
+        inst = random_instance(8, 6, (-10, 10), seed=7023)
+        report, Y_at = full_check_iterates(inst)
+        assert report.certified and report.termination == "gap_closed"
+        assert report.iterations == 320
+        assert report.ubd == brute_force(inst).optimum
+        ratios = relaxation_ratios(inst, report, Y_at)
+        rtol = solver_module.RELAXATION_GAP_RTOL
+        assert [ratios[k] < rtol for k in (100, 200, 300)] == [False, True, False]
 
 
 def test_held_out_solves_bracket_the_optimum():
