@@ -30,21 +30,28 @@ def project_simplex(d, total) -> np.ndarray:
     """Project d onto the scaled simplex {x >= 0, sum(x) = total}.
 
     Sort-and-threshold method, O(n log n): with the entries sorted in
-    decreasing order, find the largest active-set size k whose threshold
-    (partial sum - total) / k still lies below the k-th entry.
+    decreasing order, the threshold is (partial sum - total) / k at the
+    largest active-set size k whose threshold still lies below the k-th
+    entry.  One scan over the sorted entries finds it: on the few dozen
+    eigenvalues of a small projection a Python loop costs less than the
+    numpy calls that would build every threshold at once.
     """
     d = np.asarray(d, dtype=float)
     total = float(total)
     if total <= 0.0:
         raise ValueError("simplex total must be positive")
-    u = np.sort(d)[::-1]
-    thresholds = u.cumsum()
-    thresholds -= total
-    thresholds /= np.arange(1, d.size + 1)
-    active = (u > thresholds).nonzero()[0]
-    if active.size == 0:  # total lost to rounding beside the entries, or a NaN
+    tau = None
+    partial = 0.0
+    # np.sort puts NaNs last, so a NaN starts the scan, every partial sum
+    # is NaN and no threshold lies below an entry
+    for k, u in enumerate(reversed(np.sort(d).tolist()), 1):
+        partial += u
+        threshold = (partial - total) / k
+        if u > threshold:
+            tau = threshold
+    if tau is None:  # total lost to rounding beside the entries, or a NaN
         raise ValueError(f"simplex total {total} is lost to rounding beside the entries")
-    return np.maximum(d - thresholds[active[-1]], 0.0)
+    return np.maximum(d - tau, 0.0)
 
 
 def kept(w, order: int, total: float) -> np.ndarray:
@@ -76,8 +83,12 @@ def project_psd_trace(M, total, start=None) -> np.ndarray:
             return G
     w, U = np.linalg.eigh(S)
     w = project_simplex(w, total)
-    keep = kept(w, S.shape[0], total)
-    return U[:, keep] * np.sqrt(w[keep])
+    # eigh's eigenvalues ascend and so do their projections, so the kept
+    # ones are the last r; G is F-ordered like a gather of U's columns,
+    # which fixes how later products with G round
+    n = S.shape[0]
+    first = n - np.count_nonzero(kept(w, n, total))
+    return np.multiply(U[:, first:], np.sqrt(w[first:]), order="F")
 
 
 def partial_psd_trace(S, total, start) -> np.ndarray | None:

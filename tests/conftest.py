@@ -122,13 +122,14 @@ def reference_simplex(d, total):
     return np.maximum(d - thresholds[active[-1]], 0.0)
 
 
-def reference_psd_trace(M, total, start):
+def reference_psd_trace(M, total, start=None):
     """PSD/trace projection as a factor: symmetrize, then the partial
-    eigensolve when it applies and succeeds, else the full ``eigh``, keeping
-    the eigenpairs whose projected eigenvalue is above order*eps*total."""
+    eigensolve when a start is given, it applies and it succeeds, else the
+    full ``eigh``, gathering the eigenpairs whose projected eigenvalue is
+    above order*eps*total."""
     S = M + M.T
     S *= 0.5
-    if MIN_ORDER_RATIO * (start.shape[1] + PAD_COLUMNS) <= S.shape[0]:
+    if start is not None and MIN_ORDER_RATIO * (start.shape[1] + PAD_COLUMNS) <= S.shape[0]:
         G = partial_psd_trace(S, total, start)
         if G is not None:
             return G

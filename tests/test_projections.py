@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import feasible_indicators, make_instance
+from conftest import (
+    feasible_indicators,
+    make_instance,
+    reference_psd_trace,
+    reference_simplex,
+)
 from scpsolve import RotamerPartition
 from scpsolve.lifting import build_geometry, lift_indicator
 from scpsolve.projections import (
@@ -83,6 +88,41 @@ class TestSimplex:
         with pytest.raises(ValueError, match="lost to rounding"):
             project_simplex([1e17, 1e17], 3.0)
 
+    @pytest.mark.parametrize(
+        "d",
+        [
+            [np.nan, 2.0, 1.0],
+            [2.0, np.nan, 1.0],
+            [2.0, 1.0, np.nan],
+            [1.0, np.nan],
+            [5.0, 1.0, np.nan, -3.0],
+            [np.inf, 1.0],
+            [np.inf, -np.inf],
+        ],
+    )
+    def test_rejects_nan_and_positive_infinity(self, d):
+        # no threshold lies below an entry: a NaN makes every partial sum
+        # NaN, and +inf makes every threshold +inf or NaN
+        with pytest.raises(ValueError, match="lost to rounding"):
+            project_simplex(d, 1.0)
+
+    def test_clips_negative_infinity(self):
+        assert np.array_equal(project_simplex([1.0, -np.inf], 1.0), [1.0, 0.0])
+
+    def test_matches_reference_bit_for_bit(self):
+        # the threshold scan against the vectorized sort-and-threshold
+        # formula, on random entries and on entries tied at the threshold
+        rng = np.random.default_rng(17)
+        for trial in range(400):
+            n = int(rng.integers(1, 40))
+            if trial % 2:
+                d = rng.normal(scale=float(rng.choice([0.1, 1.0, 10.0])), size=n)
+            else:
+                d = rng.choice([-1.0, 0.0, 0.5, 2.5], size=n)
+            total = float(rng.choice([0.5, 2.0, float(rng.uniform(0.1, 20.0))]))
+            got, want = project_simplex(d, total), reference_simplex(d, total)
+            assert got.tobytes() == want.tobytes()
+
 
 class TestPsdTrace:
     def test_scaled_identity_fixed_point(self):
@@ -147,6 +187,55 @@ class TestPsdTrace:
             assert np.all(norms > 0.0) and norms[-1] >= norms.max() * (1.0 - 1e-12)
             assert np.array_equal(out, out.T)
             assert np.max(np.abs(out - want)) <= 1e-12
+
+
+def assert_reference_factor(M, total):
+    """The factor of the PSD/trace projection is, byte for byte and in
+    memory layout, the gather of eigh's kept columns that it replaces."""
+    G = project_psd_trace(M, total)
+    want = reference_psd_trace(np.asarray(M, dtype=float), total)
+    assert G.shape == want.shape
+    assert G.flags.f_contiguous == want.flags.f_contiguous
+    assert G.flags.c_contiguous == want.flags.c_contiguous
+    assert G.tobytes(order="A") == want.tobytes(order="A")
+    return G
+
+
+class TestPsdTraceReference:
+    def test_random_symmetric(self):
+        rng = np.random.default_rng(18)
+        for n in range(1, 41):
+            for _ in range(5):
+                M = rng.normal(scale=float(rng.choice([0.1, 1.0, 10.0])), size=(n, n))
+                assert_reference_factor(M + M.T, float(rng.uniform(0.1, 20.0)))
+
+    def test_eigenvalues_tied_at_threshold(self):
+        # the top eigenvalue 2.5 alone gives the threshold 0.5 at total 2,
+        # which the tied ones equal: exactly on the diagonal, to rounding
+        # once rotated
+        rng = np.random.default_rng(19)
+        for n in range(2, 21):
+            ties = int(rng.integers(1, n))
+            below = rng.uniform(-3.0, 0.4, size=n - 1 - ties)
+            values = np.concatenate([[2.5], np.full(ties, 0.5), below])
+            assert assert_reference_factor(np.diag(values), 2.0).shape[1] == 1
+            assert_reference_factor(with_spectrum(orthonormal(rng, n), values), 2.0)
+
+    def test_every_eigenvalue_kept(self):
+        rng = np.random.default_rng(20)
+        for n in range(1, 31):
+            # the spectrum reaches less than total / n below its mean, so
+            # the threshold, the mean less total / n, lies below all of it
+            M = rng.normal(scale=0.5, size=(n, n))
+            assert assert_reference_factor(M + M.T, 10.0 * n).shape[1] == n
+
+    def test_rank_one_beside_rounding_level_eigenvalue(self):
+        assert assert_reference_factor(np.diag([3.0, 1.0 + 1e-15]), 2.0).shape[1] == 1
+        rng = np.random.default_rng(27)
+        for n in range(2, 21):
+            Q = orthonormal(rng, n)
+            values = np.concatenate([[3.0, 1.0 + 1e-15], np.full(n - 2, -1.0)])
+            assert assert_reference_factor(with_spectrum(Q, values), 2.0).shape[1] == 1
 
 
 def with_spectrum(Q, values):
