@@ -1,8 +1,9 @@
 """Certified bounds around the binary optimum.
 
 Lower bounds come from the Lagrangian dual of the relaxation evaluated at
-the current multiplier; they are valid for any symmetric multiplier, so
-every value recorded during a solve is a true lower bound.  Upper bounds
+the current multiplier (``dual_lower_bound``, the one lower bound a solve
+computes); they are valid for any symmetric multiplier, so every value
+recorded during a solve is a true lower bound.  Upper bounds
 come from rounding a lifted vector (a column of Y, or R's top eigenvector
 lifted by V) to the nearest feasible assignment, then evaluating the exact
 energy.
@@ -62,36 +63,6 @@ def dual_lower_bound(Z, geometry: LiftedGeometry) -> float:
     W = geometry.face.congruence(Z)
     top = float(np.linalg.eigvalsh(0.5 * (W + W.T))[-1])
     return box_term(Z, geometry) - (geometry.partition.p + 1) * top
-
-
-def lower_bound_ceiling(Z, geometry: LiftedGeometry, x) -> float:
-    """A value at least ``dual_lower_bound(Z)``, up to rounding, from two
-    products with W = V'ZV: the box term minus (p + 1) times the larger
-    Ritz value of W on span{x, Wx}, one power step from x.  A Ritz value is
-    at most the top eigenvalue.  Each product is three mat-vecs, and W is
-    never formed.  A zero x gives inf.
-    """
-    Z = np.asarray(Z, dtype=float)
-    face = geometry.face
-    x = np.asarray(x, dtype=float)
-    norm = math.sqrt(x @ x)
-    if norm == 0.0:
-        return math.inf
-    x = x / norm
-    Wx = face.apply_transpose(Z @ face.apply(x))
-    a = float(x @ Wx)
-    box = box_term(Z, geometry)
-    weight = geometry.partition.p + 1
-    ceiling = box - weight * a
-    Wx -= a * x
-    b = math.sqrt(Wx @ Wx)
-    if b > 0.0:  # otherwise x is an eigenvector and a its eigenvalue
-        q = Wx / b
-        c = float(q @ face.apply_transpose(Z @ face.apply(q)))
-        # top eigenvalue of the Ritz matrix [[a, b], [b, c]]
-        theta = 0.5 * (a + c) + math.hypot(0.5 * (a - c), b)
-        ceiling = box - weight * theta
-    return ceiling
 
 
 def extract_fractional(v) -> np.ndarray:

@@ -109,17 +109,16 @@ class FaceBasis:
         return out
 
     def apply(self, G) -> np.ndarray:
-        """VG for G with n0+1-p rows: a G[0] plus BG[1:], which scatters
-        G[1:] to the non-leading rows and adds D J'G[1:]."""
+        """VG for a 2-D G with n0+1-p rows: a G[0] plus BG[1:], which
+        scatters G[1:] to the non-leading rows and adds D J'G[1:]."""
         G = np.asarray(G, dtype=float)
-        flat = G if G.ndim == 2 else G[:, None]
-        F = np.zeros((self.order, flat.shape[1]))
-        F[self.rest] = flat[1:]
+        F = np.zeros((self.order, G.shape[1]))
+        F[self.rest] = G[1:]
         # block sums of G[1:]: F is still zero at row 0 and the leading rows
         sums = np.add.reduceat(F, self.leads, axis=0)
         F[1:] += self.d[:, None] * np.repeat(sums, self.counts + 1, axis=0)
-        F += np.outer(self.a, flat[0])
-        return F if G.ndim == 2 else F[:, 0]
+        F += np.outer(self.a, G[0])
+        return F
 
     def apply_transpose(self, Y) -> np.ndarray:
         """V'Y for Y with n0+1 rows: a'Y, then B'Y = Y_rest + J D'Y."""

@@ -18,10 +18,11 @@ width, so VRV' is the rank-r product (VG)(VG)'.  Each R-update passes the previo
 projection: while R has low rank, a partial eigensolve warm-started on G's
 columns replaces the full eigendecomposition whenever its residual test
 and a Cholesky check prove that it gives the same projection.  Lower and
-upper bounds are checked on the schedule stated in ``solve``; the solve
-stops on a closed gap, on persistently small residuals, on a relaxation
-that has converged below the incumbent (at a recorded full check, like a
-closed gap), or at the iteration cap.
+upper bounds are checked on the schedule stated in ``solve``, each check
+taking one lower bound, ``dual_lower_bound``; the solve stops on a closed
+gap, on persistently small residuals, on a relaxation that has converged
+below the incumbent (at a recorded full check, like a closed gap), or at
+the iteration cap.
 
 The penalty beta starts at ``SolverParams.beta`` and changes once, 8x,
 after iteration 50: when the solve is still running after iteration
@@ -34,6 +35,7 @@ bound is valid for any Z, so the certificate does not depend on beta.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -45,7 +47,6 @@ from .bounds import (
     BoundRecord,
     certified,
     dual_lower_bound,
-    lower_bound_ceiling,
     relative_gap,
     upper_bound,
 )
@@ -76,8 +77,9 @@ class SolverParams:
                  changes it once, 8x, after iteration 50)
     gamma        dual damping factor, in (0, 1)
     epsilon      residual tolerance, finite and > 0
-    max_iter     iteration cap
-    t_consecutive  number of consecutive sub-epsilon residual checks required
+    max_iter     iteration cap, an integer >= 1
+    t_consecutive  number of consecutive sub-epsilon residual checks
+                 required, an integer >= 1
 
     When the bounds are checked is not a parameter (see ``solve``).
     """
@@ -95,8 +97,14 @@ class SolverParams:
             raise ValueError("gamma must lie in (0, 1)")
         if not 0.0 < self.epsilon < math.inf:
             raise ValueError("epsilon must be finite and positive")
-        if self.max_iter < 1 or self.t_consecutive < 1:
-            raise ValueError("max_iter and t_consecutive must be >= 1")
+        for name in ("max_iter", "t_consecutive"):
+            value = getattr(self, name)
+            try:
+                valid = not isinstance(value, bool) and operator.index(value) >= 1
+            except TypeError:
+                valid = False
+            if not valid:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -207,17 +215,18 @@ def solve(
     last iteration, and screened otherwise.  The last iteration is known
     before its check where that matters: the cap and the residual rule
     stop the solve before the check, and the gap closes and the
-    relaxation stop fires only at a recorded full check.  Each check
-    rounds the first column of Y.  A screened check then estimates the
-    lower bound from above with a few mat-vecs (``lower_bound_ceiling``
-    from R's top eigenvector) and stops there, recording and keeping
-    nothing, unless the estimate, capped at the smaller of the best and
-    the column upper bound, passes ``certified`` with it.  So a solve
-    whose screened checks all stop reports as with the full checks
-    alone.  A check that goes on takes the lower bound
-    ``dual_lower_bound`` and also rounds R's top eigenvector lifted by V,
-    the last column of F = VG, which the iteration has already formed, so
-    no eigensolve is needed; it keeps that rounding only when strictly
+    relaxation stop fires only at a recorded check.  Each check rounds
+    the first column of Y and takes the lower bound ``dual_lower_bound``.
+    A screened check stops there, recording and keeping nothing, unless
+    the best lower bound, its own included and capped at the smaller of
+    the best and the column upper bound, passes ``certified`` with it.
+    So the screened checks that do not certify leave the report as the
+    full checks alone give it, and the bound history holds the full
+    checks and the check that certifies (and the screened checks that a
+    lower bound lifted above the upper one by rounding lets through).  A
+    check that goes on also rounds R's top eigenvector lifted by V, the
+    last column of F = VG, which the iteration has already formed, so no
+    eigensolve is needed; it keeps that rounding only when strictly
     lower.  beta changes once, 8x, after iteration 50 (BETA_STEP after
     BETA_STEP_AT) if the solve is still running, and the dual step
     gamma*beta with it; each record carries the beta of the iteration it
@@ -261,15 +270,14 @@ def solve(
         nonlocal best_lower, best_upper, best_assignment
         source_here = FIRST_COLUMN
         upper_here, assignment_here = upper_bound(Y[:, 0], instance, FIRST_COLUMN)
-        if screened:
-            # the ceiling is at least the lower bound; capped at the target
-            # it fails ``certified`` only when no lower bound so far or here
-            # reaches the target, and then the check is skipped
-            target = min(best_upper, upper_here)
-            ceiling = lower_bound_ceiling(Z, geometry, G[:, -1])
-            if not certified(min(max(best_lower, ceiling), target), target):
-                return
         lower = dual_lower_bound(Z, geometry)
+        if screened:
+            # capped at the target, the best lower bound fails ``certified``
+            # only when no lower bound so far or here reaches the target,
+            # and then the check is skipped
+            target = min(best_upper, upper_here)
+            if not certified(min(max(best_lower, lower), target), target):
+                return
         value, assignment = upper_bound(F[:, -1], instance, EIGENVECTOR)
         if value < upper_here:
             source_here, upper_here, assignment_here = EIGENVECTOR, value, assignment

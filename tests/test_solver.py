@@ -29,7 +29,7 @@ from scpsolve.bounds import (
     FIRST_COLUMN,
     GAP_CLOSE_RTOL,
     certified,
-    lower_bound_ceiling,
+    dual_lower_bound,
     upper_bound,
 )
 from scpsolve import lifting, projections
@@ -69,6 +69,14 @@ class TestDefaultParams:
             SolverParams(beta=1.0, epsilon=0.0)
         with pytest.raises(ValueError):
             SolverParams(beta=1.0, max_iter=0)
+        # a NaN cap would never be reached: the iteration limits must be
+        # integers >= 1, numpy's included, and not bools
+        for bad in (math.nan, math.inf, 2.5, 3.0, True, "5", None, 0, -1):
+            with pytest.raises(ValueError, match="max_iter"):
+                SolverParams(beta=1.0, max_iter=bad)
+            with pytest.raises(ValueError, match="t_consecutive"):
+                SolverParams(beta=1.0, t_consecutive=bad)
+        assert SolverParams(beta=1.0, max_iter=np.int64(7), t_consecutive=1).max_iter == 7
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match="beta"):
                 SolverParams(beta=bad)
@@ -243,7 +251,9 @@ class TestSolve:
         # swamps the lower bound with rounding error: it rises above the
         # rounded upper bound, and must not certify it.  The screened checks
         # round often enough to reach the optimum, so only the order of the
-        # bounds, not the ubd's distance from the optimum, is asserted.
+        # bounds, not the ubd's distance from the optimum, is asserted.  A
+        # screen caps the lower bound at the upper one, so such a lower
+        # bound passes it: screened checks are recorded, none certifying.
         base = random_instance(4, 4, (-10, 10), seed=5)
         for big in (1e20, 1e14):
             energy = np.array(base.energy)
@@ -255,6 +265,7 @@ class TestSolve:
             assert report.lbd > report.ubd >= optimum.optimum
             assert not report.certified
             assert report.termination == "max_iter"
+            assert any(r.iteration % solver_module.CHECK_PERIOD for r in report.bound_history)
 
     def test_report_consistency(self, derived_instance):
         report = solve(derived_instance)
@@ -341,10 +352,10 @@ class TestSolve:
         assert report.lbd - 1e-6 * (1.0 + abs(oracle.optimum)) <= oracle.optimum
 
     def test_every_recorded_check_tries_both_roundings(self, monkeypatch):
-        # seed 714 records checks at iterations 50, 100 and 120, the first
-        # at the starting beta and the others after the step; only the last,
-        # at 120, closes the gap, and it too rounds R's top eigenvector
-        inst = random_instance(4, 4, (-10, 10), seed=714)
+        # seed 773 records the full checks at iterations 100 and 200 and
+        # the screened check at 230; only the last closes the gap, and it
+        # too rounds R's top eigenvector
+        inst = random_instance(4, 4, (-10, 10), seed=773)
         tried, per_checkpoint = [], []
 
         def recording_upper_bound(v, instance, source):
@@ -364,7 +375,8 @@ class TestSolve:
 
         monkeypatch.setattr(solver_module, "upper_bound", recording_upper_bound)
         report = solve(inst, on_checkpoint=end_checkpoint)
-        assert len(per_checkpoint) == len(report.bound_history) > 2
+        assert [record.iteration for record in report.bound_history] == [100, 200, 230]
+        assert len(per_checkpoint) == 3
         best_lower = -np.inf
         closing = []
         for calls, record in zip(per_checkpoint, report.bound_history):
@@ -438,65 +450,73 @@ class TestSolve:
 
     def test_failed_screens_leave_the_report_unchanged(self, monkeypatch):
         # a capped p=20 solve that never certifies: its screened checks all
-        # stop early, so the report is that of the full checks alone; the
+        # stop early, so the report is that of the full checks alone, as
+        # when the checks come only every CHECK_PERIOD iterations; the
         # screens run at the 22 SCREEN_PERIOD-th iterations short of 250
         # that CHECK_PERIOD does not divide, and none at 250, the last,
         # whose check is full
         inst = random_instance(20, 10, (-10, 10), seed=3)
         params = dataclasses.replace(default_params(inst), max_iter=250)
-        estimates = []
+        bounds = []
 
-        def recording_ceiling(*args):
-            estimates.append(lower_bound_ceiling(*args))
-            return estimates[-1]
+        def recording_bound(*args):
+            bounds.append(dual_lower_bound(*args))
+            return bounds[-1]
 
-        monkeypatch.setattr(solver_module, "lower_bound_ceiling", recording_ceiling)
+        monkeypatch.setattr(solver_module, "dual_lower_bound", recording_bound)
         screened = solve(inst, params)
-        assert len(estimates) == 22
-        monkeypatch.setattr(solver_module, "lower_bound_ceiling", lambda *args: -math.inf)
-        fixed = solve(inst, params)
+        assert len(bounds) == 22 + 3
+        monkeypatch.setattr(solver_module, "SCREEN_PERIOD", solver_module.CHECK_PERIOD)
+        bounds.clear()
+        unscreened = solve(inst, params)
+        assert len(bounds) == 3
         assert not screened.certified
         assert [record.iteration for record in screened.bound_history] == [100, 200, 250]
-        assert screened.bound_history == fixed.bound_history
-        assert (screened.lbd, screened.ubd, screened.assignment, screened.residuals) == (
-            fixed.lbd,
-            fixed.ubd,
-            fixed.assignment,
-            fixed.residuals,
-        )
+        assert dataclasses.replace(screened, time_sec=0.0) == dataclasses.replace(unscreened, time_sec=0.0)
 
     def test_screen_certifies_as_early_as_checks_every_screen_period(self, monkeypatch):
         # a screened check that stops early never skips one that would
-        # certify: the solve stops where one whose screened checks always
-        # go on, so bounds evaluated at every SCREEN_PERIOD-th iteration,
-        # stops, on the reduced structured instance and on every fifth of
-        # the first 100 corpus instances (the whole corpus agrees too, but
-        # takes longer)
+        # certify: the solve stops where one whose checks are all full,
+        # CHECK_PERIOD patched to SCREEN_PERIOD, stops, on the reduced
+        # structured instance and on every fifth of the first 100 corpus
+        # instances.  The whole corpus agrees too, but takes longer; only
+        # 147, which never certifies, ends with a lower ubd when every check
+        # is full.  The relaxation stop, which runs at full checks, is off
+        # in both
+        monkeypatch.setattr(solver_module, "RELAXATION_GAP_RTOL", 0.0)
+        period = solver_module.SCREEN_PERIOD
         instance, _ = structured_instance(101)
         instances = [goldstein_reduce(instance).reduced]
         instances += list(itertools.islice(acceptance_corpus(), 0, 100, 5))
         screened = [solve(inst) for inst in instances]
         assert screened[0].iterations < solver_module.CHECK_PERIOD
-        monkeypatch.setattr(solver_module, "lower_bound_ceiling", lambda *args: math.inf)
+        monkeypatch.setattr(solver_module, "CHECK_PERIOD", period)
+        skipped = 0
         for inst, report in zip(instances, screened):
             every = solve(inst)
+            assert [r.iteration for r in every.bound_history] == list(
+                range(period, every.iterations + 1, period)
+            )
             assert (report.iterations, report.termination, report.ubd) == (
                 every.iterations,
                 every.termination,
                 every.ubd,
             )
             assert report.certified == every.certified
+            skipped += len(every.bound_history) - len(report.bound_history)
+        assert skipped > 0
 
     def test_one_first_column_rounding_per_screened_iteration(self, monkeypatch):
         # a solve checks at every SCREEN_PERIOD-th iteration and at the
-        # last, rounding the first column once at each and recording the
-        # last; a screened check that goes on reuses the rounding it
-        # screened with.  The two structured solves certify at a screened
-        # iteration, the p=20 ones stop at their caps (250 a
-        # SCREEN_PERIOD-th iteration, 255 not) and corpus instance 115,
-        # with the relaxation stop switched off, on the residual rule at
-        # 5,203; a solve that stops on the cap or the residual rule knows
-        # its last iteration before the check, so it runs no screen there
+        # last, rounding the first column and taking the lower bound once
+        # at each and recording the last; a screened check that goes on
+        # reuses the rounding and the bound it screened with.  The two
+        # structured solves certify at a screened iteration, the p=20 ones
+        # stop at their caps (250 a SCREEN_PERIOD-th iteration, 255 not)
+        # and corpus instance 115, with the relaxation stop switched off,
+        # on the residual rule at 5,203; a solve that stops on the cap or
+        # the residual rule knows its last iteration before the check, so
+        # it runs no screen there
         monkeypatch.setattr(solver_module, "RELAXATION_GAP_RTOL", 0.0)
         events = []
 
@@ -507,13 +527,13 @@ class TestSolve:
 
             return wrapper
 
-        def ceiling(*args):
-            events.append("ceiling")
-            return lower_bound_ceiling(*args)
+        def bound(*args):
+            events.append("lower")
+            return dual_lower_bound(*args)
 
         monkeypatch.setattr(solver_module, "upper_bound", counting(solver_module.upper_bound))
         monkeypatch.setattr(bounds_module, "upper_bound", counting(bounds_module.upper_bound))
-        monkeypatch.setattr(solver_module, "lower_bound_ceiling", ceiling)
+        monkeypatch.setattr(solver_module, "dual_lower_bound", bound)
         solves = []
         for seed in (101, 102):
             instance, _ = structured_instance(seed)
@@ -529,12 +549,46 @@ class TestSolve:
             assert report.termination == termination
             assert report.iterations % solver_module.CHECK_PERIOD != 0
             checked = math.ceil(report.iterations / solver_module.SCREEN_PERIOD)
-            assert events.count(FIRST_COLUMN) == checked
+            assert events.count(FIRST_COLUMN) == events.count("lower") == checked
             recorded = [r.iteration for r in report.bound_history]
-            assert recorded.count(report.iterations) == 1
+            assert recorded == sorted({*range(100, report.iterations, 100), report.iterations})
             last = len(events) - events[::-1].index(FIRST_COLUMN)
-            assert ("ceiling" in events[last:]) == (termination == "gap_closed")
+            assert events[last:] == ["lower", EIGENVECTOR]
         assert report.iterations == 5203
+
+    def test_off_period_records_only_certify(self, monkeypatch):
+        # the bound history holds the full checks and the check that
+        # certifies: a record off a multiple of CHECK_PERIOD is the last
+        # and closes the gap, and each check, screened or full, takes the
+        # lower bound once.  Over the corpus, the reduced structured
+        # instances 101-103 and every fifth p=4 seed from 700, 745 among
+        # them, whose stall recorded 175 checks with a screen estimated
+        # from above and records 22 now
+        counts = []
+
+        def counting(*args):
+            counts[-1] += 1
+            return dual_lower_bound(*args)
+
+        monkeypatch.setattr(solver_module, "dual_lower_bound", counting)
+        instances = list(acceptance_corpus())
+        for seed in (101, 102, 103):
+            instances.append(goldstein_reduce(structured_instance(seed)[0]).reduced)
+        seeds = range(700, 900, 5)
+        instances += [random_instance(4, 4, (-10, 10), seed=seed) for seed in seeds]
+        lengths = []
+        for inst in instances:
+            counts.append(0)
+            report = solve(inst)
+            assert counts[-1] == math.ceil(report.iterations / solver_module.SCREEN_PERIOD)
+            history = report.bound_history
+            for index, record in enumerate(history):
+                if record.iteration % solver_module.CHECK_PERIOD != 0:
+                    assert index == len(history) - 1
+                    assert record.iteration == report.iterations
+                    assert report.termination == "gap_closed" and report.certified
+            lengths.append(len(history))
+        assert lengths[-len(seeds) + seeds.index(745)] == 22
 
     def test_structured_face_products_keep_the_solve(self, monkeypatch):
         # a capped solve above the crossover runs the same iterations and
