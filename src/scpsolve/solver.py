@@ -185,23 +185,6 @@ def frobenius(x) -> float:
     return math.sqrt(flat.dot(flat))
 
 
-def check_stop(
-    iteration: int,
-    consec_ok: int,
-    best_lower: float,
-    best_upper: float,
-    params: SolverParams,
-) -> str | None:
-    """Termination decision after a full iteration, or None to continue."""
-    if iteration >= params.max_iter:
-        return TERMINATION_MAX_ITER
-    if consec_ok >= params.t_consecutive:
-        return TERMINATION_RESIDUAL
-    if certified(best_lower, best_upper):
-        return TERMINATION_GAP
-    return None
-
-
 def solve(
     instance: ScpInstance,
     params: SolverParams | None = None,
@@ -210,22 +193,22 @@ def solve(
 ) -> SolveReport:
     """Run the splitting method on one instance until termination.
 
-    The bounds are checked at every SCREEN_PERIOD-th iteration and at the
-    last one; the check is full at a multiple of CHECK_PERIOD and at the
-    last iteration, and screened otherwise.  The last iteration is known
-    before its check where that matters: the cap and the residual rule
-    stop the solve before the check, and the gap closes and the
-    relaxation stop fires only at a recorded check.  Each check rounds
-    the first column of Y and takes the lower bound ``dual_lower_bound``.
-    A screened check stops there, recording and keeping nothing, unless
-    the best lower bound, its own included and capped at the smaller of
-    the best and the column upper bound, passes ``certified`` with it.
-    So the screened checks that do not certify leave the report as the
-    full checks alone give it, and the bound history holds the full
-    checks and the check that certifies (and the screened checks that a
-    lower bound lifted above the upper one by rounding lets through).  A
-    check that goes on also rounds R's top eigenvector lifted by V, the
-    last column of F = VG, which the iteration has already formed, so no
+    The solve decides once per iteration whether to stop: after the
+    iteration, at the cap ("max_iter"), else on t_consecutive residual
+    checks in a row below epsilon ("residual"); after a check, if neither
+    fired, on best bounds that pass ``certified`` ("gap_closed"), else on
+    the relaxation stop below.  The bounds are checked at every
+    SCREEN_PERIOD-th iteration and at the last one; the check is full at
+    a multiple of CHECK_PERIOD and at the last iteration, and screened
+    otherwise.  Each check rounds the first column of Y and takes the
+    lower bound ``dual_lower_bound``.  A screened check stops there,
+    recording and keeping nothing, unless the best lower bound, its own
+    included, passes ``certified`` with the smaller of the best and the
+    column upper bound.  So the screened checks that do not certify leave
+    the report as the full checks alone give it, and the bound history
+    holds exactly the full checks and the check that certifies.  A check
+    that goes on also rounds R's top eigenvector lifted by V, the last
+    column of F = VG, which the iteration has already formed, so no
     eigensolve is needed; it keeps that rounding only when strictly
     lower.  beta changes once, 8x, after iteration 50 (BETA_STEP after
     BETA_STEP_AT) if the solve is still running, and the dual step
@@ -271,13 +254,8 @@ def solve(
         source_here = FIRST_COLUMN
         upper_here, assignment_here = upper_bound(Y[:, 0], instance, FIRST_COLUMN)
         lower = dual_lower_bound(Z, geometry)
-        if screened:
-            # capped at the target, the best lower bound fails ``certified``
-            # only when no lower bound so far or here reaches the target,
-            # and then the check is skipped
-            target = min(best_upper, upper_here)
-            if not certified(min(max(best_lower, lower), target), target):
-                return
+        if screened and not certified(max(best_lower, lower), min(best_upper, upper_here)):
+            return
         value, assignment = upper_bound(F[:, -1], instance, EIGENVECTOR)
         if value < upper_here:
             source_here, upper_here, assignment_here = EIGENVECTOR, value, assignment
@@ -323,11 +301,17 @@ def solve(
             consec_ok += 1
         else:
             consec_ok = 0
-        reason = check_stop(iterations, consec_ok, best_lower, best_upper, params)
-        if reason is not None or iterations % SCREEN_PERIOD == 0:
-            check(screened=reason is None and iterations % CHECK_PERIOD != 0)
-            reason = check_stop(iterations, consec_ok, best_lower, best_upper, params)
-            if reason is None and iterations % CHECK_PERIOD == 0:
+        if iterations >= params.max_iter:
+            reason = TERMINATION_MAX_ITER
+        elif consec_ok >= params.t_consecutive:
+            reason = TERMINATION_RESIDUAL
+        if reason is not None:
+            check(screened=False)
+        elif iterations % SCREEN_PERIOD == 0:
+            check(screened=iterations % CHECK_PERIOD != 0)
+            if certified(best_lower, best_upper):
+                reason = TERMINATION_GAP
+            elif iterations % CHECK_PERIOD == 0:
                 relaxed = cost.dot(Y.ravel())
                 near = abs(relaxed - best_lower) < RELAXATION_GAP_RTOL * (best_upper - best_lower)
                 if near and near_before:

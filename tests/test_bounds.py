@@ -230,25 +230,3 @@ class TestCertified:
         assert not certified(0.0, math.inf)
         assert not certified(math.inf, math.inf)
         assert not certified(math.nan, 1.0)
-
-
-class TestCertifiedOnCappedLowerBound:
-    # a screened check caps its best lower bound at the upper bound, so
-    # ``certified`` tests only whether the lower bound reaches it
-
-    @staticmethod
-    def capped(lower, upper):
-        return certified(min(lower, upper), upper)
-
-    def test_lower_within_tolerance_below_or_anywhere_above(self):
-        upper = -41.5
-        slack = GAP_CLOSE_RTOL * (1.0 + abs(upper))
-        assert self.capped(upper - 0.5 * slack, upper)
-        assert self.capped(upper, upper)
-        assert self.capped(126.39, upper)
-        assert not self.capped(upper - 2.0 * slack, upper)
-
-    def test_infinite_or_nan_bounds(self):
-        assert not self.capped(0.0, math.inf)
-        assert not self.capped(math.nan, 1.0)
-        assert not self.capped(-math.inf, 1.0)

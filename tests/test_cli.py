@@ -80,6 +80,18 @@ class TestSolveCommand:
         assert not certified(doc["lbd"], doc["ubd"])
         assert doc["certified"] is False
 
+    def test_certified_at_the_cap_exits_0(self, tmp_path):
+        # a single rotamer certifies at its first check, iteration 10,
+        # where the cap also stops it: the exit code follows the certificate
+        path = tmp_path / "one.json"
+        save_instance(make_instance((1,), [[3.5]]), path)
+        out = tmp_path / "report.json"
+        code = main(["solve", str(path), "--max-iter", "10", "--out", str(out)])
+        assert code == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert (doc["termination"], doc["iter"]) == ("max_iter", 10)
+        assert doc["certified"] is True
+
     def test_residual_stop_without_certificate_exit_code(self, tmp_path, monkeypatch):
         # corpus instance 146, with the relaxation stop switched off, meets
         # the residual rule with a 2.4% gap left

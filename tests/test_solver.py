@@ -35,7 +35,7 @@ from scpsolve.bounds import (
 from scpsolve import lifting, projections
 from scpsolve.lifting import build_geometry
 from scpsolve.projections import project_simplex
-from scpsolve.solver import check_stop, dual_step, initialize, r_update, y_update
+from scpsolve.solver import dual_step, initialize, r_update, y_update
 
 
 class TestDefaultParams:
@@ -184,20 +184,29 @@ class TestYUpdate:
         assert Y[1, 3] == 0.0 and Y[3, 1] == 0.0
 
 
-class TestCheckStop:
-    params = SolverParams(beta=1.0, max_iter=500, t_consecutive=100)
+class TestStopOrder:
+    # a single rotamer certifies at its first check; the cap, then the
+    # residual rule, decide after the iteration, and a certificate ends
+    # the solve only when neither has
+    instance = make_instance((1,), [[3.5]])
 
-    def test_iteration_cap(self):
-        assert check_stop(500, 0, -np.inf, np.inf, self.params) == "max_iter"
+    def solve_with(self, **changes):
+        return solve(self.instance, dataclasses.replace(default_params(self.instance), **changes))
 
-    def test_residual_streak(self):
-        assert check_stop(200, 100, -np.inf, np.inf, self.params) == "residual"
+    def test_cap_at_the_certifying_check(self):
+        report = self.solve_with(max_iter=10)
+        assert (report.termination, report.iterations) == ("max_iter", 10)
+        assert report.certified
+        assert len(report.bound_history) == 1
 
-    def test_gap_closure_on_equal_bounds(self):
-        assert check_stop(200, 0, -48.46, -48.46, self.params) == "gap_closed"
+    def test_residual_rule_before_the_first_check(self):
+        report = self.solve_with(epsilon=1e6, t_consecutive=1)
+        assert (report.termination, report.iterations) == ("residual", 1)
+        assert report.certified
 
-    def test_keep_running(self):
-        assert check_stop(200, 50, -50.0, -48.0, self.params) is None
+    def test_cap_before_the_residual_rule(self):
+        report = self.solve_with(epsilon=1e6, t_consecutive=1, max_iter=1)
+        assert (report.termination, report.iterations) == ("max_iter", 1)
 
 
 class TestSolve:
@@ -251,9 +260,9 @@ class TestSolve:
         # swamps the lower bound with rounding error: it rises above the
         # rounded upper bound, and must not certify it.  The screened checks
         # round often enough to reach the optimum, so only the order of the
-        # bounds, not the ubd's distance from the optimum, is asserted.  A
-        # screen caps the lower bound at the upper one, so such a lower
-        # bound passes it: screened checks are recorded, none certifying.
+        # bounds, not the ubd's distance from the optimum, is asserted.
+        # Such a lower bound fails every screen, so only full checks are
+        # recorded.
         base = random_instance(4, 4, (-10, 10), seed=5)
         for big in (1e20, 1e14):
             energy = np.array(base.energy)
@@ -265,7 +274,8 @@ class TestSolve:
             assert report.lbd > report.ubd >= optimum.optimum
             assert not report.certified
             assert report.termination == "max_iter"
-            assert any(r.iteration % solver_module.CHECK_PERIOD for r in report.bound_history)
+            history = report.bound_history
+            assert all(r.iteration % solver_module.CHECK_PERIOD == 0 for r in history[:-1])
 
     def test_report_consistency(self, derived_instance):
         report = solve(derived_instance)
@@ -589,6 +599,23 @@ class TestSolve:
                     assert report.termination == "gap_closed" and report.certified
             lengths.append(len(history))
         assert lengths[-len(seeds) + seeds.index(745)] == 22
+
+    def test_lifted_lower_bound_records_only_full_checks(self):
+        # the 1e20 and 1e14 instances at default parameters: a lower bound
+        # lifted above the upper bound by rounding certifies no screen, so
+        # the history is the 100 full checks at multiples of CHECK_PERIOD
+        # and the last, at the cap
+        base = random_instance(4, 4, (-10, 10), seed=5)
+        for big in (1e20, 1e14):
+            energy = np.array(base.energy)
+            energy[0, 0] = big
+            report = solve(make_instance(base.partition.m, energy))
+            assert (report.termination, report.iterations) == ("max_iter", 10_052)
+            assert not report.certified
+            history = report.bound_history
+            assert len(history) == 101
+            assert all(r.iteration % solver_module.CHECK_PERIOD == 0 for r in history[:-1])
+            assert history[-1].iteration == report.iterations
 
     def test_structured_face_products_keep_the_solve(self, monkeypatch):
         # a capped solve above the crossover runs the same iterations and
