@@ -1,27 +1,25 @@
 """Projection kernels used by the splitting solver.
 
 All three operators are Euclidean projections, hence nonexpansive and
-idempotent.  The PSD/trace projection of a low-rank matrix can come from a
-warm-started partial eigensolve, used only when its Ritz residuals are at
-rounding level and a Cholesky factorization proves that it missed no
-eigenvalue above the simplex threshold.
+idempotent.  A PSD/trace projection of rank one can come from a
+warm-started power iteration, used only when its residual is at rounding
+level and a Cholesky factorization proves that no other eigenvalue lies
+above the simplex threshold.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# The partial eigensolve's block holds the start's columns plus PAD_COLUMNS
-# seeded ones.  It is tried only while the order is at least MIN_ORDER_RATIO
-# times the block width: a wider block buys little over the full eigh.  It
-# runs at most MAX_SWEEPS sweeps; from sweep MIN_SWEEPS on it gives up as
-# soon as the residual falls too slowly to reach RESIDUAL_RTOL * |S|_F in
-# the sweeps left.
-PAD_COLUMNS = 4
-PAD_SEED = 0
-MIN_ORDER_RATIO = 16
-MAX_SWEEPS = 16
-MIN_SWEEPS = 3
+# The rank-one path is tried only from order MIN_ORDER on: below it the
+# full eigh costs under half a millisecond, and small solves, the
+# acceptance corpus's among them, stay those of the full eigh alone.  Its
+# power iteration runs at most MAX_STEPS steps; from step MIN_STEPS on it
+# gives up as soon as the residual falls too slowly to reach
+# RESIDUAL_RTOL * |S|_F in the steps left.
+MIN_ORDER = 80
+MAX_STEPS = 16
+MIN_STEPS = 3
 RESIDUAL_RTOL = 1e-13
 EPS = float(np.finfo(float).eps)
 
@@ -69,16 +67,16 @@ def project_psd_trace(M, total, start=None) -> np.ndarray:
     square root, in increasing order of eigenvalue, so ``G.shape[1]`` is
     the rank of the projection and ``G[:, -1]`` its top eigenvector.
 
-    ``start``, a factor from a nearby earlier projection, warm-starts a
-    partial eigensolve when its rank is small beside the order of M (see
-    ``partial_psd_trace``); when that cannot prove its answer, the full
+    ``start``, a factor from a nearby earlier projection, warm-starts
+    ``rank_one_psd_trace`` when it has one column and M has order
+    MIN_ORDER or more; when that cannot prove its answer, the full
     eigendecomposition runs as without it.
     """
     M = np.asarray(M, dtype=float)
     S = M + M.T
     S *= 0.5
-    if start is not None and MIN_ORDER_RATIO * (start.shape[1] + PAD_COLUMNS) <= S.shape[0]:
-        G = partial_psd_trace(S, total, start)
+    if start is not None and start.shape[1] == 1 and S.shape[0] >= MIN_ORDER:
+        G = rank_one_psd_trace(S, total, start[:, 0])
         if G is not None:
             return G
     w, U = np.linalg.eigh(S)
@@ -91,50 +89,45 @@ def project_psd_trace(M, total, start=None) -> np.ndarray:
     return np.multiply(U[:, first:], np.sqrt(w[first:]), order="F")
 
 
-def partial_psd_trace(S, total, start) -> np.ndarray | None:
-    """``project_psd_trace`` of symmetric S from its top eigenpairs alone,
-    or None when they cannot be proven to be all it keeps.
+def rank_one_psd_trace(S, total, start) -> np.ndarray | None:
+    """``project_psd_trace`` of symmetric S when it has rank one, or None
+    when that cannot be proven.
 
-    Block subspace sweeps with Rayleigh-Ritz, started from an orthonormal
-    basis of ``start`` and PAD_COLUMNS seeded columns, run until every Ritz
-    pair above rounding level (``kept``, also the returned factor's columns)
-    has a residual at rounding level.  The simplex threshold tau of the Ritz
-    values is then that of the whole spectrum exactly when no other
-    eigenvalue exceeds tau, and one Cholesky factorization of tau I - S +
-    sum_kept (theta_i - tau + 1) u_i u_i' proves that: on the kept Ritz
-    vectors the matrix is the identity, on their complement it is tau I - S.
+    A power iteration from the vector ``start`` runs until its Rayleigh
+    quotient theta and unit vector u have a residual |Su - theta u| at
+    rounding level.  The projection is then total * uu' exactly when no
+    other eigenvalue of S exceeds the simplex threshold tau = theta - total,
+    and one Cholesky factorization of tau I - S + (total + 1) uu' proves
+    that: on u the matrix is 1, on its complement it is tau I - S.
     """
     n = S.shape[0]
-    pad = np.random.default_rng(PAD_SEED).standard_normal((n, PAD_COLUMNS))
-    X = np.linalg.qr(np.hstack([start, pad]))[0]
+    size = np.linalg.norm(start)
+    if not size > 0.0:
+        return None
+    u = start / size
     tol = RESIDUAL_RTOL * np.linalg.norm(S)
-    for sweep in range(MAX_SWEEPS):
-        SX = S @ X
-        theta, W = np.linalg.eigh(X.T @ SX)
-        U, SU = X @ W, SX @ W
-        w = project_simplex(theta, total)
-        keep = kept(w, n, total)
-        residual = np.linalg.norm(SU[:, keep] - U[:, keep] * theta[keep], axis=0).max()
+    for step in range(MAX_STEPS):
+        Su = S @ u
+        theta = u @ Su
+        residual = np.linalg.norm(Su - theta * u)
         if residual <= tol:
             break
-        # the last sweep's rate of decrease, kept up, would still miss tol
-        sweeps_left = MAX_SWEEPS - 1 - sweep
-        if sweep >= MIN_SWEEPS and residual * (residual / previous) ** sweeps_left > tol:
+        # the last step's rate of decrease, kept up, would still miss tol
+        steps_left = MAX_STEPS - 1 - step
+        if step >= MIN_STEPS and residual * (residual / previous) ** steps_left > tol:
             return None
         previous = residual
-        X = np.linalg.qr(SU)[0]
+        u = Su / np.linalg.norm(Su)
     else:  # reached only when the residual is not finite
         return None
-    tau = theta[-1] - w[-1]
-    U = U[:, keep]
-    T = (U * (theta[keep] - tau + 1.0)) @ U.T
+    T = np.outer(u, (total + 1.0) * u)
     T -= S
-    T.flat[:: n + 1] += tau
+    T.flat[:: n + 1] += theta - total
     try:
         np.linalg.cholesky(T)
     except np.linalg.LinAlgError:
         return None
-    return U * np.sqrt(w[keep])
+    return (np.sqrt(total) * u)[:, None]
 
 
 def project_box_gangster(M, pinned: np.ndarray) -> np.ndarray:

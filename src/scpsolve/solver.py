@@ -15,8 +15,8 @@ The mask zeroes the dual coordinates whose optimal values are known (row 0,
 column 0, diagonal), so those entries stay at their initialized values for
 the entire run.  R is kept as its factor G with R = GG' and rank r, G's
 width, so VRV' is the rank-r product (VG)(VG)'.  Each R-update passes the previous G to the
-projection: while R has low rank, a partial eigensolve warm-started on G's
-columns replaces the full eigendecomposition whenever its residual test
+projection: while R has rank 1, a power iteration warm-started on G's
+column replaces the full eigendecomposition whenever its residual test
 and a Cholesky check prove that it gives the same projection.  Lower and
 upper bounds are checked on the schedule stated in ``solve``, each check
 taking one lower bound, ``dual_lower_bound``; the solve stops on a closed

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from scpsolve import RotamerPartition, ScpInstance, canonicalize_energy, random_instance
-from scpsolve.projections import MIN_ORDER_RATIO, PAD_COLUMNS, partial_psd_trace
+from scpsolve.projections import MIN_ORDER, rank_one_psd_trace
 from scpsolve.solver import initialize
 
 # the acceptance gate's fixed corpus
@@ -123,14 +123,14 @@ def reference_simplex(d, total):
 
 
 def reference_psd_trace(M, total, start=None):
-    """PSD/trace projection as a factor: symmetrize, then the partial
-    eigensolve when a start is given, it applies and it succeeds, else the
-    full ``eigh``, gathering the eigenpairs whose projected eigenvalue is
-    above order*eps*total."""
+    """PSD/trace projection as a factor: symmetrize, then the rank-one
+    path when a one-column start is given at order MIN_ORDER or more and it
+    succeeds, else the full ``eigh``, gathering the eigenpairs whose
+    projected eigenvalue is above order*eps*total."""
     S = M + M.T
     S *= 0.5
-    if start is not None and MIN_ORDER_RATIO * (start.shape[1] + PAD_COLUMNS) <= S.shape[0]:
-        G = partial_psd_trace(S, total, start)
+    if start is not None and start.shape[1] == 1 and S.shape[0] >= MIN_ORDER:
+        G = rank_one_psd_trace(S, total, start[:, 0])
         if G is not None:
             return G
     w, U = np.linalg.eigh(S)
@@ -192,8 +192,8 @@ def derived_instance():
 @pytest.fixture
 def eigh_orders(monkeypatch):
     """The order of every matrix passed to ``np.linalg.eigh`` during the
-    test, so a test can tell the full eigendecomposition from the small
-    Rayleigh-Ritz ones."""
+    test, so a test can tell the full eigendecomposition from any other
+    eigensolve."""
     orders = []
     eigh = np.linalg.eigh
 

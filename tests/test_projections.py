@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,10 @@ from conftest import (
     reference_psd_trace,
     reference_simplex,
 )
-from scpsolve import RotamerPartition
+from scpsolve import RotamerPartition, projections
 from scpsolve.lifting import build_geometry, lift_indicator
 from scpsolve.projections import (
-    PAD_COLUMNS,
-    PAD_SEED,
+    MIN_ORDER,
     project_box_gangster,
     project_psd_trace,
     project_simplex,
@@ -247,28 +248,61 @@ def orthonormal(rng, n, k=None):
     return np.linalg.qr(rng.normal(size=(n, n if k is None else k)))[0]
 
 
-class TestPartialPsdTrace:
-    """The warm-started partial eigensolve, against the full eigh path."""
+@pytest.fixture
+def rank_one_results(monkeypatch):
+    """The result of every call of ``rank_one_psd_trace`` during the test,
+    None for one that could not prove its answer."""
+    results = []
+    rank_one = projections.rank_one_psd_trace
 
-    n = 120  # 16 * (start columns + pad) fits for up to 3 start columns
+    def recording(S, total, start):
+        results.append(rank_one(S, total, start))
+        return results[-1]
+
+    monkeypatch.setattr(projections, "rank_one_psd_trace", recording)
+    return results
+
+
+class TestPartialPsdTrace:
+    """The warm-started rank-one path, against the full eigh path."""
+
+    n = 120
     total = 60.0
 
-    def project_counting(self, eigh_orders, S, start):
-        """The projection with ``start``, and how many order-n eigh calls
-        (the full path) it made."""
-        eigh_orders.clear()
+    @pytest.fixture(autouse=True)
+    def counters(self, eigh_orders, rank_one_results):
+        self.eigh_orders = eigh_orders
+        self.rank_one_results = rank_one_results
+
+    def project(self, S, start):
+        """The projection with ``start``, its attempts at the rank-one path
+        and its eigh calls at S's order (the full path); the factor must
+        give the full path's projection."""
+        self.eigh_orders.clear()
+        self.rank_one_results.clear()
         G = project_psd_trace(S, self.total, start)
-        return G, eigh_orders.count(self.n)
+        attempts = list(self.rank_one_results)
+        full_calls = self.eigh_orders.count(S.shape[0])
+        assert np.max(np.abs(G @ G.T - psd_trace_matrix(S, self.total))) <= 1e-12
+        return G, attempts, full_calls
 
-    def assert_partial_matches_full(self, eigh_orders, S, start):
-        G, full_calls = self.project_counting(eigh_orders, S, start)
-        assert full_calls == 0
-        want = psd_trace_matrix(S, self.total)
-        assert np.max(np.abs(G @ G.T - want)) <= 1e-12
-        norms = np.linalg.norm(G, axis=0)
-        assert np.all(norms > 0.0) and norms[-1] >= norms.max() * (1.0 - 1e-12)
+    def assert_served(self, S, start):
+        G, attempts, full_calls = self.project(S, start)
+        assert len(attempts) == 1 and attempts[0] is G and full_calls == 0
+        assert G.shape == (S.shape[0], 1) and G.flags.f_contiguous
+        assert np.isclose(G[:, 0] @ G[:, 0], self.total)
 
-    def test_random(self, eigh_orders):
+    def assert_falls_back(self, S, start):
+        _, attempts, full_calls = self.project(S, start)
+        assert [G is None for G in attempts] == [True] and full_calls == 1
+
+    def assert_no_attempt(self, S, start):
+        _, attempts, full_calls = self.project(S, start)
+        assert attempts == [] and full_calls == 1
+
+    def test_random(self):
+        # projections of rank 2 or 3: starts of 2 and 3 columns take the
+        # full path without trying the rank-one one
         rng = np.random.default_rng(21)
         for _ in range(10):
             Q = orthonormal(rng, self.n)
@@ -276,20 +310,22 @@ class TestPartialPsdTrace:
             values = np.concatenate([top, rng.uniform(-5.0, 5.0, size=self.n - 3)])
             noise = 1e-3 * rng.normal(size=(self.n, self.n))
             start = project_psd_trace(with_spectrum(Q, values) + noise, self.total)
+            assert start.shape[1] in (2, 3)
             M = with_spectrum(Q, values) + 1e-2 * rng.normal(size=(self.n, self.n))
-            self.assert_partial_matches_full(eigh_orders, M, start)
-            self.assert_partial_matches_full(eigh_orders, M, rng.normal(size=(self.n, 2)))
+            self.assert_no_attempt(M, start)
+            self.assert_no_attempt(M, rng.normal(size=(self.n, 2)))
+            self.assert_no_attempt(M, rng.normal(size=(self.n, 3)))
 
-    def test_rank_one(self, eigh_orders):
+    def test_rank_one(self):
         rng = np.random.default_rng(22)
         for _ in range(10):
             v = orthonormal(rng, self.n, 1)
             noise = rng.normal(scale=0.05, size=(self.n, self.n))
             M = float(rng.uniform(60.0, 200.0)) * (v @ v.T) + noise
             start = v + 1e-3 * rng.normal(size=(self.n, 1))
-            self.assert_partial_matches_full(eigh_orders, M, start)
+            self.assert_served(M, start)
 
-    def test_crowded_spectrum_just_below_threshold(self, eigh_orders):
+    def test_crowded_spectrum_just_below_threshold(self):
         # one kept eigenvalue 61 gives tau = 1; twenty more sit 1e-6 apart
         # just under it, so the Cholesky check has almost no margin
         rng = np.random.default_rng(23)
@@ -299,46 +335,60 @@ class TestPartialPsdTrace:
             rest = rng.uniform(-1.0, 0.9, size=self.n - 21)
             S = with_spectrum(Q, np.concatenate([[self.total + 1.0], crowd, rest]))
             start = Q[:, :1] + 1e-4 * rng.normal(size=(self.n, 1))
-            self.assert_partial_matches_full(eigh_orders, S, start)
+            self.assert_served(S, start)
 
-    def test_zero_column_start(self, eigh_orders):
-        # a start with no columns, and one whose only column is zero
+    def test_zero_column_start(self):
+        # a start with no columns makes no attempt; one whose only column is
+        # zero falls back without dividing by its norm
         rng = np.random.default_rng(24)
         for _ in range(5):
             Q = orthonormal(rng, self.n)
-            values = np.concatenate([[90.0, 70.0], rng.uniform(-4.0, 4.0, size=self.n - 2)])
+            values = np.concatenate([[90.0], rng.uniform(-4.0, 4.0, size=self.n - 1)])
             S = with_spectrum(Q, values)
-            self.assert_partial_matches_full(eigh_orders, S, np.zeros((self.n, 0)))
-            self.assert_partial_matches_full(eigh_orders, S, np.zeros((self.n, 1)))
+            self.assert_no_attempt(S, np.zeros((self.n, 0)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                self.assert_falls_back(S, np.zeros((self.n, 1)))
 
-    def test_start_orthogonal_to_top_eigenvector(self, eigh_orders):
+    def test_start_orthogonal_to_top_eigenvector(self):
+        # the start is another eigenvector, so the iteration converges at
+        # once to the wrong eigenpair and only the Cholesky check rejects it
         rng = np.random.default_rng(25)
         for _ in range(5):
             Q = orthonormal(rng, self.n)
             values = np.concatenate([[80.0], rng.uniform(-4.0, 4.0, size=self.n - 1)])
-            S = with_spectrum(Q, values)
-            self.assert_partial_matches_full(eigh_orders, S, Q[:, 1:3])
+            self.assert_falls_back(with_spectrum(Q, values), Q[:, 1:2])
 
-    def test_eigenvalue_hidden_from_the_block_falls_back(self, eigh_orders):
-        # S leaves the span of the start and pad columns invariant and puts
-        # its largest eigenvalue outside it: the sweeps converge without
-        # ever seeing it, so only the Cholesky check can reject them
+    def test_second_eigenvalue_above_threshold_falls_back(self):
+        # 90 alone gives tau = 30, which 70 exceeds: the projection has rank
+        # 2, so even the exact top eigenvector fails the Cholesky check
         rng = np.random.default_rng(26)
-        start = rng.normal(size=(self.n, 1))
-        pad = np.random.default_rng(PAD_SEED).standard_normal((self.n, PAD_COLUMNS))
-        block = np.hstack([start, pad])
-        Q = np.linalg.qr(np.hstack([block, rng.normal(size=(self.n, self.n - block.shape[1]))]))[0]
-        values = np.concatenate(
-            [[70.0], rng.uniform(-2.0, 2.0, size=PAD_COLUMNS), [200.0],
-             rng.uniform(-2.0, 2.0, size=self.n - PAD_COLUMNS - 2)]
-        )
-        S = with_spectrum(Q, values)
-        G, full_calls = self.project_counting(eigh_orders, S, start)
-        assert full_calls == 1
-        top = np.linalg.eigh(S)[1][:, -1]
-        assert np.isclose(abs(top @ Q[:, PAD_COLUMNS + 1]), 1.0)
-        assert np.max(np.abs(G @ G.T - psd_trace_matrix(S, self.total))) <= 1e-12
-        assert G.shape[1] == 1 and np.allclose(G[:, 0] @ G[:, 0], self.total)
+        for _ in range(5):
+            Q = orthonormal(rng, self.n)
+            values = np.concatenate([[90.0, 70.0], rng.uniform(-4.0, 4.0, size=self.n - 2)])
+            S = with_spectrum(Q, values)
+            self.assert_falls_back(S, Q[:, :1])
+            self.assert_falls_back(S, Q[:, :1] + 1e-3 * rng.normal(size=(self.n, 1)))
+
+    def test_negative_eigenvalue_dominating_falls_back(self):
+        # |lambda_min| = 100 > lambda_1 = 70: the power iteration turns
+        # towards the negative eigenvector, and stalls or fails the proof
+        rng = np.random.default_rng(27)
+        for _ in range(5):
+            Q = orthonormal(rng, self.n)
+            values = np.concatenate([[70.0, -100.0], rng.uniform(-4.0, 4.0, size=self.n - 2)])
+            S = with_spectrum(Q, values)
+            self.assert_falls_back(S, Q[:, :1] + 1e-3 * rng.normal(size=(self.n, 1)))
+
+    def test_below_min_order_makes_no_attempt(self):
+        rng = np.random.default_rng(28)
+        for n in (MIN_ORDER - 1, MIN_ORDER):
+            v = orthonormal(rng, n, 1)
+            S = 100.0 * (v @ v.T) + rng.normal(scale=0.05, size=(n, n))
+            if n < MIN_ORDER:
+                self.assert_no_attempt(S, v)
+            else:
+                self.assert_served(S, v)
 
 
 class TestBoxGangster:

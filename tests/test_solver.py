@@ -429,15 +429,40 @@ class TestSolve:
             assert report.termination == "gap_closed" and report.certified
             assert [record.rank for record in report.bound_history] == [1]
 
-    def test_partial_eigensolve_serves_most_r_updates(self, eigh_orders):
+    def test_partial_eigensolve_serves_most_r_updates(self, eigh_orders, monkeypatch):
         # a projection that always fell back to the full eigh would give
-        # the same answers, so count the order-f eigh calls instead
+        # the same answers, so count the order-f eigh calls instead: they
+        # run only on the R-updates whose start is not of rank 1 and those
+        # whose rank-one proof failed
         instance, _ = structured_instance(101)
         reduced = goldstein_reduce(instance).reduced
+        widths, failed = [], []
+        project, rank_one = solver_module.project_psd_trace, projections.rank_one_psd_trace
+
+        def recording_project(M, total, start):
+            widths.append(start.shape[1])
+            return project(M, total, start)
+
+        def recording_rank_one(S, total, start):
+            G = rank_one(S, total, start)
+            failed.append(G is None)
+            return G
+
+        monkeypatch.setattr(solver_module, "project_psd_trace", recording_project)
+        monkeypatch.setattr(projections, "rank_one_psd_trace", recording_rank_one)
         report = solve(reduced)
         assert report.certified
+        assert [record.rank for record in report.bound_history] == [1]
         full = eigh_orders.count(build_geometry(reduced).face_dim)
+        not_rank_one = len(widths) - widths.count(1)
+        assert len(widths) == report.iterations and len(failed) == widths.count(1)
+        assert full == not_rank_one + sum(failed)
         assert full < 0.4 * report.iterations
+
+    def test_corpus_never_reaches_the_rank_one_path(self):
+        # so the corpus solves are those of the full eigh alone, bit for bit
+        orders = [build_geometry(inst).face_dim for inst in acceptance_corpus()]
+        assert max(orders) < projections.MIN_ORDER
 
     def test_rank_leaves_out_rounding_level_eigenvalues(self, monkeypatch):
         # corpus solve 197 at the fixed penalty (the step patched to 1)
