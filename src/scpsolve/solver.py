@@ -17,7 +17,9 @@ the entire run.  R is kept as its factor G with R = GG' and rank r, G's
 width, so VRV' is the rank-r product (VG)(VG)'.  Each R-update passes the previous G to the
 projection: while R has rank 1, a power iteration warm-started on G's
 column replaces the full eigendecomposition whenever its residual test
-and a Cholesky check prove that it gives the same projection.  Lower and
+and a Cholesky check prove that it gives the same projection.  The solve
+keeps one ``CarriedProof`` beside G: a Cholesky check made with a margin
+covers the later R-updates whose matrices stay within half of it.  Lower and
 upper bounds are checked on the schedule stated in ``solve``, each check
 taking one lower bound, ``dual_lower_bound``; the solve stops on a closed
 gap, on persistently small residuals, on a relaxation that has converged
@@ -52,7 +54,7 @@ from .bounds import (
 )
 from .instances import Assignment, ScpInstance
 from .lifting import LiftedGeometry, build_geometry
-from .projections import project_box_gangster, project_psd_trace
+from .projections import CarriedProof, project_box_gangster, project_psd_trace
 
 TERMINATION_MAX_ITER = "max_iter"
 TERMINATION_RESIDUAL = "residual"
@@ -147,14 +149,15 @@ def initialize(geometry: LiftedGeometry) -> tuple[np.ndarray, np.ndarray, np.nda
     return G, Y, Z
 
 
-def r_update(Y, Z, geometry: LiftedGeometry, beta: float, start=None) -> np.ndarray:
+def r_update(Y, Z, geometry: LiftedGeometry, beta: float, start=None, proof=None) -> np.ndarray:
     """Closed-form PSD block update: project V'(Y + Z/beta)V onto
     {R PSD, trace(R) = p + 1}; returns the factor G with R = GG'.
-    ``start``, the previous factor, warm-starts the projection."""
+    ``start``, the previous factor, warm-starts the projection, and
+    ``proof``, the solve's ``CarriedProof``, may spare its Cholesky check."""
     shifted = Z / beta
     shifted += Y
     W = geometry.face.congruence(shifted)
-    return project_psd_trace(W, geometry.partition.p + 1.0, start)
+    return project_psd_trace(W, geometry.partition.p + 1.0, start, proof)
 
 
 def dual_step(Z, residual, step: float, fixed: np.ndarray) -> np.ndarray:
@@ -197,7 +200,10 @@ def solve(
     iteration, at the cap ("max_iter"), else on t_consecutive residual
     checks in a row below epsilon ("residual"); after a check, if neither
     fired, on best bounds that pass ``certified`` ("gap_closed"), else on
-    the relaxation stop below.  The bounds are checked at every
+    the relaxation stop below.  The residuals, primal |Y - VRV'|/|Y| and
+    dual beta |Y - Y_before|, are taken only where they are read: at an
+    iteration whose primal norm lets the residual rule count it, at a
+    check and at the cap.  The bounds are checked at every
     SCREEN_PERIOD-th iteration and at the last one; the check is full at
     a multiple of CHECK_PERIOD and at the last iteration, and screened
     otherwise.  Each check rounds the first column of Y and takes the
@@ -238,6 +244,7 @@ def solve(
 
     geometry = build_geometry(instance)
     G, Y, Z = initialize(geometry)
+    proof = CarriedProof()
     face = geometry.face
     fixed = geometry.dual_fixed
     beta = params.beta
@@ -279,10 +286,14 @@ def solve(
     started = time.perf_counter()
     primal_res = dual_res = math.inf
     cost = geometry.lifted_cost.ravel()
+    # |Y|_F <= n, Y being n x n with entries in [0, 1], so from a primal
+    # norm of 2 epsilon n on the primal residual is epsilon or more, with
+    # room for the division's rounding, and the iteration cannot count
+    counting_norm = 2.0 * params.epsilon * geometry.order
     near_before = False
     reason = None
     while reason is None:
-        G = r_update(Y, Z, geometry, beta, G)
+        G = r_update(Y, Z, geometry, beta, G, proof)
         F = face.apply(G)
         # F @ F.T runs as a symmetric rank-r update, so vrv is exactly
         # symmetric, and so are Z, Y and the box projection's input
@@ -292,15 +303,20 @@ def solve(
         primal = Y_new - vrv
         primal_norm = frobenius(primal)  # before the dual step overwrites it
         Z = dual_step(Z_half, primal, step, fixed)
-        dual_res = beta * frobenius(Y_new - Y)
-        Y = Y_new
         iterations += 1
-        # (0,0) entry is pinned to 1, so the norm never vanishes
-        primal_res = primal_norm / frobenius(Y)
-        if max(primal_res, dual_res) < params.epsilon:
+        # the residuals are read only by the residual rule, where it can
+        # count the iteration, by a check and at the cap; elsewhere they keep
+        # an earlier iteration's values, which nothing reads
+        countable = primal_norm < counting_norm
+        if countable or iterations % SCREEN_PERIOD == 0 or iterations >= params.max_iter:
+            dual_res = beta * frobenius(Y_new - Y)
+            # (0,0) entry is pinned to 1, so the norm never vanishes
+            primal_res = primal_norm / frobenius(Y_new)
+        if countable and max(primal_res, dual_res) < params.epsilon:
             consec_ok += 1
         else:
             consec_ok = 0
+        Y = Y_new
         if iterations >= params.max_iter:
             reason = TERMINATION_MAX_ITER
         elif consec_ok >= params.t_consecutive:

@@ -153,10 +153,11 @@ def reference_iterations(geometry, params, iterations):
     """``iterations`` PRSM iterations from ``initialize``, one numpy pass at
     a time, with the mask and the box projection applied to copies and the
     norms taken by ``np.linalg.norm``.  Returns the factor G of R, Y, Z and
-    the residuals (primal, dual) of the last iteration."""
+    the residuals (primal, dual) of every iteration, in order."""
     G, Y, Z = initialize(geometry)
     beta = params.beta
     step = params.gamma * beta
+    residuals = []
     for _ in range(iterations):
         shifted = Z / beta
         shifted += Y
@@ -172,7 +173,8 @@ def reference_iterations(geometry, params, iterations):
         dual_res = beta * float(np.linalg.norm(Y_new - Y))
         Y = Y_new
         primal_res = float(np.linalg.norm(primal) / np.linalg.norm(Y))
-    return G, Y, Z, (primal_res, dual_res)
+        residuals.append((primal_res, dual_res))
+    return G, Y, Z, residuals
 
 
 def feasible_indicators(partition):

@@ -13,6 +13,8 @@ from scpsolve import RotamerPartition, projections
 from scpsolve.lifting import build_geometry, lift_indicator
 from scpsolve.projections import (
     MIN_ORDER,
+    PROOF_MARGIN,
+    CarriedProof,
     project_box_gangster,
     project_psd_trace,
     project_simplex,
@@ -255,8 +257,8 @@ def rank_one_results(monkeypatch):
     results = []
     rank_one = projections.rank_one_psd_trace
 
-    def recording(S, total, start):
-        results.append(rank_one(S, total, start))
+    def recording(S, total, start, proof=None):
+        results.append(rank_one(S, total, start, proof))
         return results[-1]
 
     monkeypatch.setattr(projections, "rank_one_psd_trace", recording)
@@ -389,6 +391,112 @@ class TestPartialPsdTrace:
                 self.assert_no_attempt(S, v)
             else:
                 self.assert_served(S, v)
+
+
+class TestCarriedProof:
+    """A rank-one proof made with a margin stands in for the factorization
+    of later matrices within half of it, and changes no result."""
+
+    n = 120
+    total = 60.0
+    tau = 1.0  # S's top eigenvalue is total + tau
+    delta = PROOF_MARGIN * tau
+
+    @pytest.fixture(autouse=True)
+    def counters(self, eigh_orders, rank_one_results, monkeypatch):
+        self.eigh_orders = eigh_orders
+        self.rank_one_results = rank_one_results
+        self.factorizations = 0
+        cholesky = np.linalg.cholesky
+
+        def counting(a, *args, **kwargs):
+            self.factorizations += 1
+            return cholesky(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+
+    def matrix(self, rng, second):
+        """Eigenvectors Q and S with eigenvalues total + tau, ``second`` and
+        the rest in [-1, 0.5), symmetric exactly, so the projection's
+        symmetrization leaves it as it is."""
+        Q = orthonormal(rng, self.n)
+        rest = rng.uniform(-1.0, 0.5, size=self.n - 2)
+        S = with_spectrum(Q, np.concatenate([[self.total + self.tau, second], rest]))
+        return Q, 0.5 * (S + S.T)
+
+    def start(self, rng, Q):
+        return Q[:, :1] + 1e-4 * rng.normal(size=(self.n, 1))
+
+    def project(self, S, start, proof):
+        """The projection with ``proof``, its rank-one attempts, and its
+        factorizations and full-order eigh calls; the factor must be the
+        one the projection gives without ``proof``, bit for bit."""
+        self.factorizations = 0
+        self.eigh_orders.clear()
+        self.rank_one_results.clear()
+        G = project_psd_trace(S, self.total, start, proof)
+        attempts = list(self.rank_one_results)
+        counts = (self.factorizations, self.eigh_orders.count(self.n))
+        assert G.tobytes() == project_psd_trace(S, self.total, start).tobytes()
+        return G, attempts, counts
+
+    def test_perturbation_within_half_the_margin_is_carried(self):
+        # a change along the second eigenvector leaves tau as it was, to
+        # rounding, and moves S by its size in the Frobenius norm
+        rng = np.random.default_rng(31)
+        for _ in range(3):
+            Q, S = self.matrix(rng, 0.5)
+            proof = CarriedProof()
+            G, attempts, counts = self.project(S, self.start(rng, Q), proof)
+            assert attempts[0] is G and counts == (1, 0) and np.array_equal(proof.S, S)
+            base = proof.S
+            w = Q[:, 1:2]
+            near = S + 0.49 * self.delta * (w @ w.T)
+            carried, attempts, counts = self.project(near, G, proof)
+            assert attempts[0] is carried and counts == (0, 0) and proof.S is base
+            outside = S + 0.51 * self.delta * (w @ w.T)
+            _, attempts, counts = self.project(outside, carried, proof)
+            assert attempts[0] is not None and counts == (1, 0)
+            assert np.array_equal(proof.S, outside)
+
+    def test_second_eigenvalue_within_the_margin_halves_it(self):
+        # the margin factorization fails and the unshifted one proves the
+        # projection, as without a carried proof; no proof is kept, an
+        # earlier one goes, and the margin halves, so the next projection
+        # of the same S proves with half the margin and keeps that proof
+        rng = np.random.default_rng(32)
+        for _ in range(3):
+            fresh, held = CarriedProof(), CarriedProof()
+            P, earlier = self.matrix(rng, 0.5)
+            self.project(earlier, self.start(rng, P), held)
+            assert held.S is not None
+            Q, S = self.matrix(rng, self.tau - 0.75 * self.delta)
+            start = self.start(rng, Q)
+            for proof in (fresh, held):
+                G, attempts, counts = self.project(S, start, proof)
+                assert attempts[0] is G and counts == (2, 0) and proof.S is None
+                assert proof.margin == 0.5 * PROOF_MARGIN
+                G, attempts, counts = self.project(S, start, proof)
+                assert attempts[0] is G and counts == (1, 0) and np.array_equal(proof.S, S)
+                assert np.isclose(proof.delta, 0.5 * self.delta)
+
+    def test_second_eigenvalue_lifted_above_threshold_is_never_carried(self):
+        # lifting the second eigenvalue past tau, by a little or a lot,
+        # moves S beyond half the margin: both factorizations fail, the
+        # full eigh runs and no proof is kept
+        rng = np.random.default_rng(33)
+        for _ in range(3):
+            Q, S = self.matrix(rng, self.tau - 2.0 * self.delta)
+            proof = CarriedProof()
+            G, attempts, counts = self.project(S, self.start(rng, Q), proof)
+            assert attempts[0] is G and counts == (1, 0)
+            base = proof.S, proof.tau, proof.delta
+            w = Q[:, 1:2]
+            for lift in (3.0 * self.delta, 1.0):
+                proof.S, proof.tau, proof.delta = base
+                lifted, attempts, counts = self.project(S + lift * (w @ w.T), G, proof)
+                assert attempts == [None] and counts == (2, 1) and proof.S is None
+                assert lifted.shape[1] == 2
 
 
 class TestBoxGangster:

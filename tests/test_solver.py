@@ -184,6 +184,14 @@ class TestYUpdate:
         assert Y[1, 3] == 0.0 and Y[3, 1] == 0.0
 
 
+def assert_residuals_match(report, residuals):
+    """The report's residuals and every record's, bit for bit, against the
+    reference's of the iterations they follow."""
+    ours = [report.residuals] + [record.residuals for record in report.bound_history]
+    iterations = [report.iterations] + [record.iteration for record in report.bound_history]
+    assert np.array(ours).tobytes() == np.array([residuals[k - 1] for k in iterations]).tobytes()
+
+
 class TestStopOrder:
     # a single rotamer certifies at its first check; the cap, then the
     # residual rule, decide after the iteration, and a certificate ends
@@ -439,12 +447,12 @@ class TestSolve:
         widths, failed = [], []
         project, rank_one = solver_module.project_psd_trace, projections.rank_one_psd_trace
 
-        def recording_project(M, total, start):
+        def recording_project(M, total, start, proof):
             widths.append(start.shape[1])
-            return project(M, total, start)
+            return project(M, total, start, proof)
 
-        def recording_rank_one(S, total, start):
-            G = rank_one(S, total, start)
+        def recording_rank_one(S, total, start, proof):
+            G = rank_one(S, total, start, proof)
             failed.append(G is None)
             return G
 
@@ -458,6 +466,42 @@ class TestSolve:
         assert len(widths) == report.iterations and len(failed) == widths.count(1)
         assert full == not_rank_one + sum(failed)
         assert full < 0.4 * report.iterations
+
+    @pytest.mark.parametrize("seed", [1000, 8105001])
+    def test_carried_proofs_keep_the_solve(self, seed, monkeypatch):
+        # on DEE-reduced structured instances most served rank-one
+        # R-updates reuse an earlier proof, so there are fewer Cholesky
+        # factorizations than served calls; without carrying, each served
+        # call factors.  In the second, the second eigenvalue stays within
+        # 1e-3 |tau| of tau, so the margin must halve before it proves.
+        # The report, and the rank-one path's served or fallback decision
+        # at every R-update, are those without carrying
+        reduced = goldstein_reduce(structured_instance(seed)[0]).reduced
+        cholesky, rank_one = np.linalg.cholesky, projections.rank_one_psd_trace
+        factorizations, decisions = [], []
+
+        def counting_cholesky(a):
+            factorizations.append(a.shape)
+            return cholesky(a)
+
+        def recording_rank_one(S, total, start, proof):
+            G = rank_one(S, total, start, proof)
+            decisions.append(G is not None)
+            return G
+
+        def run():
+            factorizations.clear()
+            decisions.clear()
+            report = dataclasses.replace(solve(reduced), time_sec=0.0)
+            return report, len(factorizations), list(decisions)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+        monkeypatch.setattr(projections, "rank_one_psd_trace", recording_rank_one)
+        carried, carried_factorizations, served = run()
+        monkeypatch.setattr(solver_module, "CarriedProof", lambda: None)
+        plain, plain_factorizations, plain_served = run()
+        assert carried.certified and carried == plain and served == plain_served
+        assert carried_factorizations < sum(served) <= plain_factorizations
 
     def test_corpus_never_reaches_the_rank_one_path(self):
         # so the corpus solves are those of the full eigh alone, bit for bit
@@ -688,7 +732,44 @@ class TestSolve:
         for ours, reference in zip((factors[-1], *iterates[-1]), (G, Y, Z)):
             assert ours.shape == reference.shape
             assert ours.tobytes() == reference.tobytes()
-        assert report.residuals == residuals
+        assert_residuals_match(report, residuals)
+
+    @pytest.mark.parametrize(
+        "changes, stop, taken",
+        [
+            ({"epsilon": 1e6, "t_consecutive": 3}, (3, "residual"), 3),
+            ({"epsilon": 1e-3, "t_consecutive": 3}, (47, "residual"), 25),
+            ({"max_iter": 37}, (37, "max_iter"), 4),
+        ],
+    )
+    def test_residuals_off_the_check_schedule(self, changes, stop, taken, monkeypatch):
+        # the solve takes the residual norms only at the checks, at the cap
+        # and where the primal norm lets the residual rule count the
+        # iteration: at epsilon 1e-3 on 25 of 47 iterations, and capped at
+        # 37 on 10, 20, 30 and 37.  A solve that stops between the checks
+        # stops where the reference's residuals say, and reports and
+        # records those of its last iteration
+        inst = next(acceptance_corpus())
+        params = dataclasses.replace(default_params(inst), **changes)
+        norms = []
+        frobenius = solver_module.frobenius
+
+        def counting_frobenius(x):
+            norms.append(x.shape)
+            return frobenius(x)
+
+        monkeypatch.setattr(solver_module, "frobenius", counting_frobenius)
+        report = solve(inst, params)
+        assert (report.iterations, report.termination) == stop
+        # one primal norm per iteration, two more where the residuals are taken
+        assert len(norms) == report.iterations + 2 * taken
+        residuals = reference_iterations(build_geometry(inst), params, report.iterations)[3]
+        if report.termination == "residual":
+            below = [max(r) < params.epsilon for r in residuals]
+            t = params.t_consecutive
+            first = next(k for k in range(t, len(below) + 1) if all(below[k - t : k]))
+            assert first == report.iterations
+        assert_residuals_match(report, residuals)
 
     def test_beta_follows_the_schedule(self):
         # a p=20 solve that never certifies, capped at BETA_STEP_AT, records
