@@ -58,10 +58,14 @@ def box_term(Z, geometry: LiftedGeometry) -> float:
 def dual_lower_bound(Z, geometry: LiftedGeometry) -> float:
     """Lagrangian dual value of the relaxation at multiplier Z: the box
     term (``box_term``) minus (p + 1) times the top eigenvalue of V'ZV, the
-    reduced PSD term."""
+    reduced PSD term.  Z is only read."""
     Z = np.asarray(Z, dtype=float)
     W = geometry.face.congruence(Z)
-    top = float(np.linalg.eigvalsh(0.5 * (W + W.T))[-1])
+    # symmetrized in place, so no second order-f array lives through the
+    # eigensolve
+    np.add(W, W.T.copy(), out=W)
+    W *= 0.5
+    top = float(np.linalg.eigvalsh(W)[-1])
     return box_term(Z, geometry) - (geometry.partition.p + 1) * top
 
 

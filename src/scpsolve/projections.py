@@ -67,11 +67,13 @@ def project_psd_trace(M, total, start=None, proof=None) -> np.ndarray:
     """Nearest PSD matrix with fixed trace ``total`` (Frobenius norm), as
     a factor G: the projection is ``G @ G.T``.
 
-    Symmetrizes the input, eigendecomposes and projects the spectrum onto
-    the scaled simplex; G's columns are the eigenvectors whose projected
-    eigenvalue is above rounding level (``kept``), each scaled by its
-    square root, in increasing order of eigenvalue, so ``G.shape[1]`` is
-    the rank of the projection and ``G[:, -1]`` its top eigenvector.
+    Symmetrizes the input in place, overwriting M with (M + M')/2, which
+    leaves a symmetric M as it is, bit for bit; then eigendecomposes and
+    projects the spectrum onto the scaled simplex.  G's columns are the
+    eigenvectors whose projected eigenvalue is above rounding level
+    (``kept``), each scaled by its square root, in increasing order of
+    eigenvalue, so ``G.shape[1]`` is the rank of the projection and
+    ``G[:, -1]`` its top eigenvector.
 
     ``start``, a factor from a nearby earlier projection, warm-starts
     ``rank_one_psd_trace`` when it has one column and M has order
@@ -80,8 +82,9 @@ def project_psd_trace(M, total, start=None, proof=None) -> np.ndarray:
     that travels with the starts of one sequence of projections, lets that
     path reuse an earlier proof; it changes no result.
     """
-    M = np.asarray(M, dtype=float)
-    S = M + M.T
+    S = np.asarray(M, dtype=float)
+    # in place, so no second order-f array lives through the eigensolve
+    np.add(S, S.T.copy(), out=S)
     S *= 0.5
     if start is not None and start.shape[1] == 1 and S.shape[0] >= MIN_ORDER:
         G = rank_one_psd_trace(S, total, start[:, 0], proof)
@@ -108,11 +111,12 @@ class CarriedProof:
     |S - S_j|_F + (tau_j - tau) <= delta / 2 has its second eigenvalue at
     most tau - delta / 2, below tau: the unshifted factorization would
     succeed too, and ``covers`` says so without running it.  S_j is held
-    by reference; the projections never write to it.  ``margin``, delta
-    relative to |tau|, starts at PROOF_MARGIN and halves after each
-    failed margin factorization, so a second eigenvalue that stays within
-    the margin of tau costs a few failed factorizations, not one for
-    every projection.
+    by reference: in a solve it is the array ``r_update`` hands to
+    ``project_psd_trace``, symmetrized there in place, which nothing
+    writes after that call.  ``margin``, delta relative to |tau|, starts
+    at PROOF_MARGIN and halves after each failed margin factorization, so
+    a second eigenvalue that stays within the margin of tau costs a few
+    failed factorizations, not one for every projection.
     """
 
     __slots__ = ("S", "tau", "delta", "margin")

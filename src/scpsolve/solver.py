@@ -157,6 +157,7 @@ def r_update(Y, Z, geometry: LiftedGeometry, beta: float, start=None, proof=None
     shifted = Z / beta
     shifted += Y
     W = geometry.face.congruence(shifted)
+    del shifted  # else this n x n array lives through the eigensolve
     return project_psd_trace(W, geometry.partition.p + 1.0, start, proof)
 
 
@@ -303,6 +304,10 @@ def solve(
         primal = Y_new - vrv
         primal_norm = frobenius(primal)  # before the dual step overwrites it
         Z = dual_step(Z_half, primal, step, fixed)
+        # the check reads only Y, Z, F and G: dropping these n x n arrays
+        # (primal is Z's alias) keeps them out of its eigensolve and the
+        # next R-update's
+        del Z_half, primal, vrv
         iterations += 1
         # the residuals are read only by the residual rule, where it can
         # count the iteration, by a check and at the cap; elsewhere they keep

@@ -23,7 +23,7 @@ from scpsolve.bounds import (
     round_to_feasible,
     upper_bound,
 )
-from scpsolve.lifting import build_geometry, lift_indicator
+from scpsolve.lifting import FACE_CROSSOVER, build_geometry, lift_indicator
 from scpsolve.solver import initialize
 
 
@@ -66,6 +66,23 @@ class TestDualLowerBound:
             Z = 0.5 * (M + M.T)
             value = dual_lower_bound(Z, geo)
             assert value <= opt + 1e-8 * (1.0 + abs(opt))
+
+    @pytest.mark.parametrize("p, m_max", [(3, 4), (20, 12)])
+    def test_reads_z_only(self, p, m_max):
+        # Z is left as it was, bit for bit, through the dense face products
+        # and the structured ones (n0 >= FACE_CROSSOVER), and the value is
+        # the one of a symmetrized copy of V'ZV
+        inst = random_instance(p, m_max, (-10, 10), seed=4)
+        geo = build_geometry(inst)
+        assert (inst.partition.n0 >= FACE_CROSSOVER) == (p == 20)
+        rng = np.random.default_rng(22)
+        for Z in (rng.normal(size=(geo.order, geo.order)), initialize(geo)[2]):
+            before = Z.copy()
+            value = dual_lower_bound(Z, geo)
+            assert Z.tobytes() == before.tobytes()
+            W = geo.face.congruence(Z)
+            top = np.linalg.eigvalsh(0.5 * (W + W.T))[-1]
+            assert value == box_term(Z, geo) - (p + 1) * float(top)
 
 
 def lifted_vector(x, scale=1.0):

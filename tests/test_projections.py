@@ -240,6 +240,26 @@ class TestPsdTraceReference:
             values = np.concatenate([[3.0, 1.0 + 1e-15], np.full(n - 2, -1.0)])
             assert assert_reference_factor(with_spectrum(Q, values), 2.0).shape[1] == 1
 
+    def test_symmetrizes_its_input_in_place(self):
+        # a symmetric input comes back unchanged, bit for bit; an asymmetric
+        # one is overwritten with its symmetric part, and the factor is the
+        # reference's of the original, through the full eigh and, with a
+        # start at order MIN_ORDER, the rank-one path
+        rng = np.random.default_rng(29)
+        for n in (1, 7, 30, MIN_ORDER):
+            v = rng.normal(size=n)
+            start = v[:, None] if n >= MIN_ORDER else None
+            M = 50.0 * np.outer(v, v) + rng.normal(size=(n, n))
+            S = M + M.T
+            before = S.copy()
+            project_psd_trace(S, 3.0, start)
+            assert S.tobytes() == before.tobytes()
+            original = M.copy()
+            G = project_psd_trace(M, 3.0, start)
+            assert M.tobytes() == ((original + original.T) * 0.5).tobytes()
+            want = reference_psd_trace(original, 3.0, start)
+            assert G.shape == want.shape and G.tobytes(order="A") == want.tobytes(order="A")
+
 
 def with_spectrum(Q, values):
     """Symmetric matrix with eigenvectors Q's columns and the given values."""

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -424,6 +425,44 @@ class TestSolve:
         assert EIGENVECTOR in sources
         assert eigh_orders, "the projection's eigensolves were not counted"
         assert inst.partition.n0 + 1 not in eigh_orders
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_eigensolves_start_on_a_lean_working_set(self, dense, monkeypatch):
+        # when the R-update's eigh and the lower bound's eigvalsh start, the
+        # solve holds Y, Z, the lifted cost and the matrix being decomposed,
+        # and no n x n temporary of the iteration: the traced bytes above
+        # the level before the solve stay under five n x n matrices, plus V
+        # where the dense basis holds it.  About 4.4 n^2 here; each kept
+        # temporary adds n^2, a symmetrized copy (f/n)^2 = 0.71 n^2.  The
+        # corpus instances are too small to tell: at n = 19 the solve's
+        # Python objects alone weigh about 3 n^2
+        inst = random_instance(20, 12, (-10, 10), seed=1)
+        n, f = inst.partition.n0 + 1, inst.partition.n0 + 1 - inst.partition.p
+        allowance = 5 * n * n * 8
+        if dense:
+            monkeypatch.setattr(lifting, "FACE_CROSSOVER", inst.partition.n0 + 1)
+            allowance += n * f * 8
+        readings = {"eigh": [], "eigvalsh": []}
+
+        def reading(eigensolve, seen):
+            def traced(a, *args, **kwargs):
+                seen.append(tracemalloc.get_traced_memory()[0])
+                return eigensolve(a, *args, **kwargs)
+
+            return traced
+
+        for name, seen in readings.items():
+            monkeypatch.setattr(np.linalg, name, reading(getattr(np.linalg, name), seen))
+        params = dataclasses.replace(default_params(inst), max_iter=30)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            solve(inst, params)
+        finally:
+            tracemalloc.stop()
+        for name, seen in readings.items():
+            assert seen, f"no {name} ran"
+            assert max(seen) - before < allowance, name
 
     def test_rank_one_on_reduced_structured_instance(self):
         # guards the certificate's margin: each reduced instance certifies
