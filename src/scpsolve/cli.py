@@ -22,9 +22,9 @@ from .instances import (
     Assignment,
     InstanceError,
     ScpInstance,
+    instance_chunks,
     load_instance,
     random_instance,
-    serialize_instance,
 )
 from .oracle import OracleSizeError, brute_force, goldstein_reduce
 from .solver import (
@@ -69,12 +69,13 @@ def build_report(
     }
 
 
-def _write_output(text: str, out_path) -> None:
+def _write_output(chunks, out_path) -> None:
+    """Write the strings of ``chunks``, in order, to ``out_path`` or stdout."""
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def cmd_solve(args) -> int:
@@ -98,7 +99,7 @@ def cmd_solve(args) -> int:
     if reduction is not None:
         assignment = reduction.to_original(assignment)
     doc = build_report(instance, report, assignment, params)
-    _write_output(json.dumps(doc, indent=2) + "\n", args.out)
+    _write_output([json.dumps(doc, indent=2) + "\n"], args.out)
     if report.certified:
         return EXIT_OK
     if report.termination == TERMINATION_MAX_ITER:
@@ -110,7 +111,7 @@ def cmd_gen(args) -> int:
     inst = random_instance(
         args.p, args.m_max, (args.range[0], args.range[1]), args.seed
     )
-    _write_output(serialize_instance(inst), args.out)
+    _write_output(instance_chunks(inst), args.out)
     return EXIT_OK
 
 
@@ -123,14 +124,14 @@ def cmd_oracle(args) -> int:
         "assignment": list(result.argmin.choice),
         "enumerated": result.enumerated,
     }
-    _write_output(json.dumps(doc, indent=2) + "\n", args.out)
+    _write_output([json.dumps(doc, indent=2) + "\n"], args.out)
     return EXIT_OK
 
 
 def cmd_dee(args) -> int:
     instance = load_instance(args.instance)
     reduction = goldstein_reduce(instance)
-    _write_output(serialize_instance(reduction.reduced), args.out)
+    _write_output(instance_chunks(reduction.reduced), args.out)
     for i, block in enumerate(reduction.kept):
         print(
             f"block {i + 1}: kept {len(block)}/{instance.partition.m[i]} "

@@ -19,6 +19,11 @@ import numpy as np
 
 SYMMETRY_RTOL = 1e-8
 
+# the types a JSON number decodes to; bool is an int subclass but not one of them
+_NUMBER_TYPES = frozenset((int, float))
+_DECODER = json.JSONDecoder()
+_skip_whitespace = json.decoder.WHITESPACE.match
+
 
 class InstanceError(ValueError):
     """Malformed instance data: bad dimensions, asymmetry, or file contents."""
@@ -170,13 +175,18 @@ def canonicalize_energy(raw_matrix, partition: RotamerPartition) -> np.ndarray:
     # NaN would slip through the symmetry comparison below
     if not np.all(np.isfinite(arr)):
         raise InstanceError("energy matrix has non-finite entries")
-    scale = max(1.0, float(np.max(np.abs(arr))) if arr.size else 1.0)
+    scale = max(1.0, float(arr.max()), -float(arr.min()))
     # beyond half the float range, arr - arr.T and arr + arr.T can overflow
     if scale > 0.5 * np.finfo(float).max:
         raise InstanceError("energy magnitude exceeds half the float range")
-    if float(np.max(np.abs(arr - arr.T))) > SYMMETRY_RTOL * scale:
+    asymmetry = arr - arr.T
+    np.abs(asymmetry, out=asymmetry)
+    if float(asymmetry.max()) > SYMMETRY_RTOL * scale:
         raise InstanceError("energy matrix is asymmetric beyond tolerance")
-    sym = 0.5 * (arr + arr.T)
+    del asymmetry
+    # (arr + arr.T) * 0.5 is 0.5 * (arr + arr.T) bit for bit: IEEE products commute
+    sym = arr + arr.T
+    sym *= 0.5
     sym[partition.same_block] = 0.0
     sym.flags.writeable = False
     return sym
@@ -237,21 +247,110 @@ def random_instance(p, m_max, energy_range, seed, name=None) -> ScpInstance:
     return ScpInstance(partition, energy, name)
 
 
+def instance_chunks(inst: ScpInstance):
+    """The one-line JSON document of an instance, in pieces: the fields
+    before ``E``, then one row of ``E`` at a time.  Joined, the pieces are
+    ``json.dumps`` of the whole document plus a newline, byte for byte, so
+    a writer never holds more than one row's text."""
+    head = json.dumps({"name": inst.name, "p": inst.partition.p, "m": list(inst.partition.m)})
+    yield head[:-1] + ', "E": ['
+    separator = ""
+    for row in inst.energy:
+        yield separator + json.dumps(row.tolist())
+        separator = ", "
+    yield "]}\n"
+
+
 def serialize_instance(inst: ScpInstance) -> str:
     """Render an instance as a one-line JSON document (lossless floats)."""
-    doc = {
-        "name": inst.name,
-        "p": inst.partition.p,
-        "m": list(inst.partition.m),
-        "E": inst.energy.tolist(),
-    }
-    return json.dumps(doc) + "\n"
+    return "".join(instance_chunks(inst))
+
+
+def _energy_row(row):
+    """A decoded row of ``E`` as a float64 array when it is a list of JSON
+    numbers that all fit a float; anything else is returned as decoded, for
+    ``parse_instance``'s checks to judge if its ``E`` is the one that counts."""
+    if isinstance(row, list) and set(map(type, row)) <= _NUMBER_TYPES:
+        try:
+            return np.array(row, dtype=float)
+        except OverflowError:
+            pass
+    return row
+
+
+def _decode_rows(text: str, idx: int):
+    """Decode the JSON array whose ``[`` is at ``text[idx]`` one element at
+    a time, as ``_energy_row``s.  Returns the list and the index past the
+    closing ``]``; malformed JSON raises what ``json.loads`` raises."""
+    rows = []
+    idx = _skip_whitespace(text, idx + 1).end()
+    if text[idx : idx + 1] == "]":
+        return rows, idx + 1
+    while True:
+        row, idx = _DECODER.raw_decode(text, idx)
+        rows.append(_energy_row(row))
+        idx = _skip_whitespace(text, idx).end()
+        if text[idx : idx + 1] == "]":
+            return rows, idx + 1
+        if text[idx : idx + 1] != ",":
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, idx)
+        idx = _skip_whitespace(text, idx + 1).end()
+
+
+def _decode_object(text: str, idx: int):
+    """Decode the JSON object whose ``{`` is at ``text[idx]``, as the
+    standard decoder does, except that an array under the key ``"E"`` goes
+    through ``_decode_rows``.  The last of duplicate keys wins."""
+    doc = {}
+    idx = _skip_whitespace(text, idx + 1).end()
+    if text[idx : idx + 1] == "}":
+        return doc, idx + 1
+    while True:
+        if text[idx : idx + 1] != '"':
+            raise json.JSONDecodeError("Expecting property name enclosed in double quotes", text, idx)
+        key, idx = json.decoder.scanstring(text, idx + 1)
+        idx = _skip_whitespace(text, idx).end()
+        if text[idx : idx + 1] != ":":
+            raise json.JSONDecodeError("Expecting ':' delimiter", text, idx)
+        idx = _skip_whitespace(text, idx + 1).end()
+        if key == "E" and text[idx : idx + 1] == "[":
+            doc[key], idx = _decode_rows(text, idx)
+        else:
+            doc[key], idx = _DECODER.raw_decode(text, idx)
+        idx = _skip_whitespace(text, idx).end()
+        if text[idx : idx + 1] == "}":
+            return doc, idx + 1
+        if text[idx : idx + 1] != ",":
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, idx)
+        idx = _skip_whitespace(text, idx + 1).end()
+
+
+def _decode_document(text: str):
+    """The JSON document ``text``, accepted or rejected as ``json.loads``
+    does it, with a top-level object's ``"E"`` array decoded one row at a
+    time (see ``_decode_object``): no Python float outlives its row."""
+    if isinstance(text, (bytes, bytearray)):
+        text = text.decode(json.detect_encoding(text), "surrogatepass")
+    elif text.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    idx = _skip_whitespace(text, 0).end()
+    if text[idx : idx + 1] == "{":
+        doc, idx = _decode_object(text, idx)
+    else:
+        doc, idx = _DECODER.raw_decode(text, idx)
+    idx = _skip_whitespace(text, idx).end()
+    if idx != len(text):
+        raise json.JSONDecodeError("Extra data", text, idx)
+    return doc
 
 
 def parse_instance(text: str) -> ScpInstance:
-    """Parse the JSON instance format; the matrix is re-canonicalized."""
+    """Parse the JSON instance format; the matrix is re-canonicalized.
+
+    ``E`` is read one row at a time: each row of JSON numbers becomes a
+    float64 array as soon as it is decoded."""
     try:
-        doc = json.loads(text)
+        doc = _decode_document(text)
     except json.JSONDecodeError as exc:
         raise InstanceError(f"not valid instance JSON: {exc}") from exc
     except RecursionError as exc:
@@ -274,22 +373,22 @@ def parse_instance(text: str) -> ScpInstance:
     partition = RotamerPartition(tuple(m))
     if not isinstance(E, list) or len(E) != partition.n0:
         raise InstanceError(f"field 'E' must be a {partition.n0}-row matrix")
-    if any(not isinstance(row, list) or len(row) != partition.n0 for row in E):
+    if any(not isinstance(row, (list, np.ndarray)) or len(row) != partition.n0 for row in E):
         raise InstanceError("field 'E' must be square")
     # numpy would convert strings ("3.5") and booleans to floats
-    if not set().union(*(map(type, row) for row in E)) <= {int, float}:
+    if not all(isinstance(row, np.ndarray) or set(map(type, row)) <= _NUMBER_TYPES for row in E):
         raise InstanceError("field 'E' must contain only numbers")
     try:
         entries = np.array(E, dtype=float)
     except OverflowError as exc:
         raise InstanceError(f"field 'E' has an entry too large for a float: {exc}") from exc
-    energy = canonicalize_energy(entries, partition)
-    return ScpInstance(partition, energy, name)
+    del doc, E
+    return ScpInstance(partition, canonicalize_energy(entries, partition), name)
 
 
 def save_instance(inst: ScpInstance, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_instance(inst))
+        fh.writelines(instance_chunks(inst))
 
 
 def load_instance(path) -> ScpInstance:

@@ -6,15 +6,21 @@ matrix H'H), the QR face basis and the closed-form basis written one block
 at a time.  The solver never forms them; the tests use them as independent
 references for the face basis in ``scpsolve.lifting``.  It also holds the
 PRSM iteration written pass by pass, unfused (``reference_iterations``),
-against which the solver's iterates are compared bit for bit."""
+against which the solver's iterates are compared bit for bit, and an
+instance file reader and writer built on one ``json.loads`` or
+``json.dumps`` of the whole document (``reference_parse_instance``,
+``reference_serialize_instance``, with ``reference_canonicalize_energy``),
+against which the row-at-a-time ones are compared byte for byte."""
 
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
-from scpsolve import RotamerPartition, ScpInstance, canonicalize_energy, random_instance
+from scpsolve import InstanceError, RotamerPartition, ScpInstance, canonicalize_energy, random_instance
+from scpsolve.instances import SYMMETRY_RTOL
 from scpsolve.projections import MIN_ORDER, rank_one_psd_trace
 from scpsolve.solver import initialize
 
@@ -175,6 +181,80 @@ def reference_iterations(geometry, params, iterations):
         primal_res = float(np.linalg.norm(primal) / np.linalg.norm(Y))
         residuals.append((primal_res, dual_res))
     return G, Y, Z, residuals
+
+
+def reference_canonicalize_energy(raw_matrix, partition: RotamerPartition) -> np.ndarray:
+    """Canonicalization with a copy of the input and whole-matrix temporaries."""
+    arr = np.array(raw_matrix, dtype=float)
+    n0 = partition.n0
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise InstanceError(f"energy matrix must be square, got shape {arr.shape}")
+    if arr.shape[0] != n0:
+        raise InstanceError(f"energy order {arr.shape[0]} != total rotamers {n0}")
+    # NaN would slip through the symmetry comparison below
+    if not np.all(np.isfinite(arr)):
+        raise InstanceError("energy matrix has non-finite entries")
+    scale = max(1.0, float(np.max(np.abs(arr))) if arr.size else 1.0)
+    # beyond half the float range, arr - arr.T and arr + arr.T can overflow
+    if scale > 0.5 * np.finfo(float).max:
+        raise InstanceError("energy magnitude exceeds half the float range")
+    if float(np.max(np.abs(arr - arr.T))) > SYMMETRY_RTOL * scale:
+        raise InstanceError("energy matrix is asymmetric beyond tolerance")
+    sym = 0.5 * (arr + arr.T)
+    sym[partition.same_block] = 0.0
+    sym.flags.writeable = False
+    return sym
+
+
+def reference_serialize_instance(inst: ScpInstance) -> str:
+    """Render an instance as a one-line JSON document (lossless floats)."""
+    doc = {
+        "name": inst.name,
+        "p": inst.partition.p,
+        "m": list(inst.partition.m),
+        "E": inst.energy.tolist(),
+    }
+    return json.dumps(doc) + "\n"
+
+
+def reference_parse_instance(text: str) -> ScpInstance:
+    """Parse the JSON instance format with one ``json.loads`` of the whole
+    document; the matrix is re-canonicalized."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InstanceError(f"not valid instance JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InstanceError("instance JSON is nested too deeply") from exc
+    if not isinstance(doc, dict):
+        raise InstanceError("instance document must be a JSON object")
+    for key in ("name", "p", "m", "E"):
+        if key not in doc:
+            raise InstanceError(f"instance document missing field {key!r}")
+    name = doc["name"]
+    p, m, E = doc["p"], doc["m"], doc["E"]
+    if not isinstance(name, str):
+        raise InstanceError("field 'name' must be a string")
+    if not isinstance(p, int) or isinstance(p, bool):
+        raise InstanceError("field 'p' must be an integer")
+    if not isinstance(m, list) or len(m) != p:
+        raise InstanceError("field 'm' must be a list of p block sizes")
+    if any(not isinstance(v, int) or isinstance(v, bool) for v in m):
+        raise InstanceError("block sizes must be integers")
+    partition = RotamerPartition(tuple(m))
+    if not isinstance(E, list) or len(E) != partition.n0:
+        raise InstanceError(f"field 'E' must be a {partition.n0}-row matrix")
+    if any(not isinstance(row, list) or len(row) != partition.n0 for row in E):
+        raise InstanceError("field 'E' must be square")
+    # numpy would convert strings ("3.5") and booleans to floats
+    if not set().union(*(map(type, row) for row in E)) <= {int, float}:
+        raise InstanceError("field 'E' must contain only numbers")
+    try:
+        entries = np.array(E, dtype=float)
+    except OverflowError as exc:
+        raise InstanceError(f"field 'E' has an entry too large for a float: {exc}") from exc
+    energy = reference_canonicalize_energy(entries, partition)
+    return ScpInstance(partition, energy, name)
 
 
 def feasible_indicators(partition):

@@ -14,9 +14,12 @@ from scpsolve import (
     SolverParams,
     brute_force,
     certified,
+    goldstein_reduce,
     load_instance,
+    random_instance,
     relative_gap,
     save_instance,
+    serialize_instance,
 )
 import scpsolve.solver as solver_module
 from scpsolve.cli import EXIT_ERROR, EXIT_MAX_ITER, EXIT_OK, EXIT_UNCERTIFIED, main
@@ -309,6 +312,23 @@ class TestDeeCommand:
         opt = brute_force(load_instance(inst_path)).optimum
         tol = 1e-6 * (1.0 + abs(opt))
         assert doc["lbd"] - tol <= opt <= doc["ubd"]
+
+
+def test_gen_and_dee_write_what_serialize_instance_renders(tmp_path, capsys):
+    """Both commands write row by row, to ``--out`` and to stdout alike."""
+    gen = ["gen", "--p", "6", "--m-max", "5", "--seed", "9"]
+    generated = serialize_instance(random_instance(6, 5, (-10.0, 10.0), 9))
+    path = tmp_path / "inst.json"
+    assert main(gen + ["--out", str(path)]) == EXIT_OK
+    assert path.read_bytes() == generated.encode("utf-8")
+    assert main(gen) == EXIT_OK
+    assert capsys.readouterr().out == generated
+    reduced = serialize_instance(goldstein_reduce(load_instance(path)).reduced)
+    out = tmp_path / "reduced.json"
+    assert main(["dee", str(path), "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == reduced.encode("utf-8")
+    assert main(["dee", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == reduced
 
 
 @pytest.mark.parametrize("command", ["solve", "oracle", "dee"])

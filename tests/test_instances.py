@@ -1,9 +1,21 @@
+import json
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import DERIVED_E, feasible_indicators, make_instance, row_sum_matrix
+from conftest import (
+    DERIVED_E,
+    feasible_indicators,
+    make_instance,
+    reference_canonicalize_energy,
+    reference_parse_instance,
+    reference_serialize_instance,
+    row_sum_matrix,
+)
+from perfbench.structured import structured_instance
 from scpsolve import (
     Assignment,
     InstanceError,
@@ -14,6 +26,7 @@ from scpsolve import (
     objective,
     parse_instance,
     random_instance,
+    save_instance,
     serialize_instance,
 )
 
@@ -114,6 +127,32 @@ class TestCanonicalize:
         raw = np.array([[0.0, 1.0], [1.0 + 1e-12, 0.0]])
         energy = canonicalize_energy(raw, RotamerPartition((1, 1)))
         assert np.array_equal(energy, energy.T)
+
+    def test_matches_reference_bit_for_bit(self):
+        rng = np.random.default_rng(29)
+        for trial in range(60):
+            p = int(rng.integers(1, 8))
+            part = RotamerPartition(tuple(int(v) for v in rng.integers(1, 6, size=p)))
+            n0 = part.n0
+            scale = 10.0 ** rng.integers(-3, 300)
+            sym = rng.normal(size=(n0, n0)) * scale
+            sym = sym + sym.T
+            # asymmetry around the tolerance, signed zeros and integer input
+            raw = sym * (1.0 + rng.choice([0.0, 1e-12, 1e-9, 1e-7]) * rng.normal(size=(n0, n0)))
+            raw[rng.random((n0, n0)) < 0.2] = -0.0
+            if trial % 5 == 0:
+                raw = np.rint(raw / scale).astype(int)
+            before = raw.copy()
+            try:
+                expected = reference_canonicalize_energy(raw, part)
+            except InstanceError as exc:
+                with pytest.raises(InstanceError, match=re.escape(str(exc))):
+                    canonicalize_energy(raw, part)
+            else:
+                energy = canonicalize_energy(raw, part)
+                assert energy.tobytes() == expected.tobytes()
+                assert not energy.flags.writeable
+            assert raw.tobytes() == before.tobytes()  # the input is never written
 
 
 class TestObjective:
@@ -273,6 +312,159 @@ class TestRandomInstance:
         for bad in ((0, inf), (-inf, 0), (nan, nan), (0, nan), (-1e308, 1e308), (1e308, 1e308)):
             with pytest.raises(InstanceError, match="energy range"):
                 random_instance(3, 3, bad, seed=1)
+
+
+def instance_document(**fields):
+    """A valid one-line document of a 3-rotamer instance in two blocks,
+    with ``fields`` replacing or adding keys (a value is inserted as its
+    raw JSON text)."""
+    parts = {"name": '"doc"', "p": "2", "m": "[2, 1]", "E": "[[1.5, 9, -2], [9, 0, 0.25], [-2, 0.25, 3]]"}
+    parts.update(fields)
+    return "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in parts.items()) + "}"
+
+
+VALID = instance_document()
+ROWS = "[[1.5, 9, -2], [9, 0, 0.25], [-2, 0.25, 3]]"
+# every document is parsed by both readers; they must agree on each
+DOCUMENTS = {
+    "one line": VALID,
+    "pretty": json.dumps(json.loads(VALID), indent=2),
+    "reordered keys": '{"E": ' + ROWS + ', "m": [2, 1], "name": "doc", "p": 2}',
+    "tabs and CRLF": VALID.replace(", ", ",\t\r\n").replace(": ", "\r\n:\t").replace("[", "[\r\n"),
+    "outer whitespace": " \t\r\n" + VALID + "\n\t ",
+    "no whitespace": VALID.replace(" ", ""),
+    "extra keys": instance_document(note='"x"', meta='{"E": [[1, 2]], "p": 7}', more="[1, null, true]"),
+    "escaped keys": VALID.replace('"E"', '"\\u0045"').replace('"name"', '"n\\u0061me"'),
+    "escaped name": instance_document(name='"\\u00e9\\n\\"x\\""'),
+    "duplicate E, last valid": '{"E": [["x"]], ' + VALID[1:],
+    "duplicate E, first overflows": '{"E": [[' + "1" * 400 + "]], " + VALID[1:],
+    "duplicate E, last bad": VALID[:-1] + ', "E": [[1, 2, 3], [4, 5, 6]]}',
+    "duplicate E, last not a list": VALID[:-1] + ', "E": 5}',
+    "duplicate E, last empty": VALID[:-1] + ', "E": []}',
+    "E not a list": instance_document(E='"rows"'),
+    "E an object": instance_document(E='{"0": [1]}'),
+    "E empty": instance_document(E="[]"),
+    "E of empty rows": instance_document(E="[[], [], []]"),
+    "E ragged": instance_document(E="[[1, 9, -2], [9, 0], [-2, 0.25, 3]]"),
+    "E too many rows": instance_document(E="[[1, 9, -2], [9, 0, 0], [-2, 0, 3], [0, 0, 0]]"),
+    "E row a number": instance_document(E="[[1, 9, -2], 7, [-2, 0.25, 3]]"),
+    "E row a string": instance_document(E='[[1, 9, -2], "abc", [-2, 0.25, 3]]'),
+    "E row an object": instance_document(E='[[1, 9, -2], {"a": 1, "b": 2, "c": 3}, [-2, 0.25, 3]]'),
+    "E row null": instance_document(E="[[1, 9, -2], null, [-2, 0.25, 3]]"),
+    "E nested row": instance_document(E="[[1, 9, -2], [9, [0], 0.25], [-2, 0.25, 3]]"),
+    "E integer entries": instance_document(E="[[1, 9, -2], [9, 0, 4], [-2, 4, 3]]"),
+    "E signed zeros": instance_document(E="[[-0.0, 9, -0], [9, -0.0, 0.0], [-0, 0.0, 1e-320]]"),
+    "E asymmetric": instance_document(E="[[1, 9, -2], [9.5, 0, 0], [-2, 0, 3]]"),
+    "E string and overflow": instance_document(E='[[1, 9, -2], [9, 0, "x"], [-2, 0, ' + "9" * 400 + "]]"),
+    "E overflow then string": instance_document(E='[[1, 9, ' + "9" * 400 + '], [9, 0, "x"], [-2, 0, 3]]'),
+    "E two overflows": instance_document(E="[[1, 9, -" + "9" * 400 + "], [9, 0, 0], [" + "9" * 400 + ", 0, 3]]"),
+    "E huge float": instance_document(E="[[1, 9, -2], [9, 0, 0], [-2, 0, 1" + "0" * 400 + ".0]]"),
+    "E half the float range": instance_document(E="[[1, 1.7e308, 0], [1.7e308, 0, 0], [0, 0, 3]]"),
+    "deep nesting in a row": instance_document(E="[[1, 9, " + "[" * 100_000 + "]" * 100_000 + "], [9, 0, 0], [-2, 0, 3]]"),
+    "deep nesting in an extra key": instance_document(x="[" * 100_000 + "]" * 100_000),
+    "trailing comma in object": VALID[:-1] + ", }",
+    "trailing comma in E": instance_document(E=ROWS[:-1] + ", ]"),
+    "trailing comma in a row": instance_document(E="[[1.5, 9, -2, ], [9, 0, 0.25], [-2, 0.25, 3]]"),
+    "missing comma between rows": instance_document(E="[[1.5, 9, -2] [9, 0, 0.25], [-2, 0.25, 3]]"),
+    "missing comma between keys": VALID.replace(', "p"', ' "p"'),
+    "missing colon": VALID.replace('"p": ', '"p" '),
+    "unquoted key": VALID.replace('"p"', "p"),
+    "unterminated E": VALID[:-3],
+    "unterminated name": '{"name": "doc',
+    "control character in name": instance_document(name='"a\tb"'),
+    "single quotes": VALID.replace('"', "'"),
+    "trailing garbage": VALID + " x",
+    "two documents": VALID + VALID,
+    "BOM": "\ufeff" + VALID,
+    "empty text": "",
+    "only whitespace": " \n",
+    "top level array": "[" + VALID + "]",
+    "top level number": "3",
+    "top level string": '"doc"',
+    "top level null": "null",
+    "deep array": "[" * 100_000 + "]" * 100_000,
+    "deep object": '{"a": ' * 100_000 + "}" * 100_000,
+    "empty object": "{}",
+    "missing E": '{"name": "doc", "p": 2, "m": [2, 1]}',
+    "name not a string": instance_document(name="3"),
+    "p a bool": instance_document(p="true"),
+    "m wrong length": instance_document(m="[2, 1, 1]"),
+    "m a bool": instance_document(m="[true, 2]"),
+    "m zero block": instance_document(p="3", m="[2, 1, 0]"),
+}
+for entry in ("true", "false", '"3.5"', "null", "NaN", "Infinity", "-Infinity", "1" + "0" * 400, "-" + "1" * 400, "1e400", "[3]", "{}"):
+    DOCUMENTS[f"E entry {entry[:12]}"] = instance_document(E=f"[[1, 9, -2], [9, {entry}, 0.25], [-2, 0.25, 3]]")
+# json.loads also takes bytes in any UTF encoding, a BOM included
+for key in ("one line", "pretty", "BOM", "trailing garbage", "E entry NaN"):
+    DOCUMENTS[f"{key}, UTF-8 bytes"] = DOCUMENTS[key].encode("utf-8")
+DOCUMENTS["UTF-16 bytes"] = VALID.encode("utf-16")
+
+
+def parse_outcome(parse, text):
+    """What a reader makes of ``text``: the instance's name, block sizes and
+    energy bytes, or the ``InstanceError`` message.  Messages from the JSON
+    decoder itself differ between Python versions, so only their kind is
+    kept."""
+    try:
+        inst = parse(text)
+    except InstanceError as exc:
+        message = str(exc)
+        return "not valid instance JSON" if message.startswith("not valid instance JSON") else message
+    return inst.name, inst.partition.m, inst.energy.dtype, inst.energy.tobytes()
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize("text", DOCUMENTS.values(), ids=DOCUMENTS.keys())
+    def test_parse_matches_reference(self, text):
+        assert parse_outcome(parse_instance, text) == parse_outcome(reference_parse_instance, text)
+
+    def test_documents_cover_both_outcomes(self):
+        accepted = [k for k, text in DOCUMENTS.items() if not isinstance(parse_outcome(parse_instance, text), str)]
+        assert "one line" in accepted and "duplicate E, last valid" in accepted
+        assert "BOM" not in accepted and "trailing comma in E" not in accepted
+        assert len(DOCUMENTS) - len(accepted) > 50
+
+    def test_written_bytes_match_reference(self, tmp_path):
+        instances = [structured_instance(seed)[0] for seed in (1000, 1001)]
+        instances += [random_instance(p, 5, (-1e3, 1e3), seed=seed) for seed, p in enumerate((1, 3, 8))]
+        instances.append(make_instance((2, 1), [[1, 9, -2], [9, 0, 4], [-2, 4, 3]], name="\u00e9 \"q\""))
+        instances.append(ScpInstance(RotamerPartition((2, 1)), np.array([[1, 0, -2], [0, 0, 4], [-2, 4, 3]]), "ints"))
+        for k, inst in enumerate(instances):
+            path = tmp_path / f"{k}.json"
+            save_instance(inst, path)
+            expected = reference_serialize_instance(inst)
+            assert path.read_bytes() == expected.encode("utf-8")
+            assert serialize_instance(inst) == expected
+            assert parse_outcome(parse_instance, expected) == parse_outcome(reference_parse_instance, expected)
+
+
+def traced_peak(action) -> int:
+    """Peak bytes that ``action()`` allocates, by ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        action()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestInstanceIOMemory:
+    """Reading and writing a file hold one row of E at a time, never a
+    Python float per energy: the bounds are in units of one n0 x n0 float
+    matrix (n0 = 630, 3.2 MB)."""
+
+    @pytest.fixture(scope="class")
+    def structured(self):
+        return structured_instance(1000)[0]
+
+    def test_parse_peak(self, structured):
+        text = serialize_instance(structured)
+        matrix = structured.partition.n0**2 * 8
+        assert traced_peak(lambda: parse_instance(text)) < 5 * matrix
+
+    def test_save_peak(self, structured, tmp_path):
+        matrix = structured.partition.n0**2 * 8
+        assert traced_peak(lambda: save_instance(structured, tmp_path / "s.json")) < matrix
 
 
 class TestInstanceIO:
