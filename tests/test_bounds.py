@@ -1,16 +1,24 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import feasible_indicators, make_instance
+from perfbench.structured import structured_instance
 from scpsolve import (
     Assignment,
     RotamerPartition,
     brute_force,
+    goldstein_reduce,
+    is_feasible,
     objective,
     random_instance,
     relative_gap,
+    solve,
 )
 from scpsolve.bounds import (
     EIGENVECTOR,
@@ -20,6 +28,7 @@ from scpsolve.bounds import (
     certified,
     dual_lower_bound,
     extract_fractional,
+    one_opt,
     round_to_feasible,
     upper_bound,
 )
@@ -202,6 +211,93 @@ class TestUpperBound:
     def test_unknown_source_rejected(self, derived_instance):
         with pytest.raises(ValueError, match="median"):
             upper_bound(np.ones(5), derived_instance, "median")
+
+
+def energy_of(assignment, instance):
+    return objective(assignment.to_indicator(instance.partition), instance.energy)
+
+
+def single_block_changes(assignment, partition):
+    """Every assignment that differs from ``assignment`` in one block."""
+    for i, size in enumerate(partition.m):
+        for c in range(1, size + 1):
+            if c != assignment.choice[i]:
+                yield Assignment(assignment.choice[:i] + (c,) + assignment.choice[i + 1 :])
+
+
+@st.composite
+def descent_cases(draw, integer=False):
+    """A small ``random_instance`` and a start drawn over its assignments;
+    ``integer`` rounds the energies to a few integers, so sums are exact and
+    ties between choices are common."""
+    p, m_max = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    low = draw(st.sampled_from([2, 10]))
+    inst = random_instance(p, m_max, (-low, low), seed=draw(st.integers(0, 10**6)))
+    if integer:
+        inst = make_instance(inst.partition.m, np.round(inst.energy))
+    choice = tuple(draw(st.integers(1, size)) for size in inst.partition.m)
+    return inst, Assignment(choice)
+
+
+class TestOneOpt:
+    @settings(max_examples=60, deadline=None)
+    @given(case=descent_cases())
+    def test_feasible_and_no_single_block_change_lowers_the_energy(self, case):
+        # up to rounding: the descent and ``objective`` sum in different orders
+        inst, start = case
+        result = one_opt(start, inst)
+        assert is_feasible(result.to_indicator(inst.partition), inst.partition)
+        value = energy_of(result, inst)
+        slack = 1e-12 * (1.0 + np.abs(inst.energy).sum())
+        assert value <= energy_of(start, inst) + slack
+        for neighbour in single_block_changes(result, inst.partition):
+            assert energy_of(neighbour, inst) >= value - slack
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=descent_cases(integer=True))
+    def test_deterministic_and_changes_only_on_a_strict_decrease(self, case):
+        # integer energies: every sum is exact and choices often tie, so a
+        # descent that moved on a tie would leave the energy unchanged
+        inst, start = case
+        result = one_opt(start, inst)
+        assert one_opt(start, inst) == result
+        assert result == start or energy_of(result, inst) < energy_of(start, inst)
+        assert one_opt(result, inst) == result
+        for neighbour in single_block_changes(result, inst.partition):
+            assert energy_of(neighbour, inst) >= energy_of(result, inst)
+
+    def test_ties_keep_the_choice_or_take_the_lowest_index(self):
+        inst = make_instance((3, 2), np.diag([1.0, 0.0, 0.0, 5.0, 5.0]))
+        assert one_opt(Assignment((1, 2)), inst).choice == (2, 2)
+        assert one_opt(Assignment((3, 2)), inst).choice == (3, 2)
+        zero = make_instance((3, 2), np.zeros((5, 5)))
+        for choice in itertools.product((1, 2, 3), (1, 2)):
+            assert one_opt(Assignment(choice), zero).choice == choice
+
+    @pytest.mark.parametrize("big", [1e20, 1e14])
+    def test_huge_self_energy_raises_no_warning(self, big):
+        base = random_instance(4, 4, (-10, 10), seed=5)
+        energy = np.array(base.energy)
+        energy[0, 0] = big
+        inst = make_instance(base.partition.m, energy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for choice in itertools.product(*(range(1, size + 1) for size in inst.partition.m)):
+                result = one_opt(Assignment(choice), inst)
+                assert energy_of(result, inst) <= energy_of(Assignment(choice), inst)
+                assert result.choice[0] != 1 or inst.partition.m[0] == 1
+
+    @pytest.mark.parametrize("seed", [1000, 1001, 1002, 1003])
+    def test_reaches_the_certified_optimum_on_reduced_structured_instances(self, seed):
+        # the structured generator's planted instances are easy: after DEE
+        # the descent from the smallest self energies alone finds the
+        # optimum that the relaxation certifies, so the solve's gain from
+        # this start on them is a best case
+        reduced = goldstein_reduce(structured_instance(seed)[0]).reduced
+        start = round_to_feasible(-np.diagonal(reduced.energy), reduced.partition)
+        report = solve(reduced)
+        assert report.certified
+        assert one_opt(start, reduced) == report.assignment
 
 
 class TestRelativeGap:
