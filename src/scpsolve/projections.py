@@ -1,15 +1,22 @@
 """Projection kernels used by the splitting solver.
 
 All three operators are Euclidean projections, hence nonexpansive and
-idempotent.  A PSD/trace projection of rank one can come from a
-warm-started power iteration, used only when its residual is at rounding
-level and a Cholesky factorization proves that no other eigenvalue lies
-above the simplex threshold.  A proof made with a margin carries over, by
-Weyl's inequality, to the nearby matrices of later projections
-(``CarriedProof``).
+idempotent.  A warm-started PSD/trace projection takes one of three
+routes, chosen from the start's width r and the order f.  At r = 1 a
+power iteration serves it when its residual is at rounding level and a
+Cholesky factorization shows that no other eigenvalue lies above the
+simplex threshold; a proof made with a margin carries over, by Weyl's
+inequality, to the nearby matrices of later projections
+(``CarriedProof``).  Otherwise, while the k = r + GUARD top eigenpairs are
+at most f / CROSSOVER, LAPACK's ``dsyevr`` computes only those, and serves
+the projection when the smallest of them projects to zero.  Every other
+call runs the full ``eigh``.
 """
 
 from __future__ import annotations
+
+import ctypes
+import functools
 
 import numpy as np
 
@@ -27,6 +34,23 @@ RESIDUAL_RTOL = 1e-13
 # PROOF_MARGIN * |tau|, halved after each failure: of 5e-4 to 8e-3, 4e-3
 # spared the most factorizations on the structured benchmark instances.
 PROOF_MARGIN = 4e-3
+# The top-k route (``top_k_psd_trace``) asks for the top k = r + GUARD
+# eigenpairs, r the start's width, or FIRST_GUESS at r = 0, and runs only
+# while k <= f / CROSSOVER.  Timed against the full eigh at orders 120,
+# 271 and 724 (one BLAS thread, 2-core host), dsyevr for the top k breaks
+# even with it at k = f/7, f/6 and f/5 respectively: below f/6 it wins at
+# the structured benchmark's 271 and the dense benchmark's 724, with room
+# for the calls whose rank outgrows k and pay both.
+GUARD = 6
+FIRST_GUESS = 16
+CROSSOVER = 6
+# The exported names of LAPACKE_dsyevr in the LAPACK numpy loads that fix
+# the integer width: scipy-openblas's ILP64 and LP64 builds.
+LAPACKE_DSYEVR = (
+    ("scipy_LAPACKE_dsyevr64_", ctypes.c_int64),
+    ("scipy_LAPACKE_dsyevr", ctypes.c_int32),
+)
+LAPACK_COL_MAJOR = 102
 EPS = float(np.finfo(float).eps)
 
 
@@ -75,29 +99,137 @@ def project_psd_trace(M, total, start=None, proof=None) -> np.ndarray:
     eigenvalue, so ``G.shape[1]`` is the rank of the projection and
     ``G[:, -1]`` its top eigenvector.
 
-    ``start``, a factor from a nearby earlier projection, warm-starts
-    ``rank_one_psd_trace`` when it has one column and M has order
-    MIN_ORDER or more; when that cannot prove its answer, the full
-    eigendecomposition runs as without it.  ``proof``, a ``CarriedProof``
-    that travels with the starts of one sequence of projections, lets that
-    path reuse an earlier proof; it changes no result.
+    ``start``, a factor from a nearby earlier projection, picks the route
+    when M has order f >= MIN_ORDER.  With one column it warm-starts
+    ``rank_one_psd_trace``.  When that does not serve the call, and for a
+    start of any other width r, ``top_k_psd_trace`` computes the top
+    k = r + GUARD eigenpairs (FIRST_GUESS at r = 0) if k <= f / CROSSOVER.
+    When neither route can prove its answer, and without a start, the full
+    eigendecomposition runs.  ``proof``, a ``CarriedProof`` that travels
+    with the starts of one sequence of projections, lets the rank-one path
+    reuse an earlier proof; it changes no result.
     """
     S = np.asarray(M, dtype=float)
     # in place, so no second order-f array lives through the eigensolve
     np.add(S, S.T.copy(), out=S)
     S *= 0.5
-    if start is not None and start.shape[1] == 1 and S.shape[0] >= MIN_ORDER:
-        G = rank_one_psd_trace(S, total, start[:, 0], proof)
-        if G is not None:
-            return G
+    n = S.shape[0]
+    if start is not None and n >= MIN_ORDER:
+        r = start.shape[1]
+        if r == 1:
+            G = rank_one_psd_trace(S, total, start[:, 0], proof)
+            if G is not None:
+                return G
+        k = r + GUARD if r else FIRST_GUESS
+        if k * CROSSOVER <= n:
+            G = top_k_psd_trace(S, total, k)
+            if G is not None:
+                return G
     w, U = np.linalg.eigh(S)
     w = project_simplex(w, total)
-    # eigh's eigenvalues ascend and so do their projections, so the kept
-    # ones are the last r; G is F-ordered like a gather of U's columns,
-    # which fixes how later products with G round
-    n = S.shape[0]
-    first = n - np.count_nonzero(kept(w, n, total))
+    return kept_factor(U, w, n, total)
+
+
+def kept_factor(U, w, order: int, total: float) -> np.ndarray:
+    """G from eigenvectors U and their projected eigenvalues w, ascending:
+    the kept ones are the last, since the projection keeps the order.  G
+    is F-ordered like a gather of U's columns, which fixes how later
+    products with G round."""
+    first = len(w) - np.count_nonzero(kept(w, order, total))
     return np.multiply(U[:, first:], np.sqrt(w[first:]), order="F")
+
+
+def top_k_psd_trace(S, total, k: int) -> np.ndarray | None:
+    """``project_psd_trace`` of symmetric S from its top k eigenpairs, or
+    None when they cannot show it.
+
+    The simplex projection of the top k eigenvalues alone has the full
+    spectrum's threshold tau exactly when its smallest one projects to 0:
+    that eigenvalue is at most tau, and so is every one not computed, so
+    none of them is kept and none moves tau.  None where the LAPACK binding
+    is absent (``lapacke_dsyevr``), S is not finite, dsyevr reports an
+    error, or the smallest of the k projects above 0.
+    """
+    dsyevr = lapacke_dsyevr()
+    # a sum with an inf or NaN is not finite; one that overflows sends a
+    # finite S to the full eigh, which gives the same answer
+    if dsyevr is None or not np.isfinite(S.sum()):
+        return None
+    top = dsyevr(S, k)
+    if top is None:
+        return None
+    w, U = top
+    w = project_simplex(w, total)
+    if w[0] != 0.0:
+        return None
+    return kept_factor(U, w, S.shape[0], total)
+
+
+@functools.cache
+def lapacke_dsyevr():
+    """The top-k eigensolver ``top_eigenpairs`` bound to the LAPACK that
+    numpy loads, or None where that LAPACK exports none of the
+    ``LAPACKE_DSYEVR`` names.  Resolved on first use, through the symbols
+    that numpy's own linalg extension sees, so no library is searched for
+    and nothing is imported beyond ctypes."""
+    try:
+        from numpy.linalg import _umath_linalg
+
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, OSError):
+        return None
+    for name, integer in LAPACKE_DSYEVR:
+        function = getattr(lib, name, None)
+        if function is None:
+            continue
+        pointer = ctypes.c_void_p
+        function.restype = integer
+        function.argtypes = (
+            ctypes.c_int,  # matrix_layout
+            ctypes.c_char,  # jobz
+            ctypes.c_char,  # range
+            ctypes.c_char,  # uplo
+            integer,  # n
+            pointer,  # a
+            integer,  # lda
+            ctypes.c_double,  # vl
+            ctypes.c_double,  # vu
+            integer,  # il
+            integer,  # iu
+            ctypes.c_double,  # abstol
+            ctypes.POINTER(integer),  # m
+            pointer,  # w
+            pointer,  # z
+            integer,  # ldz
+            pointer,  # isuppz
+        )
+        return functools.partial(top_eigenpairs, function, integer)
+    return None
+
+
+def top_eigenpairs(dsyevr, integer, S, k: int):
+    """The k largest eigenvalues of symmetric S, ascending, and their unit
+    eigenvectors as the columns of an F-ordered n x k array, from LAPACKE
+    function ``dsyevr`` with integer type ``integer``; None when it
+    reports an error.  dsyevr reduces a copy of S to tridiagonal form and
+    computes only these k eigenpairs of it, with eigenvalues to rounding
+    level (abstol 0); it overwrites a triangle of its input, so S is left
+    as it is."""
+    n = S.shape[0]
+    # S is symmetric, so its C-ordered copy is its F-ordered one
+    A = np.array(S, dtype=float, order="C")
+    w = np.empty(n)
+    U = np.empty((n, k), order="F")
+    isuppz = np.empty(2 * k, dtype=np.dtype(integer))
+    found = integer(0)
+    info = dsyevr(
+        LAPACK_COL_MAJOR, b"V", b"I", b"L", n, A.ctypes.data, n, 0.0, 0.0,
+        n - k + 1, n, 0.0, ctypes.byref(found), w.ctypes.data, U.ctypes.data,
+        n, isuppz.ctypes.data,
+    )
+    if info != 0 or found.value != k:
+        return None
+    return w[:k], U
 
 
 class CarriedProof:
@@ -191,7 +323,16 @@ def rank_one_psd_trace(S, total, start, proof=None) -> np.ndarray | None:
 
 def cholesky_succeeds(T) -> bool:
     """Whether a floating-point Cholesky factorization of symmetric T
-    succeeds, which proves T positive definite (Rump, BIT 2006)."""
+    succeeds.
+
+    Success shows T positive definite only up to rounding: Rump's
+    criterion (BIT 2006) proves definiteness from a factorization of T
+    less a shift that covers its rounding errors, and none is subtracted
+    here.  So a T whose smallest eigenvalue lies within rounding of 0 may
+    pass.  The answer decides only which projection a call returns, the
+    rank-one one or a fallback's, which differ by at most that rounding;
+    it never decides a certificate, which rests on ``bounds``.
+    """
     try:
         np.linalg.cholesky(T)
     except np.linalg.LinAlgError:

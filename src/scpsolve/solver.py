@@ -17,8 +17,8 @@ index on ties); R's factor starts with no columns and Z inside its
 known-optimal affine set (``initialize``).  PRSM converges from any start
 and every lower bound is valid for any Z, so the start moves only the
 path.  From Y = 0 the first R-update projects V'(Z/beta)V, of high rank
-on protein-like instances, and full eigendecompositions run until R
-reaches rank 1; from a 1-opt x that projection has low rank.  x is not
+on protein-like instances, and full eigendecompositions run until R's
+rank falls; from a 1-opt x that projection has low rank.  x is not
 recorded as an incumbent: a better early incumbent narrows the open gap
 that the relaxation stop measures against (acceptance corpus instance
 147 would stop at 400 iterations instead of 300).
@@ -26,12 +26,16 @@ that the relaxation stop measures against (acceptance corpus instance
 The mask zeroes the dual coordinates whose optimal values are known (row 0,
 column 0, diagonal), so those entries stay at their initialized values for
 the entire run.  R is kept as its factor G with R = GG' and rank r, G's
-width, so VRV' is the rank-r product (VG)(VG)'.  Each R-update passes the previous G to the
-projection: while R has rank 1, a power iteration warm-started on G's
-column replaces the full eigendecomposition whenever its residual test
-and a Cholesky check prove that it gives the same projection.  The solve
-keeps one ``CarriedProof`` beside G: a Cholesky check made with a margin
-covers the later R-updates whose matrices stay within half of it.  Lower and
+width, so VRV' is the rank-r product (VG)(VG)'.  Each R-update passes the
+previous G to the projection, whose width r picks one of three routes
+that give the same projection up to rounding: at r = 1 a power iteration
+warm-started on G's column, whenever its residual test and a Cholesky
+check show its answer; else, while r + GUARD is small against the face
+dimension, LAPACK's dsyevr for only the top r + GUARD eigenpairs,
+whenever the smallest of them projects to zero; else the full
+eigendecomposition (``projections.project_psd_trace``).  The solve keeps
+one ``CarriedProof`` beside G: a Cholesky check made with a margin covers
+the later R-updates whose matrices stay within half of it.  Lower and
 upper bounds are checked on the schedule stated in ``solve``, each check
 taking one lower bound, ``dual_lower_bound``; the solve stops on a closed
 gap, on persistently small residuals, on a relaxation that has converged

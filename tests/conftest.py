@@ -24,7 +24,7 @@ from scpsolve import Assignment, InstanceError, RotamerPartition, ScpInstance, c
 from scpsolve.bounds import one_opt
 from scpsolve.instances import SYMMETRY_RTOL
 from scpsolve.lifting import build_geometry, lift_indicator
-from scpsolve.projections import MIN_ORDER, rank_one_psd_trace
+from scpsolve.projections import CROSSOVER, FIRST_GUESS, GUARD, MIN_ORDER, rank_one_psd_trace, top_k_psd_trace
 from scpsolve.solver import initialize
 
 # the acceptance gate's fixed corpus
@@ -132,16 +132,24 @@ def reference_simplex(d, total):
 
 
 def reference_psd_trace(M, total, start=None):
-    """PSD/trace projection as a factor: symmetrize, then the rank-one
-    path when a one-column start is given at order MIN_ORDER or more and it
-    succeeds, else the full ``eigh``, gathering the eigenpairs whose
+    """PSD/trace projection as a factor: symmetrize; with a start at order
+    MIN_ORDER or more, the rank-one path when the start has one column and
+    it succeeds, else the top-k route when k is within the crossover and it
+    succeeds; else the full ``eigh``, gathering the eigenpairs whose
     projected eigenvalue is above order*eps*total."""
     S = M + M.T
     S *= 0.5
-    if start is not None and start.shape[1] == 1 and S.shape[0] >= MIN_ORDER:
-        G = rank_one_psd_trace(S, total, start[:, 0])
-        if G is not None:
-            return G
+    if start is not None and S.shape[0] >= MIN_ORDER:
+        width = start.shape[1]
+        if width == 1:
+            G = rank_one_psd_trace(S, total, start[:, 0])
+            if G is not None:
+                return G
+        k = width + GUARD if width else FIRST_GUESS
+        if k * CROSSOVER <= S.shape[0]:
+            G = top_k_psd_trace(S, total, k)
+            if G is not None:
+                return G
     w, U = np.linalg.eigh(S)
     w = reference_simplex(w, total)
     keep = w > S.shape[0] * np.finfo(float).eps * total

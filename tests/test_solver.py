@@ -428,9 +428,10 @@ class TestSolve:
 
     @pytest.mark.parametrize("dense", [False, True])
     def test_eigensolves_start_on_a_lean_working_set(self, dense, monkeypatch):
-        # when the R-update's eigh and the lower bound's eigvalsh start, the
-        # solve holds Y, Z, the lifted cost and the matrix being decomposed,
-        # and no n x n temporary of the iteration: the traced bytes above
+        # when the R-update's eigh or top-k eigensolve and the lower bound's
+        # eigvalsh start, the solve holds Y, Z, the lifted cost and the
+        # matrix being decomposed, and no n x n temporary of the iteration
+        # (the top-k route's own copy comes after): the traced bytes above
         # the level before the solve stay under five n x n matrices, plus V
         # where the dense basis holds it.  About 4.4 n^2 here; each kept
         # temporary adds n^2, a symmetrized copy (f/n)^2 = 0.71 n^2.  The
@@ -445,7 +446,7 @@ class TestSolve:
         if dense:
             monkeypatch.setattr(lifting, "FACE_CROSSOVER", inst.partition.n0 + 1)
             allowance += n * f * 8
-        readings = {"eigh": [], "eigvalsh": []}
+        readings = {(np.linalg, "eigh"): [], (np.linalg, "eigvalsh"): [], (projections, "top_k_psd_trace"): []}
         start = []
         initialize, r_update = solver_module.initialize, solver_module.r_update
 
@@ -467,8 +468,8 @@ class TestSolve:
                 start.append(tracemalloc.get_traced_memory()[1])
             return r_update(*args)
 
-        for name, seen in readings.items():
-            monkeypatch.setattr(np.linalg, name, reading(getattr(np.linalg, name), seen))
+        for (module, name), seen in readings.items():
+            monkeypatch.setattr(module, name, reading(getattr(module, name), seen))
         monkeypatch.setattr(solver_module, "initialize", traced_initialize)
         monkeypatch.setattr(solver_module, "r_update", traced_r_update)
         params = dataclasses.replace(default_params(inst), max_iter=30)
@@ -478,7 +479,7 @@ class TestSolve:
             solve(inst, params)
         finally:
             tracemalloc.stop()
-        for name, seen in readings.items():
+        for (_, name), seen in readings.items():
             assert seen, f"no {name} ran"
             assert max(seen) - before < allowance, name
         level, peak = start
@@ -498,13 +499,16 @@ class TestSolve:
 
     def test_partial_eigensolve_serves_most_r_updates(self, eigh_orders, monkeypatch):
         # a projection that always fell back to the full eigh would give
-        # the same answers, so count the order-f eigh calls instead: they
-        # run only on the R-updates whose start is not of rank 1 and those
-        # whose rank-one proof failed
+        # the same answers, so count the routes instead: the rank-one path
+        # tries the R-updates whose start is of rank 1, the top-k route
+        # the others and those whose rank-one proof failed, and the
+        # order-f eigh runs only where the top-k route declined.  On this
+        # instance it never declines where numpy's LAPACK has the binding
         instance, _ = structured_instance(101)
         reduced = goldstein_reduce(instance).reduced
-        widths, failed = [], []
-        project, rank_one = solver_module.project_psd_trace, projections.rank_one_psd_trace
+        widths, failed, top_k = [], [], []
+        project = solver_module.project_psd_trace
+        rank_one, top_k_route = projections.rank_one_psd_trace, projections.top_k_psd_trace
 
         def recording_project(M, total, start, proof):
             widths.append(start.shape[1])
@@ -515,16 +519,26 @@ class TestSolve:
             failed.append(G is None)
             return G
 
+        def recording_top_k(S, total, k):
+            G = top_k_route(S, total, k)
+            top_k.append(G is None)
+            return G
+
         monkeypatch.setattr(solver_module, "project_psd_trace", recording_project)
         monkeypatch.setattr(projections, "rank_one_psd_trace", recording_rank_one)
+        monkeypatch.setattr(projections, "top_k_psd_trace", recording_top_k)
         report = solve(reduced)
         assert report.certified
         assert [record.rank for record in report.bound_history] == [1]
         full = eigh_orders.count(build_geometry(reduced).face_dim)
         not_rank_one = len(widths) - widths.count(1)
         assert len(widths) == report.iterations and len(failed) == widths.count(1)
-        assert full == not_rank_one + sum(failed)
-        assert full < 0.4 * report.iterations
+        assert len(top_k) == not_rank_one + sum(failed)
+        assert full == sum(top_k)
+        if projections.lapacke_dsyevr() is not None:
+            assert full == 0
+        else:
+            assert full < 0.4 * report.iterations
 
     @pytest.mark.parametrize("seed", [1000, 8105001])
     def test_carried_proofs_keep_the_solve(self, seed, monkeypatch):
@@ -925,12 +939,16 @@ def corpus_reports():
 
 def relaxation_ratios(instance, report, Y_at):
     """|<L, Y> - best lbd| / (best ubd - best lbd) at each full check whose
-    Y is in ``Y_at``, the best bounds over the records up to it."""
+    Y is in ``Y_at``, the best bounds over the records up to it.  A check
+    whose best bounds pass ``certified`` is left out: the solve stops there
+    on the closed gap, not by the relaxation stop, and the gap may be 0."""
     cost = build_geometry(instance).lifted_cost.ravel()
     ratios = {}
     for iteration, Y in Y_at.items():
         lower = max(r.lower for r in report.bound_history if r.iteration <= iteration)
         upper = min(r.upper for r in report.bound_history if r.iteration <= iteration)
+        if certified(lower, upper):
+            continue
         ratios[iteration] = abs(cost.dot(Y.ravel()) - lower) / (upper - lower)
     return ratios
 
