@@ -7,16 +7,21 @@ power iteration serves it when its residual is at rounding level and a
 Cholesky factorization shows that no other eigenvalue lies above the
 simplex threshold; a proof made with a margin carries over, by Weyl's
 inequality, to the nearby matrices of later projections
-(``CarriedProof``).  Otherwise, while the k = r + GUARD top eigenpairs are
-at most f / CROSSOVER, LAPACK's ``dsyevr`` computes only those, and serves
-the projection when the smallest of them projects to zero.  Every other
-call runs the full ``eigh``.
+(``CarriedProof``).  Otherwise LAPACK reduces S to tridiagonal form once
+(``tridiagonal_psd_trace``).  While the k = r + GUARD top eigenpairs are
+at most f / CROSSOVER, bisection finds only those, and serves the
+projection when the smallest of them projects to zero; else
+divide and conquer solves the tridiagonal matrix whole.  Either way only
+the kept eigenvectors are transformed back.  Calls without a start, on
+a non-finite S, and where LAPACK is not bound or reports an error, run
+the full ``eigh``.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import types
 
 import numpy as np
 
@@ -34,22 +39,57 @@ RESIDUAL_RTOL = 1e-13
 # PROOF_MARGIN * |tau|, halved after each failure: of 5e-4 to 8e-3, 4e-3
 # spared the most factorizations on the structured benchmark instances.
 PROOF_MARGIN = 4e-3
-# The top-k route (``top_k_psd_trace``) asks for the top k = r + GUARD
-# eigenpairs, r the start's width, or FIRST_GUESS at r = 0, and runs only
-# while k <= f / CROSSOVER.  Timed against the full eigh at orders 120,
-# 271 and 724 (one BLAS thread, 2-core host), dsyevr for the top k breaks
-# even with it at k = f/7, f/6 and f/5 respectively: below f/6 it wins at
-# the structured benchmark's 271 and the dense benchmark's 724, with room
-# for the calls whose rank outgrows k and pay both.
+# The tridiagonal route (``tridiagonal_psd_trace``) bisects for the top
+# k = r + GUARD eigenvalues, r the start's width, or FIRST_GUESS at
+# r = 0, only while k <= f / CROSSOVER; above it, and when the k cannot
+# show tau, dstedc solves for the whole spectrum.  CROSSOVER gates only
+# that attempt: both branches share the one reduction and back-transform
+# only the kept eigenvectors.  It is where dsyevr for the top k broke
+# even with the full eigh.  Timed on one BLAS thread (2-core host),
+# bisection and inverse iteration for k eigenpairs cost as much as
+# dstedc at about k = f/9 at orders 120 and 271 and k = f/7 at 724, so
+# between those and f/6 bisection costs a little more than the whole solve.
 GUARD = 6
 FIRST_GUESS = 16
 CROSSOVER = 6
-# The exported names of LAPACKE_dsyevr in the LAPACK numpy loads that fix
-# the integer width: scipy-openblas's ILP64 and LP64 builds.
-LAPACKE_DSYEVR = (
-    ("scipy_LAPACKE_dsyevr64_", ctypes.c_int64),
-    ("scipy_LAPACKE_dsyevr", ctypes.c_int32),
+# The names of the LAPACKE functions in the LAPACK numpy loads fix the
+# integer width: scipy-openblas's ILP64 build appends 64_, its LP64 build
+# nothing.
+LAPACKE_BUILDS = (
+    ("scipy_LAPACKE_{}64_", ctypes.c_int64),
+    ("scipy_LAPACKE_{}", ctypes.c_int32),
 )
+# The argument types of the routines the tridiagonal route calls, with
+# INTEGER for the LAPACK integer and a void pointer for each array.
+# dormtr is called with the workspace it is given: LAPACK's dormtr asks
+# for too little for dormqr's blocked update, which then halves its
+# block size, and dormqr takes at most DORMQR_NBMAX reflectors per block
+# and DORMQR_TSIZE entries for the block's triangular factor.
+INTEGER = object()
+_CHAR, _DOUBLE, _POINTER = ctypes.c_char, ctypes.c_double, ctypes.c_void_p
+TRIDIAGONAL_ROUTINES = {
+    # matrix_layout, uplo, n, a, lda, d, e, tau
+    "dsytrd": (ctypes.c_int, _CHAR, INTEGER, _POINTER, INTEGER, _POINTER, _POINTER, _POINTER),
+    # range, order, n, vl, vu, il, iu, abstol, d, e, m, nsplit, w, iblock, isplit
+    "dstebz": (
+        _CHAR, _CHAR, INTEGER, _DOUBLE, _DOUBLE, INTEGER, INTEGER, _DOUBLE,
+        _POINTER, _POINTER, _POINTER, _POINTER, _POINTER, _POINTER, _POINTER,
+    ),
+    # matrix_layout, n, d, e, m, w, iblock, isplit, z, ldz, ifailv
+    "dstein": (
+        ctypes.c_int, INTEGER, _POINTER, _POINTER, INTEGER, _POINTER, _POINTER, _POINTER,
+        _POINTER, INTEGER, _POINTER,
+    ),
+    # matrix_layout, compz, n, d, e, z, ldz
+    "dstedc": (ctypes.c_int, _CHAR, INTEGER, _POINTER, _POINTER, _POINTER, INTEGER),
+    # matrix_layout, side, uplo, trans, m, n, a, lda, tau, c, ldc, work, lwork
+    "dormtr_work": (
+        ctypes.c_int, _CHAR, _CHAR, _CHAR, INTEGER, INTEGER, _POINTER, INTEGER, _POINTER,
+        _POINTER, INTEGER, _POINTER, INTEGER,
+    ),
+}
+DORMQR_NBMAX = 64
+DORMQR_TSIZE = (DORMQR_NBMAX + 1) * DORMQR_NBMAX
 LAPACK_COL_MAJOR = 102
 EPS = float(np.finfo(float).eps)
 
@@ -102,12 +142,15 @@ def project_psd_trace(M, total, start=None, proof=None) -> np.ndarray:
     ``start``, a factor from a nearby earlier projection, picks the route
     when M has order f >= MIN_ORDER.  With one column it warm-starts
     ``rank_one_psd_trace``.  When that does not serve the call, and for a
-    start of any other width r, ``top_k_psd_trace`` computes the top
-    k = r + GUARD eigenpairs (FIRST_GUESS at r = 0) if k <= f / CROSSOVER.
-    When neither route can prove its answer, and without a start, the full
-    eigendecomposition runs.  ``proof``, a ``CarriedProof`` that travels
-    with the starts of one sequence of projections, lets the rank-one path
-    reuse an earlier proof; it changes no result.
+    start of any other width r, ``tridiagonal_psd_trace`` serves it from
+    one reduction of S, trying the top k = r + GUARD eigenpairs
+    (FIRST_GUESS at r = 0) first if k <= f / CROSSOVER.  Without a start,
+    below MIN_ORDER, where the LAPACK binding is absent
+    (``tridiagonal_lapack``), on a non-finite S and on an error from
+    LAPACK, the full eigendecomposition runs.  ``proof``, a
+    ``CarriedProof`` that travels with the starts of one sequence of
+    projections, lets the rank-one path reuse an earlier proof; it changes
+    no result.
     """
     S = np.asarray(M, dtype=float)
     # in place, so no second order-f array lives through the eigensolve
@@ -120,11 +163,14 @@ def project_psd_trace(M, total, start=None, proof=None) -> np.ndarray:
             G = rank_one_psd_trace(S, total, start[:, 0], proof)
             if G is not None:
                 return G
-        k = r + GUARD if r else FIRST_GUESS
-        if k * CROSSOVER <= n:
-            G = top_k_psd_trace(S, total, k)
-            if G is not None:
-                return G
+        lapack = tridiagonal_lapack()
+        # a sum with an inf or NaN is not finite; one that overflows sends a
+        # finite S to the full eigh, which gives the same answer
+        if lapack is not None and np.isfinite(S.sum()):
+            try:
+                return tridiagonal_psd_trace(S, total, r + GUARD if r else FIRST_GUESS, lapack)
+            except LapackError:
+                pass
     w, U = np.linalg.eigh(S)
     w = project_simplex(w, total)
     return kept_factor(U, w, n, total)
@@ -139,97 +185,118 @@ def kept_factor(U, w, order: int, total: float) -> np.ndarray:
     return np.multiply(U[:, first:], np.sqrt(w[first:]), order="F")
 
 
-def top_k_psd_trace(S, total, k: int) -> np.ndarray | None:
-    """``project_psd_trace`` of symmetric S from its top k eigenpairs, or
-    None when they cannot show it.
+class LapackError(Exception):
+    """A LAPACK routine of the tridiagonal route reported an error."""
 
-    The simplex projection of the top k eigenvalues alone has the full
-    spectrum's threshold tau exactly when its smallest one projects to 0:
-    that eigenvalue is at most tau, and so is every one not computed, so
-    none of them is kept and none moves tau.  None where the LAPACK binding
-    is absent (``lapacke_dsyevr``), S is not finite, dsyevr reports an
-    error, or the smallest of the k projects above 0.
+
+def tridiagonal_psd_trace(S, total, k: int, lapack) -> np.ndarray:
+    """``project_psd_trace`` of finite symmetric S through one reduction
+    to tridiagonal form, by the routines that ``tridiagonal_lapack``
+    binds, ``lapack``; raises ``LapackError`` when one of them reports an
+    error.
+
+    dsytrd reduces a copy of S to tridiagonal T = Q'SQ.  While k <= f /
+    CROSSOVER, dstebz bisects T for its k largest eigenvalues.  The
+    simplex projection of those alone has the full spectrum's threshold
+    tau exactly when its smallest one projects to 0: that eigenvalue is at
+    most tau, and so is every one not computed, so none of them is kept
+    and none moves tau.  Then dstein computes their eigenvectors of T by
+    inverse iteration; these are the steps dsyevr takes for a subset of
+    the spectrum.  Otherwise dstedc solves T for its whole spectrum by
+    divide and conquer.  Either way dormtr applies Q to the kept
+    eigenvectors alone.
     """
-    dsyevr = lapacke_dsyevr()
-    # a sum with an inf or NaN is not finite; one that overflows sends a
-    # finite S to the full eigh, which gives the same answer
-    if dsyevr is None or not np.isfinite(S.sum()):
-        return None
-    top = dsyevr(S, k)
+    n = S.shape[0]
+    # S is symmetric, so its C-ordered copy is its F-ordered one; dsytrd
+    # overwrites its lower triangle with the reflectors that make up Q
+    A = np.array(S, dtype=float, order="C")
+    d, e, tau = np.empty(n), np.empty(n), np.empty(n)
+    if lapack.dsytrd(LAPACK_COL_MAJOR, b"L", n, A.ctypes.data, n, d.ctypes.data, e.ctypes.data, tau.ctypes.data):
+        raise LapackError("dsytrd")
+    top = top_tridiagonal(lapack, d, e, k, total) if k * CROSSOVER <= n else None
     if top is None:
+        # dstedc overwrites d with the eigenvalues, ascending, and e
+        U = np.empty((n, n), order="F")
+        if lapack.dstedc(LAPACK_COL_MAJOR, b"I", n, d.ctypes.data, e.ctypes.data, U.ctypes.data, n):
+            raise LapackError("dstedc")
+        w = project_simplex(d, total)
+    else:
+        w, U = top
+    first = len(w) - np.count_nonzero(kept(w, n, total))
+    G = np.array(U[:, first:], order="F")
+    del U
+    r = G.shape[1]
+    work = np.empty(r * DORMQR_NBMAX + DORMQR_TSIZE)
+    if lapack.dormtr_work(
+        LAPACK_COL_MAJOR, b"L", b"L", b"N", n, r, A.ctypes.data, n, tau.ctypes.data, G.ctypes.data, n,
+        work.ctypes.data, work.size,
+    ):
+        raise LapackError("dormtr")
+    G *= np.sqrt(w[first:])
+    return G
+
+
+def top_tridiagonal(lapack, d, e, k: int, total):
+    """The simplex projection of tridiagonal T's k largest eigenvalues,
+    ascending, and T's unit eigenvectors for them as the columns of an
+    n x k array, in the same order; None when the k cannot show the
+    threshold: the smallest of them projects above 0.  T has diagonal d
+    and subdiagonal e, which are left as they are.  dstebz finds the
+    eigenvalues to rounding level (abstol 0), grouped by the blocks into
+    which T splits and ascending within each, as dstein needs them."""
+    n = len(d)
+    integer = np.dtype(lapack.integer)
+    w = np.empty(n)
+    iblock, isplit = np.empty(n, dtype=integer), np.empty(n, dtype=integer)
+    found, nsplit = np.zeros(1, dtype=integer), np.zeros(1, dtype=integer)
+    if lapack.dstebz(
+        b"I", b"B", n, 0.0, 0.0, n - k + 1, n, 0.0, d.ctypes.data, e.ctypes.data, found.ctypes.data,
+        nsplit.ctypes.data, w.ctypes.data, iblock.ctypes.data, isplit.ctypes.data,
+    ) or found[0] != k:
+        raise LapackError("dstebz")
+    w = w[:k]
+    # within each block ascending, so ascending when T does not split
+    ascending = np.argsort(w, kind="stable") if nsplit[0] > 1 else slice(None)
+    projected = project_simplex(w[ascending], total)
+    if projected[0] != 0.0:
         return None
-    w, U = top
-    w = project_simplex(w, total)
-    if w[0] != 0.0:
-        return None
-    return kept_factor(U, w, S.shape[0], total)
+    U = np.empty((n, k), order="F")
+    failed = np.empty(k, dtype=integer)
+    if lapack.dstein(
+        LAPACK_COL_MAJOR, n, d.ctypes.data, e.ctypes.data, k, w.ctypes.data, iblock.ctypes.data,
+        isplit.ctypes.data, U.ctypes.data, n, failed.ctypes.data,
+    ):
+        raise LapackError("dstein")
+    return projected, U[:, ascending]
 
 
 @functools.cache
-def lapacke_dsyevr():
-    """The top-k eigensolver ``top_eigenpairs`` bound to the LAPACK that
-    numpy loads, or None where that LAPACK exports none of the
-    ``LAPACKE_DSYEVR`` names.  Resolved on first use, through the symbols
-    that numpy's own linalg extension sees, so no library is searched for
-    and nothing is imported beyond ctypes."""
+def tridiagonal_lapack() -> types.SimpleNamespace | None:
+    """The routines of ``tridiagonal_psd_trace`` bound to the LAPACK that
+    numpy loads, or None where no build of ``LAPACKE_BUILDS`` exports them
+    all: a namespace with one ctypes function for each name in
+    ``TRIDIAGONAL_ROUTINES``, returning LAPACK's info (0 on success), and
+    the LAPACK integer type they take, ``integer``.  Resolved on first
+    use, through the symbols that numpy's own linalg extension sees, so no
+    library is searched for and nothing is imported beyond ctypes."""
     try:
         from numpy.linalg import _umath_linalg
 
         lib = ctypes.CDLL(_umath_linalg.__file__)
     except (ImportError, OSError):
         return None
-    for name, integer in LAPACKE_DSYEVR:
-        function = getattr(lib, name, None)
-        if function is None:
-            continue
-        pointer = ctypes.c_void_p
-        function.restype = integer
-        function.argtypes = (
-            ctypes.c_int,  # matrix_layout
-            ctypes.c_char,  # jobz
-            ctypes.c_char,  # range
-            ctypes.c_char,  # uplo
-            integer,  # n
-            pointer,  # a
-            integer,  # lda
-            ctypes.c_double,  # vl
-            ctypes.c_double,  # vu
-            integer,  # il
-            integer,  # iu
-            ctypes.c_double,  # abstol
-            ctypes.POINTER(integer),  # m
-            pointer,  # w
-            pointer,  # z
-            integer,  # ldz
-            pointer,  # isuppz
-        )
-        return functools.partial(top_eigenpairs, function, integer)
+    for pattern, integer in LAPACKE_BUILDS:
+        functions = {}
+        for name, arguments in TRIDIAGONAL_ROUTINES.items():
+            function = getattr(lib, pattern.format(name), None)
+            if function is None:
+                break
+            function.restype = integer
+            function.argtypes = tuple(integer if a is INTEGER else a for a in arguments)
+            functions[name] = function
+        else:
+            return types.SimpleNamespace(integer=integer, **functions)
     return None
-
-
-def top_eigenpairs(dsyevr, integer, S, k: int):
-    """The k largest eigenvalues of symmetric S, ascending, and their unit
-    eigenvectors as the columns of an F-ordered n x k array, from LAPACKE
-    function ``dsyevr`` with integer type ``integer``; None when it
-    reports an error.  dsyevr reduces a copy of S to tridiagonal form and
-    computes only these k eigenpairs of it, with eigenvalues to rounding
-    level (abstol 0); it overwrites a triangle of its input, so S is left
-    as it is."""
-    n = S.shape[0]
-    # S is symmetric, so its C-ordered copy is its F-ordered one
-    A = np.array(S, dtype=float, order="C")
-    w = np.empty(n)
-    U = np.empty((n, k), order="F")
-    isuppz = np.empty(2 * k, dtype=np.dtype(integer))
-    found = integer(0)
-    info = dsyevr(
-        LAPACK_COL_MAJOR, b"V", b"I", b"L", n, A.ctypes.data, n, 0.0, 0.0,
-        n - k + 1, n, 0.0, ctypes.byref(found), w.ctypes.data, U.ctypes.data,
-        n, isuppz.ctypes.data,
-    )
-    if info != 0 or found.value != k:
-        return None
-    return w[:k], U
 
 
 class CarriedProof:

@@ -24,7 +24,15 @@ from scpsolve import Assignment, InstanceError, RotamerPartition, ScpInstance, c
 from scpsolve.bounds import one_opt
 from scpsolve.instances import SYMMETRY_RTOL
 from scpsolve.lifting import build_geometry, lift_indicator
-from scpsolve.projections import CROSSOVER, FIRST_GUESS, GUARD, MIN_ORDER, rank_one_psd_trace, top_k_psd_trace
+from scpsolve.projections import (
+    FIRST_GUESS,
+    GUARD,
+    MIN_ORDER,
+    LapackError,
+    rank_one_psd_trace,
+    tridiagonal_lapack,
+    tridiagonal_psd_trace,
+)
 from scpsolve.solver import initialize
 
 # the acceptance gate's fixed corpus
@@ -134,9 +142,10 @@ def reference_simplex(d, total):
 def reference_psd_trace(M, total, start=None):
     """PSD/trace projection as a factor: symmetrize; with a start at order
     MIN_ORDER or more, the rank-one path when the start has one column and
-    it succeeds, else the top-k route when k is within the crossover and it
-    succeeds; else the full ``eigh``, gathering the eigenpairs whose
-    projected eigenvalue is above order*eps*total."""
+    it succeeds, else the tridiagonal route on a finite S where LAPACK is
+    bound and none of its routines fails; else the full ``eigh``,
+    gathering the eigenpairs whose projected eigenvalue is above
+    order*eps*total."""
     S = M + M.T
     S *= 0.5
     if start is not None and S.shape[0] >= MIN_ORDER:
@@ -145,11 +154,12 @@ def reference_psd_trace(M, total, start=None):
             G = rank_one_psd_trace(S, total, start[:, 0])
             if G is not None:
                 return G
-        k = width + GUARD if width else FIRST_GUESS
-        if k * CROSSOVER <= S.shape[0]:
-            G = top_k_psd_trace(S, total, k)
-            if G is not None:
-                return G
+        lapack = tridiagonal_lapack()
+        if lapack is not None and np.all(np.isfinite(S)):
+            try:
+                return tridiagonal_psd_trace(S, total, width + GUARD if width else FIRST_GUESS, lapack)
+            except LapackError:
+                pass
     w, U = np.linalg.eigh(S)
     w = reference_simplex(w, total)
     keep = w > S.shape[0] * np.finfo(float).eps * total

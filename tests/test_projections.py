@@ -15,6 +15,7 @@ from scpsolve.projections import (
     MIN_ORDER,
     PROOF_MARGIN,
     CarriedProof,
+    LapackError,
     project_box_gangster,
     project_psd_trace,
     project_simplex,
@@ -244,12 +245,13 @@ class TestPsdTraceReference:
         # a symmetric input comes back unchanged, bit for bit; an asymmetric
         # one is overwritten with its symmetric part, and the factor is the
         # reference's of the original, through the full eigh and, with a
-        # start at order MIN_ORDER, the rank-one path and the top-k route,
-        # whose dsyevr overwrites a triangle of its own copy
+        # start at order MIN_ORDER, the rank-one path and both branches of
+        # the tridiagonal route, whose dsytrd overwrites a triangle of its
+        # own copy
         rng = np.random.default_rng(29)
-        for n, width in ((1, 0), (7, 0), (30, 0), (MIN_ORDER, 1), (MIN_ORDER, 2)):
+        for n, width in ((1, 0), (7, 0), (30, 0), (MIN_ORDER, 1), (MIN_ORDER, 2), (MIN_ORDER, 30)):
             v = rng.normal(size=n)
-            start = {0: None, 1: v[:, None], 2: rng.normal(size=(n, 2))}[width]
+            start = None if n < MIN_ORDER else v[:, None] if width == 1 else rng.normal(size=(n, width))
             M = 50.0 * np.outer(v, v) + rng.normal(size=(n, n))
             S = M + M.T
             before = S.copy()
@@ -264,7 +266,8 @@ class TestPsdTraceReference:
 
 def test_binding_resolves_with_scipy_openblas():
     # where numpy's LAPACK is scipy-openblas, the one numpy's own wheels
-    # ship, the top-k route must bind, so it cannot go missing unnoticed;
+    # ship, every routine of the tridiagonal route must bind, with the
+    # integer type of one build, so it cannot go missing unnoticed;
     # elsewhere it may not
     try:
         config = np.show_config(mode="dicts")
@@ -273,7 +276,13 @@ def test_binding_resolves_with_scipy_openblas():
     lapack = config.get("Build Dependencies", {}).get("lapack", {}).get("name", "")
     if "scipy-openblas" not in lapack:
         pytest.skip(f"numpy's LAPACK is {lapack!r}, not scipy-openblas")
-    assert projections.lapacke_dsyevr() is not None
+    lapack = projections.tridiagonal_lapack()
+    assert lapack is not None
+    pattern = next(pattern for pattern, integer in projections.LAPACKE_BUILDS if integer is lapack.integer)
+    for name, arguments in projections.TRIDIAGONAL_ROUTINES.items():
+        function = getattr(lapack, name)
+        assert function.__name__ == pattern.format(name)
+        assert function.restype is lapack.integer and len(function.argtypes) == len(arguments)
 
 
 def with_spectrum(Q, values):
@@ -301,72 +310,105 @@ def rank_one_results(monkeypatch):
 
 
 @pytest.fixture
-def top_k_results(monkeypatch):
-    """The k and the result of every call of ``top_k_psd_trace`` during
-    the test, None for one that could not show its answer."""
+def tridiagonal_results(monkeypatch):
+    """The k and the outcome of every call of ``tridiagonal_psd_trace``
+    during the test: the factor, or the ``LapackError`` it raised."""
     results = []
-    top_k = projections.top_k_psd_trace
+    route = projections.tridiagonal_psd_trace
 
-    def recording(S, total, k):
-        results.append((k, top_k(S, total, k)))
+    def recording(S, total, k, lapack):
+        try:
+            results.append((k, route(S, total, k, lapack)))
+        except LapackError as error:
+            results.append((k, error))
+            raise
         return results[-1][1]
 
-    monkeypatch.setattr(projections, "top_k_psd_trace", recording)
+    monkeypatch.setattr(projections, "tridiagonal_psd_trace", recording)
     return results
 
 
-# whether numpy's LAPACK exports a LAPACKE_dsyevr the top-k route can bind;
-# where it does not, that route declines every call and the full eigh runs
-TOP_K = projections.lapacke_dsyevr() is not None
+# the routines of the tridiagonal route, where numpy's LAPACK exports them;
+# where it does not, the route never runs and the full eigh serves
+LAPACK = projections.tridiagonal_lapack()
+# the LAPACK calls of each branch of the tridiagonal route: bisection that
+# shows tau, bisection that cannot and the whole tridiagonal solve after
+# it, and the whole solve alone above the crossover
+BISECTED = ["dsytrd", "dstebz", "dstein", "dormtr_work"]
+DECLINED = ["dsytrd", "dstebz", "dstedc", "dormtr_work"]
+WHOLE = ["dsytrd", "dstedc", "dormtr_work"]
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """The name of every LAPACK routine of the tridiagonal route called
+    during the test, in order."""
+    calls = []
+
+    def counting(name, function):
+        def counted(*args):
+            calls.append(name)
+            return function(*args)
+
+        return counted
+
+    for name in projections.TRIDIAGONAL_ROUTINES if LAPACK is not None else ():
+        monkeypatch.setattr(LAPACK, name, counting(name, getattr(LAPACK, name)))
+    return calls
 
 
 class TestPartialPsdTrace:
-    """The warm-started rank-one path and the top-k route, against the
-    full eigh path."""
+    """The warm-started rank-one path and the tridiagonal route, against
+    the full eigh path."""
 
     n = 120
     total = 60.0
 
     @pytest.fixture(autouse=True)
-    def counters(self, eigh_orders, rank_one_results, top_k_results):
+    def counters(self, eigh_orders, rank_one_results, tridiagonal_results, lapack_calls):
         self.eigh_orders = eigh_orders
         self.rank_one_results = rank_one_results
-        self.top_k_results = top_k_results
+        self.tridiagonal_results = tridiagonal_results
+        self.lapack_calls = lapack_calls
 
     def project(self, S, start):
         """The projection with ``start``, its attempts at the rank-one path
-        and at the top-k route, and its eigh calls at S's order (the full
-        path); the factor must give the full path's projection."""
+        and at the tridiagonal route, the LAPACK routines that route
+        called, and its eigh calls at S's order (the full path); the factor
+        must give the full path's projection."""
         self.eigh_orders.clear()
         self.rank_one_results.clear()
-        self.top_k_results.clear()
+        self.tridiagonal_results.clear()
+        self.lapack_calls.clear()
         G = project_psd_trace(S, self.total, start)
         attempts = list(self.rank_one_results)
-        top_k = list(self.top_k_results)
+        routes = list(self.tridiagonal_results)
+        calls = list(self.lapack_calls)
         full_calls = self.eigh_orders.count(S.shape[0])
         assert np.max(np.abs(G @ G.T - psd_trace_matrix(S, self.total))) <= 1e-12
-        return G, attempts, top_k, full_calls
+        return G, attempts, routes, calls, full_calls
 
     def assert_served(self, S, start):
-        G, attempts, top_k, full_calls = self.project(S, start)
-        assert len(attempts) == 1 and attempts[0] is G and top_k == [] and full_calls == 0
+        G, attempts, routes, calls, full_calls = self.project(S, start)
+        assert len(attempts) == 1 and attempts[0] is G and routes == [] and calls == [] and full_calls == 0
         assert G.shape == (S.shape[0], 1) and G.flags.f_contiguous
         assert np.isclose(G[:, 0] @ G[:, 0], self.total)
 
-    def assert_top_k(self, S, start, rank_one_tried=False):
-        """The top-k route serves the projection with k = width + GUARD, or
-        FIRST_GUESS for a start with no columns, after a failed rank-one
-        attempt when ``rank_one_tried``; where the binding is absent it
-        declines and the full eigh runs.  Returns the factor."""
-        G, attempts, top_k, full_calls = self.project(S, start)
+    def assert_tridiagonal(self, S, start, rank_one_tried=False, branch=BISECTED):
+        """The tridiagonal route serves the projection with k = width +
+        GUARD, or FIRST_GUESS for a start with no columns, through the
+        LAPACK calls of ``branch``, after a failed rank-one attempt when
+        ``rank_one_tried``; where the binding is absent the full eigh
+        serves it.  Returns the factor."""
+        G, attempts, routes, calls, full_calls = self.project(S, start)
         assert attempts == ([None] if rank_one_tried else [])
         width = start.shape[1]
         k = width + projections.GUARD if width else projections.FIRST_GUESS
-        assert [want for want, _ in top_k] == [k]
-        if TOP_K:
-            assert top_k[0][1] is G and full_calls == 0
+        if LAPACK is not None:
+            assert len(routes) == 1 and routes[0][0] == k and routes[0][1] is G
+            assert calls == branch and full_calls == 0
         else:
-            assert top_k[0][1] is None and full_calls == 1
+            assert routes == [] and full_calls == 1
         # F-ordered, with the columns' squared norms, the projected
         # eigenvalues, ascending
         assert G.flags.f_contiguous
@@ -375,15 +417,23 @@ class TestPartialPsdTrace:
         return G
 
     def assert_falls_back(self, S, start):
-        self.assert_top_k(S, start, rank_one_tried=True)
+        self.assert_tridiagonal(S, start, rank_one_tried=True)
 
     def assert_no_attempt(self, S, start):
-        _, attempts, top_k, full_calls = self.project(S, start)
-        assert attempts == [] and top_k == [] and full_calls == 1
+        _, attempts, routes, calls, full_calls = self.project(S, start)
+        assert attempts == [] and routes == [] and calls == [] and full_calls == 1
+
+    def spectrum(self, rng, n, rank):
+        """Eigenvectors Q and a symmetric matrix with them whose projection
+        has the given rank: eigenvalues 1 + total * (a Dirichlet draw) above
+        the threshold 1, the rest below it."""
+        Q = orthonormal(rng, n)
+        kept_values = 1.0 + self.total * rng.dirichlet(np.ones(rank))
+        return Q, with_spectrum(Q, np.concatenate([kept_values, rng.uniform(-5.0, 0.5, size=n - rank)]))
 
     def test_random(self):
         # projections of rank 2 or 3: starts of 2 and 3 columns take the
-        # top-k route without trying the rank-one one
+        # tridiagonal route without trying the rank-one one
         rng = np.random.default_rng(21)
         for _ in range(10):
             Q = orthonormal(rng, self.n)
@@ -393,42 +443,81 @@ class TestPartialPsdTrace:
             start = project_psd_trace(with_spectrum(Q, values) + noise, self.total)
             assert start.shape[1] in (2, 3)
             M = with_spectrum(Q, values) + 1e-2 * rng.normal(size=(self.n, self.n))
-            self.assert_top_k(M, start)
-            self.assert_top_k(M, rng.normal(size=(self.n, 2)))
-            self.assert_top_k(M, rng.normal(size=(self.n, 3)))
+            self.assert_tridiagonal(M, start)
+            self.assert_tridiagonal(M, rng.normal(size=(self.n, 2)))
+            self.assert_tridiagonal(M, rng.normal(size=(self.n, 3)))
 
     @pytest.mark.parametrize("n", [MIN_ORDER, 120, 271])
     def test_top_k_route_at_ranks_two_to_twelve(self, n):
         # a projection of rank q, from a start of width r = max(2, q - 5),
-        # so k = r + GUARD exceeds q and lies within n / CROSSOVER; the
-        # crossover check must let these through at order MIN_ORDER too
+        # so k = r + GUARD exceeds q and lies within n / CROSSOVER: the
+        # bisection branch serves it; the crossover check must let these
+        # through at order MIN_ORDER too
         rng = np.random.default_rng(n)
         for q in range(2, 13):
             width = max(2, q - 5)
             assert (width + projections.GUARD) * projections.CROSSOVER <= n
-            Q = orthonormal(rng, n)
-            kept_values = 1.0 + self.total * rng.dirichlet(np.ones(q))
-            rest = rng.uniform(-5.0, 0.5, size=n - q)
-            S = with_spectrum(Q, np.concatenate([kept_values, rest]))
-            G = self.assert_top_k(S, rng.normal(size=(n, width)))
+            _, S = self.spectrum(rng, n, q)
+            G = self.assert_tridiagonal(S, rng.normal(size=(n, width)))
             assert G.shape == (n, q)
 
-    def test_rank_outgrowing_k_runs_one_full_eigh(self):
+    @pytest.mark.parametrize("n, rank", [(120, 30), (271, 60)])
+    def test_whole_tridiagonal_solve_above_the_crossover(self, n, rank):
+        # a start as wide as the rank puts k = rank + GUARD above
+        # n / CROSSOVER: dstedc solves the reduction whole, with no
+        # bisection, and only the kept eigenvectors are transformed back
+        rng = np.random.default_rng(38)
+        assert rank * projections.CROSSOVER > n
+        _, S = self.spectrum(rng, n, rank)
+        G = self.assert_tridiagonal(S, rng.normal(size=(n, rank)), branch=WHOLE)
+        assert G.shape == (n, rank)
+
+    @pytest.mark.skipif(LAPACK is None, reason="numpy's LAPACK lacks the tridiagonal route's routines")
+    def test_rank_outgrowing_k_reduces_once(self):
         # rank 10 from a start of 2 columns: the smallest of the top
-        # k = 8 eigenvalues is kept, so the route cannot show tau and the
-        # full eigh runs once
+        # k = 8 eigenvalues is kept, so bisection cannot show tau and
+        # dstedc solves the same reduction whole: S is reduced once and
+        # the full eigh does not run
         rng = np.random.default_rng(34)
         Q = orthonormal(rng, self.n)
         values = np.concatenate([1.0 + 6.0 * np.ones(10), rng.uniform(-5.0, 0.5, size=self.n - 10)])
-        G, attempts, top_k, full_calls = self.project(with_spectrum(Q, values), rng.normal(size=(self.n, 2)))
-        assert attempts == [] and top_k == [(2 + projections.GUARD, None)]
-        assert full_calls == 1 and G.shape == (self.n, 10)
+        G, attempts, routes, calls, full_calls = self.project(with_spectrum(Q, values), rng.normal(size=(self.n, 2)))
+        assert attempts == [] and len(routes) == 1 and routes[0][0] == 2 + projections.GUARD and routes[0][1] is G
+        assert calls.count("dsytrd") == 1 and calls == DECLINED
+        assert full_calls == 0 and G.shape == (self.n, 10)
+
+    @pytest.mark.skipif(LAPACK is None, reason="numpy's LAPACK lacks the tridiagonal route's routines")
+    @pytest.mark.parametrize(
+        "routine, rank",
+        [
+            ("dsytrd", 4), ("dsytrd", 30), ("dstebz", 4), ("dstein", 4), ("dstedc", 30),
+            ("dormtr_work", 4), ("dormtr_work", 30),
+        ],
+    )
+    def test_lapack_error_runs_the_full_path(self, routine, rank, monkeypatch):
+        # a nonzero info from any step of either branch sends the call to
+        # the full eigh: the factor is its, byte for byte and in memory
+        # layout
+        def failing(*args):
+            self.lapack_calls.append(routine)
+            return 1
+
+        monkeypatch.setattr(LAPACK, routine, failing)
+        rng = np.random.default_rng(39)
+        _, S = self.spectrum(rng, self.n, rank)
+        G, _, routes, calls, full_calls = self.project(S.copy(), rng.normal(size=(self.n, rank)))
+        assert len(routes) == 1 and isinstance(routes[0][1], LapackError)
+        assert calls[-1] == routine and full_calls == 1
+        want = project_psd_trace(S.copy(), self.total)
+        assert G.flags.f_contiguous == want.flags.f_contiguous
+        assert G.shape == want.shape and G.tobytes(order="A") == want.tobytes(order="A")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("width", [0, 1, 3])
     def test_non_finite_input_raises_as_the_full_path(self, bad, width):
-        # every route declines, and the full eigh's spectrum makes the
-        # simplex projection raise, as without a start
+        # the rank-one path declines, the tridiagonal route does not run,
+        # and the full eigh's spectrum makes the simplex projection raise,
+        # as without a start
         rng = np.random.default_rng(35)
         M = rng.normal(size=(self.n, self.n))
         M[3, 5] = bad
@@ -436,20 +525,18 @@ class TestPartialPsdTrace:
             warnings.simplefilter("ignore", RuntimeWarning)  # the power iteration's
             with pytest.raises(ValueError, match="lost to rounding"):
                 project_psd_trace(M, self.total, rng.normal(size=(self.n, width)))
-        k = width + projections.GUARD if width else projections.FIRST_GUESS
-        assert self.top_k_results == [(k, None)]
+        assert self.tridiagonal_results == [] and self.lapack_calls == []
+        assert self.eigh_orders == [self.n]
 
     def test_without_the_binding_the_full_path_runs(self, monkeypatch):
-        # with no LAPACKE_dsyevr the route declines, and the factor is the
-        # full eigh's, byte for byte and in memory layout
-        monkeypatch.setattr(projections, "lapacke_dsyevr", lambda: None)
+        # with no LAPACK binding the route does not run, and the factor is
+        # the full eigh's, byte for byte and in memory layout
+        monkeypatch.setattr(projections, "tridiagonal_lapack", lambda: None)
         rng = np.random.default_rng(36)
-        for width in (0, 2, 5):
-            Q = orthonormal(rng, self.n)
-            values = np.concatenate([1.0 + self.total * rng.dirichlet(np.ones(4)), rng.uniform(-5.0, 0.5, size=self.n - 4)])
-            S = with_spectrum(Q, values)
-            G, attempts, top_k, full_calls = self.project(S.copy(), rng.normal(size=(self.n, width)))
-            assert [found for _, found in top_k] == [None] and full_calls == 1
+        for width in (0, 2, 5, 30):
+            _, S = self.spectrum(rng, self.n, 4)
+            G, attempts, routes, calls, full_calls = self.project(S.copy(), rng.normal(size=(self.n, width)))
+            assert routes == [] and calls == [] and full_calls == 1
             want = project_psd_trace(S.copy(), self.total)
             assert G.flags.f_contiguous == want.flags.f_contiguous
             assert G.shape == want.shape and G.tobytes(order="A") == want.tobytes(order="A")
@@ -477,14 +564,14 @@ class TestPartialPsdTrace:
 
     def test_zero_column_start(self):
         # a start with no columns makes no rank-one attempt and takes the
-        # top-k route; one whose only column is zero falls back without
+        # tridiagonal route; one whose only column is zero falls back without
         # dividing by its norm
         rng = np.random.default_rng(24)
         for _ in range(5):
             Q = orthonormal(rng, self.n)
             values = np.concatenate([[90.0], rng.uniform(-4.0, 4.0, size=self.n - 1)])
             S = with_spectrum(Q, values)
-            self.assert_top_k(S, np.zeros((self.n, 0)))
+            self.assert_tridiagonal(S, np.zeros((self.n, 0)))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 self.assert_falls_back(S, np.zeros((self.n, 1)))
@@ -620,8 +707,8 @@ class TestCarriedProof:
     def test_second_eigenvalue_lifted_above_threshold_is_never_carried(self):
         # lifting the second eigenvalue past tau, by a little or a lot,
         # moves S beyond half the margin: both factorizations fail, the
-        # top-k route serves (the full eigh where it is absent) and no
-        # proof is kept
+        # tridiagonal route serves (the full eigh where it is absent) and
+        # no proof is kept
         rng = np.random.default_rng(33)
         for _ in range(3):
             Q, S = self.matrix(rng, self.tau - 2.0 * self.delta)
@@ -633,7 +720,7 @@ class TestCarriedProof:
             for lift in (3.0 * self.delta, 1.0):
                 proof.S, proof.tau, proof.delta = base
                 lifted, attempts, counts = self.project(S + lift * (w @ w.T), G, proof)
-                assert attempts == [None] and counts == (2, int(not TOP_K)) and proof.S is None
+                assert attempts == [None] and counts == (2, int(LAPACK is None)) and proof.S is None
                 assert lifted.shape[1] == 2
 
 

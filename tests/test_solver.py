@@ -428,13 +428,16 @@ class TestSolve:
 
     @pytest.mark.parametrize("dense", [False, True])
     def test_eigensolves_start_on_a_lean_working_set(self, dense, monkeypatch):
-        # when the R-update's eigh or top-k eigensolve and the lower bound's
-        # eigvalsh start, the solve holds Y, Z, the lifted cost and the
-        # matrix being decomposed, and no n x n temporary of the iteration
-        # (the top-k route's own copy comes after): the traced bytes above
-        # the level before the solve stay under five n x n matrices, plus V
-        # where the dense basis holds it.  About 4.4 n^2 here; each kept
-        # temporary adds n^2, a symmetrized copy (f/n)^2 = 0.71 n^2.  The
+        # when the R-update's tridiagonal route (or, without the LAPACK
+        # binding, its eigh) and the lower bound's eigvalsh start, the
+        # solve holds Y, Z, the lifted cost and the matrix being
+        # decomposed, and no n x n temporary of the iteration: the traced
+        # bytes above the level before the solve stay under five n x n
+        # matrices, plus V where the dense basis holds it.  About 4.4 n^2
+        # here; each kept temporary adds n^2, a symmetrized copy
+        # (f/n)^2 = 0.71 n^2.  When the route's dstedc starts, the solve
+        # holds two f x f arrays more, the route's reduced copy of S and
+        # the eigenvectors that dstedc writes: about 5.9 n^2 here.  The
         # corpus instances are too small to tell: at n = 19 the solve's
         # Python objects alone weigh about 3 n^2.  The start is written
         # into initialize's Y: from there to the first R-update the traced
@@ -446,7 +449,13 @@ class TestSolve:
         if dense:
             monkeypatch.setattr(lifting, "FACE_CROSSOVER", inst.partition.n0 + 1)
             allowance += n * f * 8
-        readings = {(np.linalg, "eigh"): [], (np.linalg, "eigvalsh"): [], (projections, "top_k_psd_trace"): []}
+        lapack = projections.tridiagonal_lapack()
+        eigensolves = [(np.linalg, "eigvalsh")]
+        if lapack is None:
+            eigensolves.append((np.linalg, "eigh"))
+        else:
+            eigensolves += [(projections, "tridiagonal_psd_trace"), (lapack, "dstedc")]
+        readings = [(owner, name, []) for owner, name in eigensolves]
         start = []
         initialize, r_update = solver_module.initialize, solver_module.r_update
 
@@ -468,8 +477,8 @@ class TestSolve:
                 start.append(tracemalloc.get_traced_memory()[1])
             return r_update(*args)
 
-        for (module, name), seen in readings.items():
-            monkeypatch.setattr(module, name, reading(getattr(module, name), seen))
+        for owner, name, seen in readings:
+            monkeypatch.setattr(owner, name, reading(getattr(owner, name), seen))
         monkeypatch.setattr(solver_module, "initialize", traced_initialize)
         monkeypatch.setattr(solver_module, "r_update", traced_r_update)
         params = dataclasses.replace(default_params(inst), max_iter=30)
@@ -479,9 +488,10 @@ class TestSolve:
             solve(inst, params)
         finally:
             tracemalloc.stop()
-        for (_, name), seen in readings.items():
+        for _, name, seen in readings:
             assert seen, f"no {name} ran"
-            assert max(seen) - before < allowance, name
+            route_arrays = 2 * f * f * 8 if name == "dstedc" else 0
+            assert max(seen) - before < allowance + route_arrays, name
         level, peak = start
         assert peak - level < 0.5 * n * n * 8
 
@@ -500,15 +510,17 @@ class TestSolve:
     def test_partial_eigensolve_serves_most_r_updates(self, eigh_orders, monkeypatch):
         # a projection that always fell back to the full eigh would give
         # the same answers, so count the routes instead: the rank-one path
-        # tries the R-updates whose start is of rank 1, the top-k route
-        # the others and those whose rank-one proof failed, and the
-        # order-f eigh runs only where the top-k route declined.  On this
-        # instance it never declines where numpy's LAPACK has the binding
+        # tries the R-updates whose start is of rank 1, the tridiagonal
+        # route the others and those whose rank-one proof failed, reducing
+        # S once each time, and the order-f eigh runs only without the
+        # LAPACK binding.  On this instance no LAPACK routine fails
         instance, _ = structured_instance(101)
         reduced = goldstein_reduce(instance).reduced
-        widths, failed, top_k = [], [], []
+        widths, failed, routed = [], [], []
         project = solver_module.project_psd_trace
-        rank_one, top_k_route = projections.rank_one_psd_trace, projections.top_k_psd_trace
+        rank_one, tridiagonal = projections.rank_one_psd_trace, projections.tridiagonal_psd_trace
+        lapack = projections.tridiagonal_lapack()
+        reductions = []
 
         def recording_project(M, total, start, proof):
             widths.append(start.shape[1])
@@ -519,25 +531,28 @@ class TestSolve:
             failed.append(G is None)
             return G
 
-        def recording_top_k(S, total, k):
-            G = top_k_route(S, total, k)
-            top_k.append(G is None)
-            return G
+        def recording_tridiagonal(S, total, k, lapack):
+            routed.append(k)
+            return tridiagonal(S, total, k, lapack)
 
         monkeypatch.setattr(solver_module, "project_psd_trace", recording_project)
         monkeypatch.setattr(projections, "rank_one_psd_trace", recording_rank_one)
-        monkeypatch.setattr(projections, "top_k_psd_trace", recording_top_k)
+        monkeypatch.setattr(projections, "tridiagonal_psd_trace", recording_tridiagonal)
+        if lapack is not None:
+            dsytrd = lapack.dsytrd
+            monkeypatch.setattr(lapack, "dsytrd", lambda *args: reductions.append(args[2]) or dsytrd(*args))
         report = solve(reduced)
         assert report.certified
         assert [record.rank for record in report.bound_history] == [1]
-        full = eigh_orders.count(build_geometry(reduced).face_dim)
+        f = build_geometry(reduced).face_dim
+        full = eigh_orders.count(f)
         not_rank_one = len(widths) - widths.count(1)
         assert len(widths) == report.iterations and len(failed) == widths.count(1)
-        assert len(top_k) == not_rank_one + sum(failed)
-        assert full == sum(top_k)
-        if projections.lapacke_dsyevr() is not None:
+        if lapack is not None:
+            assert len(routed) == not_rank_one + sum(failed) and reductions == [f] * len(routed)
             assert full == 0
         else:
+            assert routed == [] and full == not_rank_one + sum(failed)
             assert full < 0.4 * report.iterations
 
     @pytest.mark.parametrize("seed", [1000, 8105001])
