@@ -9,7 +9,7 @@ simplex threshold; a proof made with a margin carries over, by Weyl's
 inequality, to the nearby matrices of later projections
 (``CarriedProof``).  Otherwise LAPACK reduces S to tridiagonal form once
 (``tridiagonal_psd_trace``).  While the k = r + GUARD top eigenpairs are
-at most f / CROSSOVER, bisection finds only those, and serves the
+at most f / CROSSOVER, MRRR finds only those, and serves the
 projection when the smallest of them projects to zero; else
 divide and conquer solves the tridiagonal matrix whole.  Either way only
 the kept eigenvectors are transformed back.  Calls without a start, on
@@ -39,16 +39,17 @@ RESIDUAL_RTOL = 1e-13
 # PROOF_MARGIN * |tau|, halved after each failure: of 5e-4 to 8e-3, 4e-3
 # spared the most factorizations on the structured benchmark instances.
 PROOF_MARGIN = 4e-3
-# The tridiagonal route (``tridiagonal_psd_trace``) bisects for the top
-# k = r + GUARD eigenvalues, r the start's width, or FIRST_GUESS at
+# The tridiagonal route (``tridiagonal_psd_trace``) asks dstemr for the
+# top k = r + GUARD eigenpairs, r the start's width, or FIRST_GUESS at
 # r = 0, only while k <= f / CROSSOVER; above it, and when the k cannot
 # show tau, dstedc solves for the whole spectrum.  CROSSOVER gates only
 # that attempt: both branches share the one reduction and back-transform
 # only the kept eigenvectors.  It is where dsyevr for the top k broke
-# even with the full eigh.  Timed on one BLAS thread (2-core host),
-# bisection and inverse iteration for k eigenpairs cost as much as
-# dstedc at about k = f/9 at orders 120 and 271 and k = f/7 at 724, so
-# between those and f/6 bisection costs a little more than the whole solve.
+# even with the full eigh.  Timed on one BLAS thread (2-core host), on
+# reductions of captured and random matrices, dstemr for k eigenpairs
+# costs as much as dstedc at about k = f/6 at orders 120 and 724 (0.7 ms
+# and 27-36 ms) and k = f/7 at 271 (3.2-3.8 ms); bisection and inverse
+# iteration broke even at about f/9 to f/10.
 GUARD = 6
 FIRST_GUESS = 16
 CROSSOVER = 6
@@ -70,15 +71,10 @@ _CHAR, _DOUBLE, _POINTER = ctypes.c_char, ctypes.c_double, ctypes.c_void_p
 TRIDIAGONAL_ROUTINES = {
     # matrix_layout, uplo, n, a, lda, d, e, tau
     "dsytrd": (ctypes.c_int, _CHAR, INTEGER, _POINTER, INTEGER, _POINTER, _POINTER, _POINTER),
-    # range, order, n, vl, vu, il, iu, abstol, d, e, m, nsplit, w, iblock, isplit
-    "dstebz": (
-        _CHAR, _CHAR, INTEGER, _DOUBLE, _DOUBLE, INTEGER, INTEGER, _DOUBLE,
-        _POINTER, _POINTER, _POINTER, _POINTER, _POINTER, _POINTER, _POINTER,
-    ),
-    # matrix_layout, n, d, e, m, w, iblock, isplit, z, ldz, ifailv
-    "dstein": (
-        ctypes.c_int, INTEGER, _POINTER, _POINTER, INTEGER, _POINTER, _POINTER, _POINTER,
-        _POINTER, INTEGER, _POINTER,
+    # matrix_layout, jobz, range, n, d, e, vl, vu, il, iu, m, w, z, ldz, nzc, isuppz, tryrac
+    "dstemr": (
+        ctypes.c_int, _CHAR, _CHAR, INTEGER, _POINTER, _POINTER, _DOUBLE, _DOUBLE, INTEGER, INTEGER,
+        _POINTER, _POINTER, _POINTER, INTEGER, INTEGER, _POINTER, _POINTER,
     ),
     # matrix_layout, compz, n, d, e, z, ldz
     "dstedc": (ctypes.c_int, _CHAR, INTEGER, _POINTER, _POINTER, _POINTER, INTEGER),
@@ -196,15 +192,13 @@ def tridiagonal_psd_trace(S, total, k: int, lapack) -> np.ndarray:
     error.
 
     dsytrd reduces a copy of S to tridiagonal T = Q'SQ.  While k <= f /
-    CROSSOVER, dstebz bisects T for its k largest eigenvalues.  The
-    simplex projection of those alone has the full spectrum's threshold
-    tau exactly when its smallest one projects to 0: that eigenvalue is at
-    most tau, and so is every one not computed, so none of them is kept
-    and none moves tau.  Then dstein computes their eigenvectors of T by
-    inverse iteration; these are the steps dsyevr takes for a subset of
-    the spectrum.  Otherwise dstedc solves T for its whole spectrum by
-    divide and conquer.  Either way dormtr applies Q to the kept
-    eigenvectors alone.
+    CROSSOVER, dstemr finds T's k largest eigenvalues and their
+    eigenvectors.  The simplex projection of those eigenvalues alone has
+    the full spectrum's threshold tau exactly when its smallest one
+    projects to 0: that eigenvalue is at most tau, and so is every one not
+    computed, so none of them is kept and none moves tau.  Otherwise
+    dstedc solves T for its whole spectrum by divide and conquer.  Either
+    way dormtr applies Q to the kept eigenvectors alone.
     """
     n = S.shape[0]
     # S is symmetric, so its C-ordered copy is its F-ordered one; dsytrd
@@ -241,33 +235,25 @@ def top_tridiagonal(lapack, d, e, k: int, total):
     ascending, and T's unit eigenvectors for them as the columns of an
     n x k array, in the same order; None when the k cannot show the
     threshold: the smallest of them projects above 0.  T has diagonal d
-    and subdiagonal e, which are left as they are.  dstebz finds the
-    eigenvalues to rounding level (abstol 0), grouped by the blocks into
-    which T splits and ascending within each, as dstein needs them."""
+    and subdiagonal e, which are left as they are.  dstemr finds the k
+    eigenpairs in one call by multiple relatively robust representations
+    (MRRR), ascending also where T splits."""
     n = len(d)
     integer = np.dtype(lapack.integer)
-    w = np.empty(n)
-    iblock, isplit = np.empty(n, dtype=integer), np.empty(n, dtype=integer)
-    found, nsplit = np.zeros(1, dtype=integer), np.zeros(1, dtype=integer)
-    if lapack.dstebz(
-        b"I", b"B", n, 0.0, 0.0, n - k + 1, n, 0.0, d.ctypes.data, e.ctypes.data, found.ctypes.data,
-        nsplit.ctypes.data, w.ctypes.data, iblock.ctypes.data, isplit.ctypes.data,
+    # dstemr overwrites d and e, which a declined call hands on to dstedc
+    d, e = d.copy(), e.copy()
+    w, U = np.empty(n), np.empty((n, k), order="F")
+    found, support = np.zeros(1, dtype=integer), np.empty(2 * k, dtype=integer)
+    tryrac = np.zeros(1, dtype=integer)  # false: no test for high relative accuracy
+    if lapack.dstemr(
+        LAPACK_COL_MAJOR, b"V", b"I", n, d.ctypes.data, e.ctypes.data, 0.0, 0.0, n - k + 1, n,
+        found.ctypes.data, w.ctypes.data, U.ctypes.data, n, k, support.ctypes.data, tryrac.ctypes.data,
     ) or found[0] != k:
-        raise LapackError("dstebz")
-    w = w[:k]
-    # within each block ascending, so ascending when T does not split
-    ascending = np.argsort(w, kind="stable") if nsplit[0] > 1 else slice(None)
-    projected = project_simplex(w[ascending], total)
+        raise LapackError("dstemr")
+    projected = project_simplex(w[:k], total)
     if projected[0] != 0.0:
         return None
-    U = np.empty((n, k), order="F")
-    failed = np.empty(k, dtype=integer)
-    if lapack.dstein(
-        LAPACK_COL_MAJOR, n, d.ctypes.data, e.ctypes.data, k, w.ctypes.data, iblock.ctypes.data,
-        isplit.ctypes.data, U.ctypes.data, n, failed.ctypes.data,
-    ):
-        raise LapackError("dstein")
-    return projected, U[:, ascending]
+    return projected, U
 
 
 @functools.cache

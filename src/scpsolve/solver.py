@@ -31,10 +31,10 @@ previous G to the projection, whose width r picks one of two routes
 that give the same projection up to rounding: at r = 1 a power iteration
 warm-started on G's column, whenever its residual test and a Cholesky
 check show its answer; else one LAPACK reduction of the matrix to
-tridiagonal form, from which bisection finds only the top r + GUARD
-eigenpairs while r + GUARD is small against the face dimension and the
-smallest of them projects to zero, and divide and conquer the whole
-spectrum otherwise; only the kept eigenvectors are transformed back
+tridiagonal form, from which MRRR (LAPACK's dstemr) finds only the top
+r + GUARD eigenpairs while r + GUARD is small against the face dimension
+and the smallest of them projects to zero, and divide and conquer the
+whole spectrum otherwise; only the kept eigenvectors are transformed back
 (``projections.project_psd_trace``).  The full eigendecomposition runs
 where LAPACK is not bound or reports an error.  The solve keeps
 one ``CarriedProof`` beside G: a Cholesky check made with a margin covers

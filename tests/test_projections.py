@@ -331,12 +331,26 @@ def tridiagonal_results(monkeypatch):
 # the routines of the tridiagonal route, where numpy's LAPACK exports them;
 # where it does not, the route never runs and the full eigh serves
 LAPACK = projections.tridiagonal_lapack()
-# the LAPACK calls of each branch of the tridiagonal route: bisection that
-# shows tau, bisection that cannot and the whole tridiagonal solve after
-# it, and the whole solve alone above the crossover
-BISECTED = ["dsytrd", "dstebz", "dstein", "dormtr_work"]
-DECLINED = ["dsytrd", "dstebz", "dstedc", "dormtr_work"]
+# the LAPACK calls of each branch of the tridiagonal route: top-k
+# eigenpairs that show tau, top-k eigenpairs that cannot and the whole
+# tridiagonal solve after them, and the whole solve alone above the
+# crossover
+TOP_K = ["dsytrd", "dstemr", "dormtr_work"]
+DECLINED = ["dsytrd", "dstemr", "dstedc", "dormtr_work"]
 WHOLE = ["dsytrd", "dstedc", "dormtr_work"]
+
+
+def reduction(S):
+    """The diagonal d and subdiagonal e (its last entry unset) of the
+    tridiagonal matrix to which the bound dsytrd reduces symmetric S."""
+    n = S.shape[0]
+    A = np.array(S, order="C")
+    d, e, tau = np.empty(n), np.empty(n), np.empty(n)
+    info = LAPACK.dsytrd(
+        projections.LAPACK_COL_MAJOR, b"L", n, A.ctypes.data, n, d.ctypes.data, e.ctypes.data, tau.ctypes.data
+    )
+    assert info == 0
+    return d, e
 
 
 @pytest.fixture
@@ -394,7 +408,7 @@ class TestPartialPsdTrace:
         assert G.shape == (S.shape[0], 1) and G.flags.f_contiguous
         assert np.isclose(G[:, 0] @ G[:, 0], self.total)
 
-    def assert_tridiagonal(self, S, start, rank_one_tried=False, branch=BISECTED):
+    def assert_tridiagonal(self, S, start, rank_one_tried=False, branch=TOP_K):
         """The tridiagonal route serves the projection with k = width +
         GUARD, or FIRST_GUESS for a start with no columns, through the
         LAPACK calls of ``branch``, after a failed rank-one attempt when
@@ -451,7 +465,7 @@ class TestPartialPsdTrace:
     def test_top_k_route_at_ranks_two_to_twelve(self, n):
         # a projection of rank q, from a start of width r = max(2, q - 5),
         # so k = r + GUARD exceeds q and lies within n / CROSSOVER: the
-        # bisection branch serves it; the crossover check must let these
+        # top-k branch serves it; the crossover check must let these
         # through at order MIN_ORDER too
         rng = np.random.default_rng(n)
         for q in range(2, 13):
@@ -465,7 +479,7 @@ class TestPartialPsdTrace:
     def test_whole_tridiagonal_solve_above_the_crossover(self, n, rank):
         # a start as wide as the rank puts k = rank + GUARD above
         # n / CROSSOVER: dstedc solves the reduction whole, with no
-        # bisection, and only the kept eigenvectors are transformed back
+        # top-k attempt, and only the kept eigenvectors are transformed back
         rng = np.random.default_rng(38)
         assert rank * projections.CROSSOVER > n
         _, S = self.spectrum(rng, n, rank)
@@ -475,9 +489,9 @@ class TestPartialPsdTrace:
     @pytest.mark.skipif(LAPACK is None, reason="numpy's LAPACK lacks the tridiagonal route's routines")
     def test_rank_outgrowing_k_reduces_once(self):
         # rank 10 from a start of 2 columns: the smallest of the top
-        # k = 8 eigenvalues is kept, so bisection cannot show tau and
-        # dstedc solves the same reduction whole: S is reduced once and
-        # the full eigh does not run
+        # k = 8 eigenvalues that dstemr finds is kept, so they cannot show
+        # tau and dstedc solves the same reduction whole: S is reduced
+        # once and the full eigh does not run
         rng = np.random.default_rng(34)
         Q = orthonormal(rng, self.n)
         values = np.concatenate([1.0 + 6.0 * np.ones(10), rng.uniform(-5.0, 0.5, size=self.n - 10)])
@@ -486,11 +500,44 @@ class TestPartialPsdTrace:
         assert calls.count("dsytrd") == 1 and calls == DECLINED
         assert full_calls == 0 and G.shape == (self.n, 10)
 
+    def test_reduction_that_splits(self):
+        # block-diagonal S of orders 70 and 60 whose top eigenvalues
+        # alternate between the blocks: its reduction has an exact zero
+        # off the diagonal, so T splits in two, and the top-k branch must
+        # still give the ascending eigenpairs of the whole T
+        rng = np.random.default_rng(40)
+        S = np.zeros((130, 130))
+        at = 0
+        for order, top in ((70, [10.0, 30.0, 50.0]), (60, [20.0, 40.0])):
+            values = np.concatenate([top, rng.uniform(-5.0, 5.0, size=order - len(top))])
+            S[at : at + order, at : at + order] = with_spectrum(orthonormal(rng, order), values)
+            at += order
+        S = 0.5 * (S + S.T)
+        if LAPACK is not None:
+            _, e = reduction(S)
+            assert np.any(e[:-1] == 0.0)
+        G = self.assert_tridiagonal(S, rng.normal(size=(130, 3)))
+        assert G.shape == (130, 3)
+
+    @pytest.mark.skipif(LAPACK is None, reason="numpy's LAPACK lacks the tridiagonal route's routines")
+    def test_top_k_leaves_the_tridiagonal_matrix_as_it_is(self):
+        # dstemr overwrites the d and e it is given, and a declined top-k
+        # attempt hands the same d and e to dstedc: top_tridiagonal must
+        # leave them bit for bit as they were, served or declined
+        rng = np.random.default_rng(41)
+        for rank, served in ((4, True), (10, False)):
+            _, S = self.spectrum(rng, self.n, rank)
+            d, e = reduction(S)
+            before = d.tobytes(), e.tobytes()
+            top = projections.top_tridiagonal(LAPACK, d, e, 8, self.total)
+            assert (top is not None) == served
+            assert (d.tobytes(), e.tobytes()) == before
+
     @pytest.mark.skipif(LAPACK is None, reason="numpy's LAPACK lacks the tridiagonal route's routines")
     @pytest.mark.parametrize(
         "routine, rank",
         [
-            ("dsytrd", 4), ("dsytrd", 30), ("dstebz", 4), ("dstein", 4), ("dstedc", 30),
+            ("dsytrd", 4), ("dsytrd", 30), ("dstemr", 4), ("dstedc", 30),
             ("dormtr_work", 4), ("dormtr_work", 30),
         ],
     )
