@@ -3,7 +3,11 @@
 Lower bounds come from the Lagrangian dual of the relaxation evaluated at
 the current multiplier (``dual_lower_bound``, the one lower bound a solve
 computes); they are valid for any symmetric multiplier, so every value
-recorded during a solve is a true lower bound.  Upper bounds
+recorded during a solve is a true lower bound.  Its top eigenvalue of
+V'ZV is at least any Rayleigh quotient, so a Ritz value from two products
+with Z (``top_ritz_value``), less a margin for rounding, caps the bound
+from above without the eigensolve; ``screen_declines`` uses the cap to
+show that a check's bound cannot pass ``certified``.  Upper bounds
 come from rounding a lifted vector (a column of Y, or R's top eigenvector
 lifted by V) to the nearest feasible assignment, then evaluating the exact
 energy.  ``one_opt``, a 1-opt descent over assignments, gives the
@@ -21,6 +25,7 @@ import numpy as np
 
 from .instances import Assignment, RotamerPartition, ScpInstance
 from .lifting import LiftedGeometry
+from .projections import EPS
 
 FIRST_COLUMN = "first_column"
 EIGENVECTOR = "dominant_eigenvector"
@@ -69,6 +74,77 @@ def dual_lower_bound(Z, geometry: LiftedGeometry) -> float:
     W *= 0.5
     top = float(np.linalg.eigvalsh(W)[-1])
     return box_term(Z, geometry) - (geometry.partition.p + 1) * top
+
+
+def top_ritz_value(Z, face, start) -> tuple[float, float]:
+    """A Ritz value rho of W = V'ZV and a margin such that rho - margin is
+    at most the top eigenvalue ``dual_lower_bound`` computes at Z, from
+    two products with Z through ``face.apply`` and
+    ``face.apply_transpose``: O(n^2) work where W's eigensolve is O(f^3)
+    (n the order of Z, f that of W).  (-inf, inf) where it cannot tell: at
+    a zero or non-finite start, a non-finite Z, and a start that W maps
+    exactly onto its own multiple.
+
+    With q1 = start / |start|, r = Wq1 - (q1'Wq1) q1 orthogonalized
+    against q1 twice, and q2 = r / |r|, rho is the top eigenvalue of the
+    2 x 2 matrix K = Q'WQ over Q = [q1 q2].  Every Rayleigh quotient of W
+    is at most its top eigenvalue (Rayleigh-Ritz; Parlett, The Symmetric
+    Eigenvalue Problem, 1998), and the margin covers the rounding on both
+    sides.  In units of eps z, with eps the machine epsilon and z = |Z|_F,
+    which bounds the 2-norm of |Z| (entrywise absolute values), and with
+    M = |a| e_0' + E_rest + |D||J'| in ``FaceBasis``'s terms, the sum of
+    the absolute terms that the products with V add up, whose 2-norm is
+    below 4 (1 for a, 1 for E_rest, at most 1.85 for |D||J'|, at m_i = 2);
+    |V| <= M, so a dense V is covered too:
+
+    * a computed product V'ZVq sums at most n + 2 rounded terms at each
+      of three stages, so for n >= 10 it is off by at most 2n eps
+      M'|Z|M|q| entry by entry, and by at most 32n |q| in norm; so is the
+      V'ZV that ``dual_lower_bound`` computes, which moves its top
+      eigenvalue by at most 32n + 1 (Weyl), symmetrization included;
+    * ``eigvalsh`` is backward stable: its top eigenvalue is exact for a
+      matrix within p(f) eps |W|_F of the one it is given (LAPACK Users'
+      Guide, 3rd ed., 4.7), and p(f) = 2f^2 covers the worst growth of
+      Householder reduction (Higham, Accuracy and Stability of Numerical
+      Algorithms, 2nd ed., 2002, 19.3), plus 1 for |W|_F <= z;
+    * K's entries come from those products and dot products of length f,
+      with |q_i|^2 <= 1.5, so K is off by at most 3 (32n + f) in norm,
+      and its closed-form top eigenvalue and rho - margin round by at
+      most 9 more.
+
+    These sum to 2f^2 + 128n + 3f + 11 < 2f^2 + 140n.  Q is not exactly
+    orthonormal: for delta >= |Q'Q - I|_2, read off the computed Q'Q plus
+    its own rounding, the quotient of the Ritz vector Qy, y a unit top
+    eigenvector of the computed K, falls below y'Ky by at most 3 delta z
+    while delta <= 1/2, so the margin adds 4 delta z; a larger delta gives
+    (-inf, inf)."""
+    Z = np.asarray(Z, dtype=float)
+    start = np.asarray(start, dtype=float)
+    scale = float(np.linalg.norm(Z))
+    size = float(np.linalg.norm(start))
+    if not (math.isfinite(scale) and 0.0 < size < math.inf):
+        return -math.inf, math.inf
+
+    def product(q):  # Wq, without forming W
+        return face.apply_transpose(Z @ face.apply(q[:, None]))[:, 0]
+
+    q1 = start / size
+    w1 = product(q1)
+    a = float(q1 @ w1)
+    r = w1 - a * q1
+    r -= float(q1 @ r) * q1
+    norm_r = float(np.linalg.norm(r))
+    if not 0.0 < norm_r < math.inf:
+        return -math.inf, math.inf
+    q2 = r / norm_r
+    w2 = product(q2)
+    b, c = float(q1 @ w2), float(q2 @ w2)
+    f, n = face.dim, face.order
+    delta = float(abs(q1 @ q1 - 1.0) + abs(q2 @ q2 - 1.0) + 2.0 * abs(q1 @ q2)) + 6.0 * f * EPS
+    if not delta <= 0.5:
+        return -math.inf, math.inf
+    rho = 0.5 * (a + c) + math.hypot(0.5 * (a - c), b)
+    return rho, ((2.0 * f * f + 140.0 * n) * EPS + 4.0 * delta) * scale
 
 
 def extract_fractional(v) -> np.ndarray:
@@ -163,6 +239,32 @@ def certified(lower: float, upper: float) -> bool:
     more than that proves nothing: it shows rounding error in the bound."""
     slack = GAP_CLOSE_RTOL * (1.0 + abs(upper))
     return math.isfinite(upper) and bool(upper - slack <= lower <= upper + slack)
+
+
+def screen_declines(Z, geometry: LiftedGeometry, start, best_lower: float, upper: float) -> bool:
+    """True when no lower bound that ``dual_lower_bound`` can return at Z
+    lets ``certified(max(best_lower, lower), upper)`` pass, shown without
+    its eigensolve; False means the bound may certify and must be taken.
+
+    At once when best_lower lies above the window ``certified`` accepts.
+    Otherwise from ``top_ritz_value`` on ``start`` (in ``solve``, R's top
+    eigenvector): the cap box - (p + 1) (rho - margin) takes the same two
+    rounded operations as ``dual_lower_bound`` on the same box term, and
+    rho - margin is at most the top eigenvalue the bound subtracts, so, as
+    rounding is monotone, the cap is no smaller than the bound.  It
+    declines when the larger of best_lower and the cap lies below the
+    window: when rho - margin > lambda* = (box - upper + slack) / (p + 1),
+    slack being ``certified``'s.  A check within (p + 1) margin of that
+    window runs the eigensolve."""
+    if best_lower > upper:
+        return not certified(best_lower, upper)
+    rho, margin = top_ritz_value(Z, geometry.face, start)
+    floor = rho - margin
+    if not math.isfinite(floor):
+        return False
+    cap = box_term(Z, geometry) - (geometry.partition.p + 1) * floor
+    reach = max(best_lower, cap)
+    return math.isfinite(cap) and bool(reach < upper) and not certified(reach, upper)
 
 
 def relative_gap(ubd: float, lbd: float) -> float:

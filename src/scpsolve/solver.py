@@ -40,7 +40,8 @@ where LAPACK is not bound or reports an error.  The solve keeps
 one ``CarriedProof`` beside G: a Cholesky check made with a margin covers
 the later R-updates whose matrices stay within half of it.  Lower and
 upper bounds are checked on the schedule stated in ``solve``, each check
-taking one lower bound, ``dual_lower_bound``; the solve stops on a closed
+taking at most one lower bound, ``dual_lower_bound``, and none where a
+Ritz value shows it cannot certify; the solve stops on a closed
 gap, on persistently small residuals, on a relaxation that has converged
 below the incumbent (at a recorded full check, like a closed gap), or at
 the iteration cap.
@@ -71,11 +72,12 @@ from .bounds import (
     one_opt,
     relative_gap,
     round_to_feasible,
+    screen_declines,
     upper_bound,
 )
 from .instances import Assignment, ScpInstance
 from .lifting import LiftedGeometry, build_geometry
-from .projections import CarriedProof, project_box_gangster, project_psd_trace
+from .projections import MIN_ORDER, CarriedProof, project_box_gangster, project_psd_trace
 
 TERMINATION_MAX_ITER = "max_iter"
 TERMINATION_RESIDUAL = "residual"
@@ -233,13 +235,19 @@ def solve(
     check and at the cap.  The bounds are checked at every
     SCREEN_PERIOD-th iteration and at the last one; the check is full at
     a multiple of CHECK_PERIOD and at the last iteration, and screened
-    otherwise.  Each check rounds the first column of Y and takes the
-    lower bound ``dual_lower_bound``.  A screened check stops there,
+    otherwise.  Each check rounds the first column of Y, and a full check
+    takes the lower bound ``dual_lower_bound``.  A screened check stops,
     recording and keeping nothing, unless the best lower bound, its own
-    included, passes ``certified`` with the smaller of the best and the
-    column upper bound.  So the screened checks that do not certify leave
-    the report as the full checks alone give it, and the bound history
-    holds exactly the full checks and the check that certifies.  A check
+    included, passes ``certified`` with U, the smaller of the best and
+    the column upper bound.  At a face dimension of at least
+    ``projections.MIN_ORDER`` it first asks ``bounds.screen_declines``,
+    which shows from a Ritz value of V'ZV on R's top eigenvector, G's
+    last column, that the bound cannot pass, and then stops without
+    taking it; otherwise it takes the bound.  So each check takes exactly
+    one of a declining screen or the lower bound, the screened checks
+    that do not certify leave the report as the full checks alone give
+    it, and the bound history holds exactly the full checks and the check
+    that certifies.  A check
     that goes on also rounds R's top eigenvector lifted by V, the last
     column of F = VG, which the iteration has already formed, so no
     eigensolve is needed; it keeps that rounding only when strictly
@@ -287,8 +295,11 @@ def solve(
         nonlocal best_lower, best_upper, best_assignment
         source_here = FIRST_COLUMN
         upper_here, assignment_here = upper_bound(Y[:, 0], instance, FIRST_COLUMN)
+        upper = min(best_upper, upper_here)
+        if screened and face.dim >= MIN_ORDER and screen_declines(Z, geometry, G[:, -1], best_lower, upper):
+            return
         lower = dual_lower_bound(Z, geometry)
-        if screened and not certified(max(best_lower, lower), min(best_upper, upper_here)):
+        if screened and not certified(max(best_lower, lower), upper):
             return
         value, assignment = upper_bound(F[:, -1], instance, EIGENVECTOR)
         if value < upper_here:

@@ -30,6 +30,8 @@ from scpsolve.bounds import (
     extract_fractional,
     one_opt,
     round_to_feasible,
+    screen_declines,
+    top_ritz_value,
     upper_bound,
 )
 from scpsolve.lifting import FACE_CROSSOVER, build_geometry, lift_indicator
@@ -92,6 +94,109 @@ class TestDualLowerBound:
             W = geo.face.congruence(Z)
             top = np.linalg.eigvalsh(0.5 * (W + W.T))[-1]
             assert value == box_term(Z, geo) - (p + 1) * float(top)
+
+
+# block sizes whose face dimension f = n0 + 1 - p is 80 (products with a
+# dense V, n0 < FACE_CROSSOVER), 271 and 724 (through V's reflectors): the
+# orders of the smallest screened, the structured and the dense solves
+SCREEN_BLOCKS = {80: (9,) * 9 + (8,), 271: (5,) * 30 + (6,) * 30, 724: (10,) * 77 + (11,) * 3}
+
+
+def screen_case(f, rng, nonnegative=False):
+    """A geometry of face dimension f and a random symmetric Z for it.
+    With ``nonnegative``, the energies and Z are, so the box term is Z's
+    corner, 0, and the lower bound is exactly -(p + 1) times the top
+    eigenvalue, where a larger box would round away its last bits."""
+    m = SCREEN_BLOCKS[f]
+    raw = rng.uniform(0.0 if nonnegative else -10.0, 10.0, size=(sum(m), sum(m)))
+    geo = build_geometry(make_instance(m, 0.5 * (raw + raw.T)))
+    assert geo.face_dim == f
+    M = rng.normal(size=(geo.order, geo.order))
+    if nonnegative:
+        M = np.abs(M)
+        M[0, 0] = 0.0
+    return geo, M + M.T
+
+
+def reduced_spectrum(Z, geo):
+    """The eigenpairs of V'ZV symmetrized as ``dual_lower_bound`` does, and
+    the top eigenvalue it computes."""
+    W = geo.face.congruence(Z)
+    np.add(W, W.T.copy(), out=W)
+    W *= 0.5
+    return np.linalg.eigh(W), float(np.linalg.eigvalsh(W)[-1])
+
+
+class TestScreen:
+    @pytest.mark.parametrize("f, trials", [(80, 4), (271, 3), (724, 2)])
+    def test_ritz_value_exceeds_the_top_eigenvalue_by_at_most_the_margin(self, f, trials):
+        # from random starts, from the top eigenvector and from a perturbed
+        # one; from the top eigenvector the Ritz value is the top eigenvalue
+        # to within the margin, and the margin is a small part of |Z|_F
+        rng = np.random.default_rng(f)
+        for _ in range(trials):
+            geo, Z = screen_case(f, rng)
+            (_, U), top = reduced_spectrum(Z, geo)
+            starts = [U[:, -1], U[:, -1] + 1e-3 * rng.normal(size=f), rng.normal(size=f), rng.normal(size=f)]
+            for k, start in enumerate(starts):
+                rho, margin = top_ritz_value(Z, geo.face, start)
+                assert type(rho) is type(margin) is float
+                assert rho - margin <= top
+                assert 0.0 < margin < 1e-9 * np.linalg.norm(Z)
+                if k == 0:
+                    assert rho + margin >= top
+
+    @pytest.mark.parametrize("f", [80, 271])
+    def test_never_declines_a_check_that_certifies(self, f):
+        # from the top eigenvector, where the screen is sharpest, with the
+        # lower bound within 2 margins (times p + 1) of the bottom of
+        # certified's window, and on a finer grid across the window: a
+        # check that would certify is never declined, and some whose bound
+        # lies below the window are
+        rng = np.random.default_rng(f + 1)
+        for _ in range(3):
+            geo, Z = screen_case(f, rng, nonnegative=True)
+            assert box_term(Z, geo) == 0.0
+            (_, U), _ = reduced_spectrum(Z, geo)
+            start = U[:, -1]
+            lower = dual_lower_bound(Z, geo)
+            band = (geo.partition.p + 1) * top_ritz_value(Z, geo.face, start)[1]
+            slack = GAP_CLOSE_RTOL * (1.0 + abs(lower))
+            offsets = np.concatenate([np.linspace(-2.0, 2.0, 81) * band, np.linspace(-3.0, 1.0, 401) * slack])
+            declined = certifying = 0
+            for offset in offsets:
+                bottom = lower + offset  # the window's bottom, upper - slack
+                upper = bottom + GAP_CLOSE_RTOL * (1.0 + abs(bottom))
+                declines = screen_declines(Z, geo, start, -math.inf, upper)
+                assert type(declines) is bool
+                certifies = certified(lower, upper)
+                assert not (declines and certifies)
+                declined += declines
+                certifying += certifies
+            assert declined > 0 and certifying > 0
+
+    def test_zero_start_or_non_finite_z_never_declines(self):
+        geo, Z = screen_case(80, np.random.default_rng(5))
+        (_, U), _ = reduced_spectrum(Z, geo)
+        upper = dual_lower_bound(Z, geo) + 1e3
+        assert screen_declines(Z, geo, U[:, -1], -math.inf, upper)
+        assert top_ritz_value(Z, geo.face, np.zeros(80)) == (-math.inf, math.inf)
+        assert not screen_declines(Z, geo, np.zeros(80), -math.inf, upper)
+        for bad in (math.nan, math.inf, -math.inf):
+            broken = Z.copy()
+            broken[3, 5] = broken[5, 3] = bad
+            assert top_ritz_value(broken, geo.face, U[:, -1]) == (-math.inf, math.inf)
+            assert not screen_declines(broken, geo, U[:, -1], -math.inf, upper)
+
+    def test_declines_at_once_above_the_window(self):
+        # a best lower bound above certified's window fails it whatever the
+        # check's own bound, so Z is not read; one inside it does not
+        geo, _ = screen_case(80, np.random.default_rng(6))
+        unread = np.full((geo.order, geo.order), math.nan)
+        upper = -100.0
+        slack = GAP_CLOSE_RTOL * (1.0 + abs(upper))
+        assert screen_declines(unread, geo, np.ones(80), upper + 2.0 * slack, upper)
+        assert not screen_declines(unread, geo, np.ones(80), upper + 0.5 * slack, upper)
 
 
 def lifted_vector(x, scale=1.0):

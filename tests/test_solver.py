@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -31,12 +32,26 @@ from scpsolve.bounds import (
     GAP_CLOSE_RTOL,
     certified,
     dual_lower_bound,
+    screen_declines,
     upper_bound,
 )
 from scpsolve import lifting, projections
 from scpsolve.lifting import build_geometry
 from scpsolve.projections import project_simplex
 from scpsolve.solver import dual_step, initialize, r_update, y_update
+
+
+def record_screens(monkeypatch) -> list[bool]:
+    """Patch solve's screen to append each of its answers, True for a
+    declined check, to the list returned."""
+    answers = []
+
+    def recording(*args):
+        answers.append(screen_declines(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(solver_module, "screen_declines", recording)
+    return answers
 
 
 class TestDefaultParams:
@@ -616,14 +631,15 @@ class TestSolve:
         assert report.bound_history[-1].rank == 2 < last["positive"]
 
     def test_failed_screens_leave_the_report_unchanged(self, monkeypatch):
-        # a capped p=20 solve that never certifies: its screened checks all
+        # capped p=20 solves that never certify: their screened checks all
         # stop early, so the report is that of the full checks alone, as
         # when the checks come only every CHECK_PERIOD iterations; the
         # screens run at the 22 SCREEN_PERIOD-th iterations short of 250
         # that CHECK_PERIOD does not divide, and none at 250, the last,
-        # whose check is full
-        inst = random_instance(20, 10, (-10, 10), seed=3)
-        params = dataclasses.replace(default_params(inst), max_iter=250)
+        # whose check is full.  Each check takes exactly one of a declining
+        # screen or the lower bound: seed 3's face (f = 68) is below
+        # MIN_ORDER, so it takes the bound at every check; seed 6's
+        # (f = 96) runs the screen
         bounds = []
 
         def recording_bound(*args):
@@ -631,15 +647,44 @@ class TestSolve:
             return bounds[-1]
 
         monkeypatch.setattr(solver_module, "dual_lower_bound", recording_bound)
-        screened = solve(inst, params)
-        assert len(bounds) == 22 + 3
-        monkeypatch.setattr(solver_module, "SCREEN_PERIOD", solver_module.CHECK_PERIOD)
-        bounds.clear()
-        unscreened = solve(inst, params)
-        assert len(bounds) == 3
-        assert not screened.certified
-        assert [record.iteration for record in screened.bound_history] == [100, 200, 250]
-        assert dataclasses.replace(screened, time_sec=0.0) == dataclasses.replace(unscreened, time_sec=0.0)
+        period = solver_module.SCREEN_PERIOD
+        for seed, screened_at in ((3, 0), (6, 22)):
+            inst = random_instance(20, 10, (-10, 10), seed=seed)
+            params = dataclasses.replace(default_params(inst), max_iter=250)
+            monkeypatch.setattr(solver_module, "SCREEN_PERIOD", period)
+            screens = record_screens(monkeypatch)
+            bounds.clear()
+            screened = solve(inst, params)
+            assert len(bounds) + sum(screens) == 22 + 3
+            assert len(screens) == screened_at
+            monkeypatch.setattr(solver_module, "SCREEN_PERIOD", solver_module.CHECK_PERIOD)
+            bounds.clear()
+            unscreened = solve(inst, params)
+            assert len(bounds) == 3
+            assert not screened.certified
+            assert [record.iteration for record in screened.bound_history] == [100, 200, 250]
+            assert dataclasses.replace(screened, time_sec=0.0) == dataclasses.replace(unscreened, time_sec=0.0)
+
+    def test_declined_screens_leave_the_report_unchanged(self, monkeypatch):
+        # a screen declines only checks whose lower bound would not
+        # certify, so with its declines patched away every report field
+        # but time_sec is the same, bit for bit (pickled): on the reduced
+        # structured instances 101-103 (f = 271), p=20 seed 6 capped at
+        # 250 (f = 96) and a p=80 instance capped at 30 (f = 193), each
+        # with at least one declined check
+        solves = [(goldstein_reduce(structured_instance(seed)[0]).reduced, None) for seed in (101, 102, 103)]
+        for inst, cap in ((random_instance(20, 10, (-10, 10), seed=6), 250), (random_instance(80, 6, (-10, 10), seed=1), 30)):
+            solves.append((inst, dataclasses.replace(default_params(inst), max_iter=cap)))
+
+        def fields(report):
+            return pickle.dumps(dataclasses.asdict(dataclasses.replace(report, time_sec=0.0)))
+
+        for inst, params in solves:
+            screens = record_screens(monkeypatch)
+            screened = solve(inst, params)
+            assert any(screens)
+            monkeypatch.setattr(solver_module, "screen_declines", lambda *args: False)
+            assert fields(solve(inst, params)) == fields(screened)
 
     def test_screen_certifies_as_early_as_checks_every_screen_period(self, monkeypatch):
         # a screened check that stops early never skips one that would
@@ -675,15 +720,17 @@ class TestSolve:
 
     def test_one_first_column_rounding_per_screened_iteration(self, monkeypatch):
         # a solve checks at every SCREEN_PERIOD-th iteration and at the
-        # last, rounding the first column and taking the lower bound once
-        # at each and recording the last; a screened check that goes on
-        # reuses the rounding and the bound it screened with.  The two
-        # structured solves certify at a screened iteration, the p=20 ones
-        # stop at their caps (250 a SCREEN_PERIOD-th iteration, 255 not)
-        # and corpus instance 115, with the relaxation stop switched off,
-        # on the residual rule at 5,008; a solve that stops on the cap or
-        # the residual rule knows its last iteration before the check, so
-        # it runs no screen there
+        # last, rounding the first column once at each, then taking exactly
+        # one of a declining screen or the lower bound, and recording the
+        # last; a screened check that goes on reuses the rounding and the
+        # bound it screened with.  The two structured solves (f = 271)
+        # decline some screens and certify at a screened iteration, the
+        # p=20 ones (f = 68, below MIN_ORDER, so no screen declines) stop
+        # at their caps (250 a SCREEN_PERIOD-th iteration, 255 not) and
+        # corpus instance 115, with the relaxation stop switched off, on
+        # the residual rule at 5,008; a solve that stops on the cap or the
+        # residual rule knows its last iteration before the check, so it
+        # runs no screen there
         monkeypatch.setattr(solver_module, "RELAXATION_GAP_RTOL", 0.0)
         events = []
 
@@ -698,9 +745,16 @@ class TestSolve:
             events.append("lower")
             return dual_lower_bound(*args)
 
+        def screen(*args):
+            declined = screen_declines(*args)
+            if declined:
+                events.append("declined")
+            return declined
+
         monkeypatch.setattr(solver_module, "upper_bound", counting(solver_module.upper_bound))
         monkeypatch.setattr(bounds_module, "upper_bound", counting(bounds_module.upper_bound))
         monkeypatch.setattr(solver_module, "dual_lower_bound", bound)
+        monkeypatch.setattr(solver_module, "screen_declines", screen)
         solves = []
         for seed in (101, 102):
             instance, _ = structured_instance(seed)
@@ -710,27 +764,33 @@ class TestSolve:
             solves.append((capped, dataclasses.replace(default_params(capped), max_iter=cap), "max_iter"))
         residual = next(itertools.islice(acceptance_corpus(), 115, None))
         solves.append((residual, None, "residual"))
+        declines = []
         for instance, params, termination in solves:
             events.clear()
             report = solve(instance, params)
             assert report.termination == termination
             assert report.iterations % solver_module.CHECK_PERIOD != 0
             checked = math.ceil(report.iterations / solver_module.SCREEN_PERIOD)
-            assert events.count(FIRST_COLUMN) == events.count("lower") == checked
+            assert events.count(FIRST_COLUMN) == checked
+            assert events.count("lower") + events.count("declined") == checked
+            follows = {events[i + 1] for i, event in enumerate(events) if event == FIRST_COLUMN}
+            assert follows <= {"lower", "declined"}
+            declines.append(events.count("declined"))
             recorded = [r.iteration for r in report.bound_history]
             assert recorded == sorted({*range(100, report.iterations, 100), report.iterations})
             last = len(events) - events[::-1].index(FIRST_COLUMN)
             assert events[last:] == ["lower", EIGENVECTOR]
         assert report.iterations == 5008
+        assert declines[0] > 0 and declines[1] > 0 and sum(declines[2:]) == 0
 
     def test_off_period_records_only_certify(self, monkeypatch):
         # the bound history holds the full checks and the check that
         # certifies: a record off a multiple of CHECK_PERIOD is the last
-        # and closes the gap, and each check, screened or full, takes the
-        # lower bound once.  Over the corpus, the reduced structured
-        # instances 101-103 and every fifth p=4 seed from 700, 745 among
-        # them, whose stall recorded 175 checks with a screen estimated
-        # from above and records 22 now
+        # and closes the gap, and each check, screened or full, takes
+        # exactly one of a declining screen or the lower bound.  Over the
+        # corpus, the reduced structured instances 101-103 and every fifth
+        # p=4 seed from 700, 745 among them, whose stall recorded 175
+        # checks with a screen estimated from above and records 22 now
         counts = []
 
         def counting(*args):
@@ -738,6 +798,7 @@ class TestSolve:
             return dual_lower_bound(*args)
 
         monkeypatch.setattr(solver_module, "dual_lower_bound", counting)
+        screens = record_screens(monkeypatch)
         instances = list(acceptance_corpus())
         for seed in (101, 102, 103):
             instances.append(goldstein_reduce(structured_instance(seed)[0]).reduced)
@@ -746,8 +807,9 @@ class TestSolve:
         lengths = []
         for inst in instances:
             counts.append(0)
+            screens.clear()
             report = solve(inst)
-            assert counts[-1] == math.ceil(report.iterations / solver_module.SCREEN_PERIOD)
+            assert counts[-1] + sum(screens) == math.ceil(report.iterations / solver_module.SCREEN_PERIOD)
             history = report.bound_history
             for index, record in enumerate(history):
                 if record.iteration % solver_module.CHECK_PERIOD != 0:
