@@ -62,10 +62,11 @@ def box_term(Z, geometry: LiftedGeometry) -> float:
     return float(corner + C.sum())
 
 
-def dual_lower_bound(Z, geometry: LiftedGeometry) -> float:
+def dual_lower_bound(Z, geometry: LiftedGeometry, *, box: float | None = None) -> float:
     """Lagrangian dual value of the relaxation at multiplier Z: the box
     term (``box_term``) minus (p + 1) times the top eigenvalue of V'ZV, the
-    reduced PSD term.  Z is only read."""
+    reduced PSD term.  Z is only read.  ``box``, ``box_term(Z, geometry)``
+    already computed, spares computing it again."""
     Z = np.asarray(Z, dtype=float)
     W = geometry.face.congruence(Z)
     # symmetrized in place, so no second order-f array lives through the
@@ -73,7 +74,9 @@ def dual_lower_bound(Z, geometry: LiftedGeometry) -> float:
     np.add(W, W.T.copy(), out=W)
     W *= 0.5
     top = float(np.linalg.eigvalsh(W)[-1])
-    return box_term(Z, geometry) - (geometry.partition.p + 1) * top
+    if box is None:
+        box = box_term(Z, geometry)
+    return box - (geometry.partition.p + 1) * top
 
 
 def top_ritz_value(Z, face, start) -> tuple[float, float]:
@@ -241,10 +244,14 @@ def certified(lower: float, upper: float) -> bool:
     return math.isfinite(upper) and bool(upper - slack <= lower <= upper + slack)
 
 
-def screen_declines(Z, geometry: LiftedGeometry, start, best_lower: float, upper: float) -> bool:
+def screen_declines(
+    Z, geometry: LiftedGeometry, start, best_lower: float, upper: float, box: float | None = None
+) -> bool:
     """True when no lower bound that ``dual_lower_bound`` can return at Z
     lets ``certified(max(best_lower, lower), upper)`` pass, shown without
     its eigensolve; False means the bound may certify and must be taken.
+    ``box``, ``box_term(Z, geometry)`` already computed, spares computing
+    it again, and a check that goes on hands it to the bound.
 
     At once when best_lower lies above the window ``certified`` accepts.
     Otherwise from ``top_ritz_value`` on ``start`` (in ``solve``, R's top
@@ -262,7 +269,9 @@ def screen_declines(Z, geometry: LiftedGeometry, start, best_lower: float, upper
     floor = rho - margin
     if not math.isfinite(floor):
         return False
-    cap = box_term(Z, geometry) - (geometry.partition.p + 1) * floor
+    if box is None:
+        box = box_term(Z, geometry)
+    cap = box - (geometry.partition.p + 1) * floor
     reach = max(best_lower, cap)
     return math.isfinite(cap) and bool(reach < upper) and not certified(reach, upper)
 

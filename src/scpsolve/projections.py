@@ -84,6 +84,16 @@ TRIDIAGONAL_ROUTINES = {
         _POINTER, INTEGER, _POINTER, INTEGER,
     ),
 }
+# numpy's own Cholesky factorization, np.linalg.cholesky, calls LAPACK's
+# dpotrf on a column-major copy of its input, reading the lower triangle;
+# ``cholesky_succeeds`` calls it the same way, through the LAPACKE wrapper
+# that adds no NaN check, without the copy back and the zeroed triangle.
+# It is bound on its own, so a LAPACK without it keeps the tridiagonal
+# route.
+CHOLESKY_ROUTINES = {
+    # matrix_layout, uplo, n, a, lda
+    "dpotrf_work": (ctypes.c_int, _CHAR, INTEGER, _POINTER, INTEGER),
+}
 DORMQR_NBMAX = 64
 DORMQR_TSIZE = (DORMQR_NBMAX + 1) * DORMQR_NBMAX
 LAPACK_COL_MAJOR = 102
@@ -258,12 +268,24 @@ def top_tridiagonal(lapack, d, e, k: int, total):
 
 @functools.cache
 def tridiagonal_lapack() -> types.SimpleNamespace | None:
-    """The routines of ``tridiagonal_psd_trace`` bound to the LAPACK that
-    numpy loads, or None where no build of ``LAPACKE_BUILDS`` exports them
-    all: a namespace with one ctypes function for each name in
-    ``TRIDIAGONAL_ROUTINES``, returning LAPACK's info (0 on success), and
-    the LAPACK integer type they take, ``integer``.  Resolved on first
-    use, through the symbols that numpy's own linalg extension sees, so no
+    """The routines of ``tridiagonal_psd_trace``, ``TRIDIAGONAL_ROUTINES``,
+    bound by ``bind_lapack``; resolved on first use."""
+    return bind_lapack(TRIDIAGONAL_ROUTINES)
+
+
+@functools.cache
+def cholesky_lapack() -> types.SimpleNamespace | None:
+    """The routine of ``cholesky_succeeds``, ``CHOLESKY_ROUTINES``, bound
+    by ``bind_lapack``; resolved on first use."""
+    return bind_lapack(CHOLESKY_ROUTINES)
+
+
+def bind_lapack(routines) -> types.SimpleNamespace | None:
+    """``routines`` bound to the LAPACK that numpy loads, or None where no
+    build of ``LAPACKE_BUILDS`` exports them all: a namespace with one
+    ctypes function for each name, returning LAPACK's info (0 on
+    success), and the LAPACK integer type they take, ``integer``.  Bound
+    through the symbols that numpy's own linalg extension sees, so no
     library is searched for and nothing is imported beyond ctypes."""
     try:
         from numpy.linalg import _umath_linalg
@@ -273,7 +295,7 @@ def tridiagonal_lapack() -> types.SimpleNamespace | None:
         return None
     for pattern, integer in LAPACKE_BUILDS:
         functions = {}
-        for name, arguments in TRIDIAGONAL_ROUTINES.items():
+        for name, arguments in routines.items():
             function = getattr(lib, pattern.format(name), None)
             if function is None:
                 break
@@ -375,8 +397,14 @@ def rank_one_psd_trace(S, total, start, proof=None) -> np.ndarray | None:
 
 
 def cholesky_succeeds(T) -> bool:
-    """Whether a floating-point Cholesky factorization of symmetric T
-    succeeds.
+    """Whether a floating-point Cholesky factorization of T's lower
+    triangle succeeds, T square; T is only read.
+
+    It is ``np.linalg.cholesky``'s factorization, the same LAPACK routine
+    on the same column-major copy, so the two decide alike, also on a T
+    that is not exactly symmetric, whose upper triangle neither reads.
+    Where ``cholesky_lapack`` binds no routine, ``np.linalg.cholesky``
+    runs.
 
     Success shows T positive definite only up to rounding: Rump's
     criterion (BIT 2006) proves definiteness from a factorization of T
@@ -386,11 +414,16 @@ def cholesky_succeeds(T) -> bool:
     rank-one one or a fallback's, which differ by at most that rounding;
     it never decides a certificate, which rests on ``bounds``.
     """
-    try:
-        np.linalg.cholesky(T)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    lapack = cholesky_lapack()
+    if lapack is None:
+        try:
+            np.linalg.cholesky(T)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+    n = T.shape[0]
+    A = np.array(T, dtype=float, order="F")
+    return lapack.dpotrf_work(LAPACK_COL_MAJOR, b"L", n, A.ctypes.data, n) == 0
 
 
 def project_box_gangster(M, pinned: np.ndarray) -> np.ndarray:

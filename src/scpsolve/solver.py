@@ -39,12 +39,13 @@ whole spectrum otherwise; only the kept eigenvectors are transformed back
 where LAPACK is not bound or reports an error.  The solve keeps
 one ``CarriedProof`` beside G: a Cholesky check made with a margin covers
 the later R-updates whose matrices stay within half of it.  Lower and
-upper bounds are checked on the schedule stated in ``solve``, each check
-taking at most one lower bound, ``dual_lower_bound``, and none where a
-Ritz value shows it cannot certify; the solve stops on a closed
-gap, on persistently small residuals, on a relaxation that has converged
-below the incumbent (at a recorded full check, like a closed gap), or at
-the iteration cap.
+upper bounds are checked on the schedule stated in ``solve``, every 5th
+iteration from face dimension ``projections.MIN_ORDER`` on and every 10th
+below it, each check taking at most one lower bound,
+``dual_lower_bound``, and none where a Ritz value shows it cannot
+certify; the solve stops on a closed gap, on persistently small
+residuals, on a relaxation that has converged below the incumbent (at a
+recorded full check, like a closed gap), or at the iteration cap.
 
 The penalty beta starts at ``SolverParams.beta`` and changes once, 8x,
 after iteration 50: when the solve is still running after iteration
@@ -67,6 +68,7 @@ from .bounds import (
     EIGENVECTOR,
     FIRST_COLUMN,
     BoundRecord,
+    box_term,
     certified,
     dual_lower_bound,
     one_opt,
@@ -84,9 +86,13 @@ TERMINATION_RESIDUAL = "residual"
 TERMINATION_GAP = "gap_closed"
 TERMINATION_RELAXATION_GAP = "relaxation_gap"
 
-# the bound-check schedule, stated in ``solve``; CHECK_PERIOD is a multiple
-# of SCREEN_PERIOD
+# the bound-check schedule, stated in ``solve``: a check every
+# SCREEN_PERIOD iterations below face dimension MIN_ORDER, and every
+# RITZ_SCREEN_PERIOD from it on, where a Ritz value declines most screened
+# checks that cannot certify for a fraction of an iteration's cost;
+# CHECK_PERIOD is a multiple of both
 SCREEN_PERIOD = 10
+RITZ_SCREEN_PERIOD = 5
 CHECK_PERIOD = 100
 # the relaxation stop, stated in ``solve``
 RELAXATION_GAP_RTOL = 0.01
@@ -232,24 +238,28 @@ def solve(
     the relaxation stop below.  The residuals, primal |Y - VRV'|/|Y| and
     dual beta |Y - Y_before|, are taken only where they are read: at an
     iteration whose primal norm lets the residual rule count it, at a
-    check and at the cap.  The bounds are checked at every
-    SCREEN_PERIOD-th iteration and at the last one; the check is full at
-    a multiple of CHECK_PERIOD and at the last iteration, and screened
-    otherwise.  Each check rounds the first column of Y, and a full check
-    takes the lower bound ``dual_lower_bound``.  A screened check stops,
-    recording and keeping nothing, unless the best lower bound, its own
-    included, passes ``certified`` with U, the smaller of the best and
-    the column upper bound.  At a face dimension of at least
+    check and at the cap.  The bounds are checked every period
+    iterations and at the last one, the period being RITZ_SCREEN_PERIOD
+    (5) at a face dimension of at least ``projections.MIN_ORDER`` and
+    SCREEN_PERIOD (10) below it; the check is full at a multiple of
+    CHECK_PERIOD and at the last iteration, and screened otherwise.  The
+    iterates do not depend on when a check runs, so the shorter period
+    runs every check of the longer one on the same state, and a solve
+    stops no later.  Each check rounds the first column of Y, and a full
+    check takes the lower bound ``dual_lower_bound``.  A screened check
+    stops, recording and keeping nothing, unless the best lower bound,
+    its own included, passes ``certified`` with U, the smaller of the
+    best and the column upper bound.  At a face dimension of at least
     ``projections.MIN_ORDER`` it first asks ``bounds.screen_declines``,
     which shows from a Ritz value of V'ZV on R's top eigenvector, G's
     last column, that the bound cannot pass, and then stops without
-    taking it; otherwise it takes the bound.  So each check takes exactly
-    one of a declining screen or the lower bound, the screened checks
-    that do not certify leave the report as the full checks alone give
-    it, and the bound history holds exactly the full checks and the check
-    that certifies.  A check
-    that goes on also rounds R's top eigenvector lifted by V, the last
-    column of F = VG, which the iteration has already formed, so no
+    taking it; otherwise it takes the bound, handing on the box term the
+    screen computed.  So each check takes exactly one of a declining
+    screen or the lower bound, the screened checks that do not certify
+    leave the report as the full checks alone give it, and the bound
+    history holds exactly the full checks and the check that certifies.
+    A check that goes on also rounds R's top eigenvector lifted by V, the
+    last column of F = VG, which the iteration has already formed, so no
     eigensolve is needed; it keeps that rounding only when strictly
     lower.  beta changes once, 8x, after iteration 50 (BETA_STEP after
     BETA_STEP_AT) if the solve is still running, and the dual step
@@ -282,6 +292,8 @@ def solve(
     proof = CarriedProof()
     face = geometry.face
     fixed = geometry.dual_fixed
+    ritz = face.dim >= MIN_ORDER
+    period = RITZ_SCREEN_PERIOD if ritz else SCREEN_PERIOD
     beta = params.beta
     step = params.gamma * beta
 
@@ -296,9 +308,12 @@ def solve(
         source_here = FIRST_COLUMN
         upper_here, assignment_here = upper_bound(Y[:, 0], instance, FIRST_COLUMN)
         upper = min(best_upper, upper_here)
-        if screened and face.dim >= MIN_ORDER and screen_declines(Z, geometry, G[:, -1], best_lower, upper):
-            return
-        lower = dual_lower_bound(Z, geometry)
+        box = None
+        if screened and ritz:
+            box = box_term(Z, geometry)
+            if screen_declines(Z, geometry, G[:, -1], best_lower, upper, box):
+                return
+        lower = dual_lower_bound(Z, geometry, box=box)
         if screened and not certified(max(best_lower, lower), upper):
             return
         value, assignment = upper_bound(F[:, -1], instance, EIGENVECTOR)
@@ -356,7 +371,7 @@ def solve(
         # count the iteration, by a check and at the cap; elsewhere they keep
         # an earlier iteration's values, which nothing reads
         countable = primal_norm < counting_norm
-        if countable or iterations % SCREEN_PERIOD == 0 or iterations >= params.max_iter:
+        if countable or iterations % period == 0 or iterations >= params.max_iter:
             dual_res = beta * frobenius(Y_new - Y)
             # (0,0) entry is pinned to 1, so the norm never vanishes
             primal_res = primal_norm / frobenius(Y_new)
@@ -371,7 +386,7 @@ def solve(
             reason = TERMINATION_RESIDUAL
         if reason is not None:
             check(screened=False)
-        elif iterations % SCREEN_PERIOD == 0:
+        elif iterations % period == 0:
             check(screened=iterations % CHECK_PERIOD != 0)
             if certified(best_lower, best_upper):
                 reason = TERMINATION_GAP

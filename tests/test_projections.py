@@ -266,9 +266,9 @@ class TestPsdTraceReference:
 
 def test_binding_resolves_with_scipy_openblas():
     # where numpy's LAPACK is scipy-openblas, the one numpy's own wheels
-    # ship, every routine of the tridiagonal route must bind, with the
-    # integer type of one build, so it cannot go missing unnoticed;
-    # elsewhere it may not
+    # ship, every routine of the tridiagonal route and the Cholesky
+    # factorization must bind, with the integer type of one build, so
+    # none can go missing unnoticed; elsewhere they may not
     try:
         config = np.show_config(mode="dicts")
     except TypeError:
@@ -276,13 +276,124 @@ def test_binding_resolves_with_scipy_openblas():
     lapack = config.get("Build Dependencies", {}).get("lapack", {}).get("name", "")
     if "scipy-openblas" not in lapack:
         pytest.skip(f"numpy's LAPACK is {lapack!r}, not scipy-openblas")
-    lapack = projections.tridiagonal_lapack()
-    assert lapack is not None
-    pattern = next(pattern for pattern, integer in projections.LAPACKE_BUILDS if integer is lapack.integer)
-    for name, arguments in projections.TRIDIAGONAL_ROUTINES.items():
-        function = getattr(lapack, name)
-        assert function.__name__ == pattern.format(name)
-        assert function.restype is lapack.integer and len(function.argtypes) == len(arguments)
+    for bind, routines in (
+        (projections.tridiagonal_lapack, projections.TRIDIAGONAL_ROUTINES),
+        (projections.cholesky_lapack, projections.CHOLESKY_ROUTINES),
+    ):
+        lapack = bind()
+        assert lapack is not None
+        pattern = next(pattern for pattern, integer in projections.LAPACKE_BUILDS if integer is lapack.integer)
+        for name, arguments in routines.items():
+            function = getattr(lapack, name)
+            assert function.__name__ == pattern.format(name)
+            assert function.restype is lapack.integer and len(function.argtypes) == len(arguments)
+
+
+def test_bindings_resolve_apart():
+    # a LAPACK that lacks one binding's routines keeps the other's: a
+    # routine set with a missing name binds nothing, and the two sets
+    # share no name
+    missing = {**projections.CHOLESKY_ROUTINES, "no_such_routine": ()}
+    assert projections.bind_lapack(missing) is None
+    assert not projections.TRIDIAGONAL_ROUTINES.keys() & projections.CHOLESKY_ROUTINES.keys()
+
+
+class TestCholeskySucceeds:
+    """The bound dpotrf decides as ``np.linalg.cholesky`` does, on both
+    sides of definiteness and at rounding level between them."""
+
+    @staticmethod
+    def numpy_decides(T):
+        try:
+            np.linalg.cholesky(T)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
+    def assert_decides_as_numpy(self, matrices):
+        """Both decisions on every matrix, which must agree; returns them."""
+        decisions = []
+        for T in matrices:
+            original = T.copy()
+            decision = projections.cholesky_succeeds(T)
+            assert T.tobytes() == original.tobytes()
+            assert decision == self.numpy_decides(T)
+            decisions.append(decision)
+        return decisions
+
+    @pytest.mark.parametrize("n", [5, 80, 271])
+    def test_definite_and_indefinite(self, n):
+        rng = np.random.default_rng(40)
+        Q = orthonormal(rng, n)
+        values = rng.uniform(0.1, 10.0, size=n)
+        definite = with_spectrum(Q, values)
+        indefinite = [with_spectrum(Q, np.concatenate([[low], values[1:]])) for low in (-1e-3, -5.0)]
+        assert self.assert_decides_as_numpy([definite, *indefinite]) == [True, False, False]
+        assert self.assert_decides_as_numpy([np.zeros((n, n)), -np.eye(n)]) == [False, False]
+
+    @pytest.mark.parametrize("n", [80, 271])
+    def test_barely_definite(self, n):
+        # a smallest eigenvalue swept across rounding level, where the
+        # factorization's own rounding decides: some pass and some fail
+        rng = np.random.default_rng(41)
+        Q = orthonormal(rng, n)
+        T = with_spectrum(Q, np.concatenate([[0.0], rng.uniform(0.5, 2.0, size=n - 1)]))
+        T = 0.5 * (T + T.T)
+        unit = n * np.finfo(float).eps
+        shifts = unit * np.linspace(-4.0, 4.0, 81)
+        decisions = self.assert_decides_as_numpy([T + shift * np.eye(n) for shift in shifts])
+        assert decisions[0] is False and decisions[-1] is True
+        assert 0 < sum(decisions) < len(decisions)
+
+    @pytest.mark.parametrize("n", [80, 271])
+    def test_not_exactly_symmetric(self, n):
+        # T = tau I - S + (total + 1) uu', as the rank-one path forms it,
+        # is not exactly symmetric; S's second eigenvalue is tau, so T is
+        # singular but for rounding, and a diagonal shift swept across
+        # rounding level makes some factorizations pass and some fail.
+        # One with garbage above the diagonal is far from symmetric: both
+        # read the lower triangle alone, also where the upper one would
+        # decide otherwise
+        rng = np.random.default_rng(42)
+        Q = orthonormal(rng, n)
+        total, tau = 60.0, 1.0
+        values = np.concatenate([[total + tau, tau], rng.uniform(-1.0, 0.5, size=n - 2)])
+        S = with_spectrum(Q, values)
+        S = 0.5 * (S + S.T)
+        u = Q[:, 0]
+        T = np.outer(u, (total + 1.0) * u)
+        T -= S
+        assert not np.array_equal(T, T.T)
+        diagonal = T.diagonal() + tau
+        unit = n * np.finfo(float).eps * (total + tau)
+        matrices = []
+        for shift in unit * np.linspace(-4.0, 4.0, 81):
+            shifted = T.copy()
+            shifted.flat[:: n + 1] = diagonal + shift
+            matrices.append(shifted)
+        decisions = self.assert_decides_as_numpy(matrices)
+        assert decisions[0] is False and decisions[-1] is True
+        assert 0 < sum(decisions) < len(decisions)
+        garbage = T.copy()
+        garbage.flat[:: n + 1] = diagonal + 0.5
+        upper = np.triu_indices(n, 1)
+        for value in (-1e6, 1e6, np.nan):
+            garbage[upper] = value
+            assert self.assert_decides_as_numpy([garbage]) == [True]
+
+    def test_without_the_binding_numpy_decides(self, monkeypatch):
+        # where dpotrf is not bound, np.linalg.cholesky runs
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counting(a):
+            calls.append(a.shape)
+            return cholesky(a)
+
+        monkeypatch.setattr(projections, "cholesky_lapack", lambda: None)
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        assert projections.cholesky_succeeds(np.eye(4)) and not projections.cholesky_succeeds(-np.eye(4))
+        assert calls == [(4, 4), (4, 4)]
 
 
 def with_spectrum(Q, values):
@@ -678,13 +789,13 @@ class TestCarriedProof:
         self.eigh_orders = eigh_orders
         self.rank_one_results = rank_one_results
         self.factorizations = 0
-        cholesky = np.linalg.cholesky
+        cholesky = projections.cholesky_succeeds
 
-        def counting(a, *args, **kwargs):
+        def counting(T):
             self.factorizations += 1
-            return cholesky(a, *args, **kwargs)
+            return cholesky(T)
 
-        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        monkeypatch.setattr(projections, "cholesky_succeeds", counting)
 
     def matrix(self, rng, second):
         """Eigenvectors Q and S with eigenvalues total + tau, ``second`` and

@@ -54,6 +54,15 @@ def record_screens(monkeypatch) -> list[bool]:
     return answers
 
 
+def screen_period(instance) -> int:
+    """The iterations between the checks of a solve of ``instance``:
+    RITZ_SCREEN_PERIOD from face dimension MIN_ORDER on, where the Ritz
+    screen runs, and SCREEN_PERIOD below it."""
+    if build_geometry(instance).face_dim >= projections.MIN_ORDER:
+        return solver_module.RITZ_SCREEN_PERIOD
+    return solver_module.SCREEN_PERIOD
+
+
 class TestDefaultParams:
     def test_iteration_cap_small_instance(self):
         inst = make_instance((2,) * 8, np.zeros((16, 16)))  # p=8, n0=16
@@ -512,13 +521,13 @@ class TestSolve:
 
     def test_rank_one_on_reduced_structured_instance(self):
         # guards the certificate's margin: each reduced instance certifies
-        # at its first bound check, a screened one before iteration 100,
-        # with R of rank 1
+        # at a screened check before iteration 100, with R of rank 1
         for seed in (101, 102, 103):
             instance, _ = structured_instance(seed)
-            report = solve(goldstein_reduce(instance).reduced)
+            reduced = goldstein_reduce(instance).reduced
+            report = solve(reduced)
             assert report.iterations < 100
-            assert report.iterations % solver_module.SCREEN_PERIOD == 0
+            assert report.iterations % screen_period(reduced) == 0
             assert report.termination == "gap_closed" and report.certified
             assert [record.rank for record in report.bound_history] == [1]
 
@@ -580,12 +589,12 @@ class TestSolve:
         # The report, and the rank-one path's served or fallback decision
         # at every R-update, are those without carrying
         reduced = goldstein_reduce(structured_instance(seed)[0]).reduced
-        cholesky, rank_one = np.linalg.cholesky, projections.rank_one_psd_trace
+        cholesky, rank_one = projections.cholesky_succeeds, projections.rank_one_psd_trace
         factorizations, decisions = [], []
 
-        def counting_cholesky(a):
-            factorizations.append(a.shape)
-            return cholesky(a)
+        def counting_cholesky(T):
+            factorizations.append(T.shape)
+            return cholesky(T)
 
         def recording_rank_one(S, total, start, proof):
             G = rank_one(S, total, start, proof)
@@ -598,7 +607,7 @@ class TestSolve:
             report = dataclasses.replace(solve(reduced), time_sec=0.0)
             return report, len(factorizations), list(decisions)
 
-        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+        monkeypatch.setattr(projections, "cholesky_succeeds", counting_cholesky)
         monkeypatch.setattr(projections, "rank_one_psd_trace", recording_rank_one)
         carried, carried_factorizations, served = run()
         monkeypatch.setattr(solver_module, "CarriedProof", lambda: None)
@@ -633,31 +642,34 @@ class TestSolve:
     def test_failed_screens_leave_the_report_unchanged(self, monkeypatch):
         # capped p=20 solves that never certify: their screened checks all
         # stop early, so the report is that of the full checks alone, as
-        # when the checks come only every CHECK_PERIOD iterations; the
-        # screens run at the 22 SCREEN_PERIOD-th iterations short of 250
-        # that CHECK_PERIOD does not divide, and none at 250, the last,
-        # whose check is full.  Each check takes exactly one of a declining
-        # screen or the lower bound: seed 3's face (f = 68) is below
-        # MIN_ORDER, so it takes the bound at every check; seed 6's
-        # (f = 96) runs the screen
+        # when the checks come only every CHECK_PERIOD iterations.  The
+        # checks run at every screen_period-th iteration up to 250, the
+        # full ones at 100, 200 and 250, the last.  Each check takes
+        # exactly one of a declining screen or the lower bound: seed 3's
+        # face (f = 68) is below MIN_ORDER, so it checks every
+        # SCREEN_PERIOD iterations, 25 times, and takes the bound at each;
+        # seed 6's (f = 96) checks every RITZ_SCREEN_PERIOD iterations, 50
+        # times, and its 47 screened checks run the screen
         bounds = []
 
-        def recording_bound(*args):
-            bounds.append(dual_lower_bound(*args))
+        def recording_bound(*args, **kwargs):
+            bounds.append(dual_lower_bound(*args, **kwargs))
             return bounds[-1]
 
         monkeypatch.setattr(solver_module, "dual_lower_bound", recording_bound)
-        period = solver_module.SCREEN_PERIOD
-        for seed, screened_at in ((3, 0), (6, 22)):
+        periods = {name: getattr(solver_module, name) for name in ("SCREEN_PERIOD", "RITZ_SCREEN_PERIOD")}
+        for seed, checks, screened_at in ((3, 25, 0), (6, 50, 47)):
             inst = random_instance(20, 10, (-10, 10), seed=seed)
             params = dataclasses.replace(default_params(inst), max_iter=250)
-            monkeypatch.setattr(solver_module, "SCREEN_PERIOD", period)
+            for name, period in periods.items():
+                monkeypatch.setattr(solver_module, name, period)
             screens = record_screens(monkeypatch)
             bounds.clear()
             screened = solve(inst, params)
-            assert len(bounds) + sum(screens) == 22 + 3
+            assert len(bounds) + sum(screens) == checks == 250 // screen_period(inst)
             assert len(screens) == screened_at
-            monkeypatch.setattr(solver_module, "SCREEN_PERIOD", solver_module.CHECK_PERIOD)
+            for name in periods:
+                monkeypatch.setattr(solver_module, name, solver_module.CHECK_PERIOD)
             bounds.clear()
             unscreened = solve(inst, params)
             assert len(bounds) == 3
@@ -689,22 +701,24 @@ class TestSolve:
     def test_screen_certifies_as_early_as_checks_every_screen_period(self, monkeypatch):
         # a screened check that stops early never skips one that would
         # certify: the solve stops where one whose checks are all full,
-        # CHECK_PERIOD patched to SCREEN_PERIOD, stops, on the reduced
-        # structured instance and on every fifth of the first 100 corpus
-        # instances.  The whole corpus agrees too, but takes longer; only
-        # 147, which never certifies, ends with a lower ubd when every check
-        # is full.  The relaxation stop, which runs at full checks, is off
-        # in both
+        # CHECK_PERIOD patched to its screen_period, stops, on the reduced
+        # structured instance (every RITZ_SCREEN_PERIOD iterations) and on
+        # every fifth of the first 100 corpus instances (every
+        # SCREEN_PERIOD).  The whole corpus agrees too, but takes longer;
+        # only 147, which never certifies, ends with a lower ubd when every
+        # check is full.  The relaxation stop, which runs at full checks,
+        # is off in both
         monkeypatch.setattr(solver_module, "RELAXATION_GAP_RTOL", 0.0)
-        period = solver_module.SCREEN_PERIOD
         instance, _ = structured_instance(101)
         instances = [goldstein_reduce(instance).reduced]
         instances += list(itertools.islice(acceptance_corpus(), 0, 100, 5))
         screened = [solve(inst) for inst in instances]
         assert screened[0].iterations < solver_module.CHECK_PERIOD
-        monkeypatch.setattr(solver_module, "CHECK_PERIOD", period)
+        assert screen_period(instances[0]) != screen_period(instances[1])
         skipped = 0
         for inst, report in zip(instances, screened):
+            period = screen_period(inst)
+            monkeypatch.setattr(solver_module, "CHECK_PERIOD", period)
             every = solve(inst)
             assert [r.iteration for r in every.bound_history] == list(
                 range(period, every.iterations + 1, period)
@@ -718,8 +732,78 @@ class TestSolve:
             skipped += len(every.bound_history) - len(report.bound_history)
         assert skipped > 0
 
+    def test_ritz_schedule_stops_no_later(self, monkeypatch):
+        # the iterates do not depend on when a check runs, and a screened
+        # check records nothing unless it certifies, so checking every
+        # RITZ_SCREEN_PERIOD iterations from MIN_ORDER on runs every check
+        # of the schedule with SCREEN_PERIOD alone, on the same state: the
+        # solve stops no later, with the same ubd, assignment and
+        # certificate.  The reduced structured instances 101-103 (f = 271)
+        # certify at 45 instead of 50, 104 at 50 under both; the p=80
+        # instance (f = 193) never certifies and stops on the relaxation
+        # stop at 700 under both, with the same report
+        instances = [goldstein_reduce(structured_instance(seed)[0]).reduced for seed in (101, 102, 103, 104)]
+        instances.append(random_instance(80, 6, (-10, 10), seed=1))
+        assert all(screen_period(inst) == solver_module.RITZ_SCREEN_PERIOD for inst in instances)
+        ritz = [solve(inst) for inst in instances]
+        monkeypatch.setattr(solver_module, "RITZ_SCREEN_PERIOD", solver_module.SCREEN_PERIOD)
+        earlier = 0
+        for inst, report in zip(instances, ritz):
+            every_tenth = solve(inst)
+            assert report.iterations <= every_tenth.iterations
+            assert (report.certified, report.ubd, report.assignment) == (
+                every_tenth.certified,
+                every_tenth.ubd,
+                every_tenth.assignment,
+            )
+            earlier += report.iterations < every_tenth.iterations
+        assert [report.certified for report in ritz] == [True] * 4 + [False]
+        assert earlier == 3
+        assert dataclasses.replace(ritz[-1], time_sec=0.0) == dataclasses.replace(every_tenth, time_sec=0.0)
+
+    def test_below_min_order_checks_every_screen_period(self, monkeypatch):
+        # a face below MIN_ORDER is checked every SCREEN_PERIOD iterations
+        # whatever RITZ_SCREEN_PERIOD is, so its solve is bit-identical
+        # (pickled, every field but time_sec) with RITZ_SCREEN_PERIOD
+        # patched to 1: every tenth of the first 100 corpus instances (f <=
+        # 31) and the p=20 solve capped at 255 (f = 68), whose last check
+        # is off the schedule
+        capped = random_instance(20, 10, (-10, 10), seed=3)
+        solves = [(capped, dataclasses.replace(default_params(capped), max_iter=255))]
+        solves += [(inst, None) for inst in itertools.islice(acceptance_corpus(), 0, 100, 10)]
+        iterations, checked = [0], []
+        r_update, upper_bound_here = solver_module.r_update, solver_module.upper_bound
+
+        def counting_r_update(*args):
+            iterations[0] += 1
+            return r_update(*args)
+
+        def recording_upper_bound(v, instance, source):
+            if source == FIRST_COLUMN:
+                checked.append(iterations[0])
+            return upper_bound_here(v, instance, source)
+
+        def fields(report):
+            return pickle.dumps(dataclasses.asdict(dataclasses.replace(report, time_sec=0.0)))
+
+        monkeypatch.setattr(solver_module, "r_update", counting_r_update)
+        monkeypatch.setattr(solver_module, "upper_bound", recording_upper_bound)
+        reports, lasts = [], []
+        for inst, params in solves:
+            assert screen_period(inst) == solver_module.SCREEN_PERIOD == 10
+            iterations[0] = 0
+            checked.clear()
+            report = solve(inst, params)
+            last = report.iterations
+            assert checked == [*range(10, last, 10), last]
+            reports.append(fields(report))
+            lasts.append(last)
+        assert lasts[0] == 255
+        monkeypatch.setattr(solver_module, "RITZ_SCREEN_PERIOD", 1)
+        assert [fields(solve(inst, params)) for inst, params in solves] == reports
+
     def test_one_first_column_rounding_per_screened_iteration(self, monkeypatch):
-        # a solve checks at every SCREEN_PERIOD-th iteration and at the
+        # a solve checks at every screen_period-th iteration and at the
         # last, rounding the first column once at each, then taking exactly
         # one of a declining screen or the lower bound, and recording the
         # last; a screened check that goes on reuses the rounding and the
@@ -741,9 +825,9 @@ class TestSolve:
 
             return wrapper
 
-        def bound(*args):
+        def bound(*args, **kwargs):
             events.append("lower")
-            return dual_lower_bound(*args)
+            return dual_lower_bound(*args, **kwargs)
 
         def screen(*args):
             declined = screen_declines(*args)
@@ -770,7 +854,7 @@ class TestSolve:
             report = solve(instance, params)
             assert report.termination == termination
             assert report.iterations % solver_module.CHECK_PERIOD != 0
-            checked = math.ceil(report.iterations / solver_module.SCREEN_PERIOD)
+            checked = math.ceil(report.iterations / screen_period(instance))
             assert events.count(FIRST_COLUMN) == checked
             assert events.count("lower") + events.count("declined") == checked
             follows = {events[i + 1] for i, event in enumerate(events) if event == FIRST_COLUMN}
@@ -793,9 +877,9 @@ class TestSolve:
         # checks with a screen estimated from above and records 22 now
         counts = []
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             counts[-1] += 1
-            return dual_lower_bound(*args)
+            return dual_lower_bound(*args, **kwargs)
 
         monkeypatch.setattr(solver_module, "dual_lower_bound", counting)
         screens = record_screens(monkeypatch)
@@ -809,7 +893,7 @@ class TestSolve:
             counts.append(0)
             screens.clear()
             report = solve(inst)
-            assert counts[-1] + sum(screens) == math.ceil(report.iterations / solver_module.SCREEN_PERIOD)
+            assert counts[-1] + sum(screens) == math.ceil(report.iterations / screen_period(inst))
             history = report.bound_history
             for index, record in enumerate(history):
                 if record.iteration % solver_module.CHECK_PERIOD != 0:
@@ -943,8 +1027,8 @@ class TestSolve:
         # with BETA_STEP 1 the penalty stays fixed; a solve that ends by
         # iteration BETA_STEP_AT reports the same with and without the
         # step, every field but the time, while one that runs on does not.
-        # The reduced structured instances 102 and 101 certify at 50 and
-        # 60, and every tenth corpus instance ends at 30 to 150
+        # The reduced structured instances 101 and 102 certify at 45, and
+        # every tenth corpus instance ends at 30 to 150
         solves = []
         for seed in (101, 102):
             instance, _ = structured_instance(seed)
