@@ -28,12 +28,12 @@ print(G @ G.T)
 # 3. Box with gangster pattern: clamp into [0, 1], then pin the gangster
 # entries (0 inside blocks, 1 at the corner).  The input must be symmetric,
 # as it always is in a solve, and is overwritten with the projection.  The
-# lifted geometry of a 2 x 2 instance holds the pinned entries as flat
-# indices.
+# lifted geometry of a 2 x 2 instance holds the gangster set as a boolean
+# mask, False on the pinned entries.
 geometry = build_geometry(random_instance(2, 2, (-10, 10), seed=0))
 rng = np.random.default_rng(0)
 M = rng.normal(scale=2.0, size=(5, 5))
-boxed = project_box_gangster(M + M.T, geometry.pinned)
+boxed = project_box_gangster(M + M.T, geometry.free)
 print("\nbox/gangster projection of a random symmetric matrix:")
 print(np.round(boxed, 3))
 print("corner:", boxed[0, 0], " pinned zeros:", boxed[1, 2], boxed[3, 4])

@@ -24,7 +24,8 @@ for rec in report.bound_history:
         f"upper {rec.upper:12.6f}   via {rec.upper_source:20s} beta {rec.beta:g}"
     )
 
-print(f"\ntermination: {report.termination} after {report.iterations} iterations")
+print(f"\ndead-end pairs pinned to 0 before iteration 1: {report.excluded_pairs}")
+print(f"termination: {report.termination} after {report.iterations} iterations")
 print(f"certified interval: [{report.lbd:.10f}, {report.ubd:.10f}]")
 print(f"relative gap: {report.rel_gap:.3e}")
 print(f"assignment: {report.assignment.choice}")

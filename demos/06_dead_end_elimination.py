@@ -13,6 +13,7 @@ from scpsolve import (
     random_instance,
     solve,
 )
+from scpsolve.oracle import dead_end_pairs
 
 # A rigged instance: in every block the first rotamer beats the others in
 # self energy and in every pair energy, so elimination collapses each block.
@@ -51,3 +52,18 @@ for seed in range(3):
     report = solve(reduction.reduced)
     mapped = reduction.to_original(report.assignment)
     print(f"  solve on reduced instance: ubd {report.ubd:.6f} at {mapped.choice}")
+    print(f"  dead-end pairs the solve pinned to 0: {report.excluded_pairs}")
+
+# Dead-end pairs: a pair of rotamers whose pair bound exceeds the energy of
+# a known assignment is in no optimum.  The solver takes its 1-opt start as
+# that assignment and pins such pairs to 0 in the relaxation; here the
+# optimum itself is the cutoff, and none of its pairs goes.
+inst = random_instance(p=5, m_max=5, energy_range=(-10, 10), seed=42147)
+best = brute_force(inst)
+excluded = dead_end_pairs(inst, best.argmin, best.optimum)
+rows = np.flatnonzero(best.argmin.to_indicator(inst.partition))
+assert not excluded[np.ix_(rows, rows)].any()
+print(
+    f"\nseed 42147: {int(excluded.sum()) // 2} rotamer pairs excluded at the optimum "
+    f"{best.optimum:.6f}; its own pairs all kept"
+)

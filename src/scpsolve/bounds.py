@@ -58,7 +58,7 @@ def box_term(Z, geometry: LiftedGeometry) -> float:
     C = geometry.lifted_cost + Z
     corner = C[0, 0]
     np.minimum(C, 0.0, out=C)
-    C.put(geometry.pinned, 0.0)
+    C *= geometry.free
     return float(corner + C.sum())
 
 

@@ -52,7 +52,9 @@ def build_report(
     params: SolverParams,
 ) -> dict:
     """Machine-readable solve report, one JSON object per solve, in a fixed
-    key order.  ``time_sec`` is the only entry not determined by the input."""
+    key order.  ``time_sec`` is the only entry not determined by the input.
+    ``excluded_pairs`` is ``SolveReport.excluded_pairs`` of the instance
+    solved, the reduced one under ``--dee``."""
     return {
         "problem": instance.name,
         "p": instance.partition.p,
@@ -65,6 +67,7 @@ def build_report(
         "assignment": list(assignment.choice),
         "termination": report.termination,
         "certified": report.certified,
+        "excluded_pairs": report.excluded_pairs,
         "params": asdict(params),
     }
 
@@ -95,6 +98,13 @@ def cmd_solve(args) -> int:
     flags = ((f.name, getattr(args, f.name)) for f in fields(SolverParams))
     params = replace(default_params(target), **{k: v for k, v in flags if v is not None})
     report = solve(target, params)
+    if report.excluded_pairs is None:
+        outcome = "none can go by the upper bound at the start, exact bound skipped"
+    else:
+        m = target.partition.m
+        pairs = (sum(m) ** 2 - sum(mi * mi for mi in m)) // 2
+        outcome = f"{report.excluded_pairs} of {pairs} rotamer pairs excluded"
+    print(f"dead-end pairs: {outcome}", file=sys.stderr)
     assignment = report.assignment
     if reduction is not None:
         assignment = reduction.to_original(assignment)

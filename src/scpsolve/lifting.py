@@ -4,8 +4,9 @@ The binary model is lifted to symmetric matrices of order ``n0 + 1`` via
 ``[1; x][1; x]'``.  This module builds everything the relaxation needs:
 
 * the lifted cost matrix (zero border row/column, energies in the rest),
-* the gangster index list (entries pinned to 0, plus the (0,0) entry pinned
-  to 1),
+* the gangster set (entries pinned to 0, plus the (0,0) entry pinned to
+  1): the pairs of rotamers of one block, and any pairs of rotamers of
+  distinct blocks that the caller excludes (``oracle.dead_end_pairs``),
 * an orthonormal basis V of the null space of the homogenized one-per-block
   constraints [-1 | A] (row i of A sums block i).  V spans the minimal face
   containing every feasible lifted matrix (facial reduction); it depends
@@ -184,7 +185,7 @@ class LiftedGeometry:
 
     partition: RotamerPartition
     lifted_cost: np.ndarray = field(repr=False)
-    gangster: np.ndarray = field(repr=False)
+    free: np.ndarray = field(repr=False)
     face: FaceBasis = field(repr=False)
 
     @property
@@ -198,13 +199,12 @@ class LiftedGeometry:
         return self.face.dim
 
     @cached_property
-    def pinned(self) -> np.ndarray:
-        """The gangster entries as read-only indices into the raveled lifted
-        matrix: ``M.put(pinned, 0.0)`` zeroes them, in less time than
-        indexing with ``gangster``'s two columns or with a boolean mask."""
-        flat = np.ravel_multi_index(self.gangster.T, (self.order, self.order))
-        flat.flags.writeable = False
-        return flat
+    def gangster(self) -> np.ndarray:
+        """The entries ``free`` leaves out, as a sorted read-only (N, 2)
+        ``intp`` array in the row-major order of ``gangster_indices``."""
+        pairs = np.argwhere(~self.free)
+        pairs.flags.writeable = False
+        return pairs
 
     @cached_property
     def dual_fixed(self) -> np.ndarray:
@@ -219,9 +219,19 @@ class LiftedGeometry:
         return flat
 
 
-def build_geometry(instance: ScpInstance) -> LiftedGeometry:
+def build_geometry(instance: ScpInstance, excluded: np.ndarray | None = None) -> LiftedGeometry:
+    """The lifted geometry of ``instance``.  ``free`` is a read-only boolean
+    mask of the lifted matrix, False on the gangster set: (0, 0), the pairs
+    of rotamers of one block, and the pairs in ``excluded``, an n0 x n0
+    symmetric boolean mask (``oracle.dead_end_pairs``) or None for none.
+    A product with ``free`` zeroes the gangster entries in one pass, whose
+    cost does not grow with their number, as indexing does."""
     partition = instance.partition
-    arrays = (lift_energy(instance.energy), gangster_indices(partition))
+    free = np.ones((partition.n0 + 1, partition.n0 + 1), dtype=bool)
+    free.flat[np.ravel_multi_index(gangster_indices(partition).T, free.shape)] = False
+    if excluded is not None:
+        free[1:, 1:] &= ~excluded
+    arrays = (lift_energy(instance.energy), free)
     for arr in arrays:
         arr.flags.writeable = False
     face_type = FaceBasis if partition.n0 >= FACE_CROSSOVER else DenseFaceBasis

@@ -426,13 +426,15 @@ def cholesky_succeeds(T) -> bool:
     return lapack.dpotrf_work(LAPACK_COL_MAJOR, b"L", n, A.ctypes.data, n) == 0
 
 
-def project_box_gangster(M, pinned: np.ndarray) -> np.ndarray:
+def project_box_gangster(M, free: np.ndarray) -> np.ndarray:
     """Project symmetric M onto the lifted feasible box, overwriting M:
-    entries clamped into [0, 1], the gangster entries (``pinned``, flat
-    indices as in ``LiftedGeometry.pinned``) to 0 and the (0, 0) entry to 1.
-    A symmetric M needs no symmetrization, and the result is symmetric."""
+    entries clamped into [0, 1], the gangster entries (those where the
+    boolean mask ``free``, ``LiftedGeometry.free``, is False) to 0 by one
+    product with the mask (a -0.0 that the clamp leaves there stays -0.0)
+    and the (0, 0) entry to 1.  A symmetric M needs no symmetrization, and
+    the result is symmetric."""
     M = np.asarray(M, dtype=float)
     M.clip(0.0, 1.0, out=M)
-    M.put(pinned, 0.0)
+    np.multiply(M, free, out=M)
     M[0, 0] = 1.0
     return M

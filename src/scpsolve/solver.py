@@ -18,10 +18,23 @@ known-optimal affine set (``initialize``).  PRSM converges from any start
 and every lower bound is valid for any Z, so the start moves only the
 path.  From Y = 0 the first R-update projects V'(Z/beta)V, of high rank
 on protein-like instances, and full eigendecompositions run until R's
-rank falls; from a 1-opt x that projection has low rank.  x is not
-recorded as an incumbent: a better early incumbent narrows the open gap
-that the relaxation stop measures against (acceptance corpus instance
-147 would stop at 400 iterations instead of 300).
+rank falls; from a 1-opt x that projection has low rank.
+
+Before iteration 1, x's energy U0 is the cutoff of
+``oracle.dead_end_pairs``: a pair of rotamers in distinct blocks whose
+ordered pair bound exceeds U0, by more than the bound's rounding, is in
+no optimum, so ``build_geometry`` adds it to the gangster set and the
+iterates keep Y_rs = Y_sr = 0 there.  The relaxation that is left is
+tighter and still holds every optimum, so each lower bound stays a bound
+on the global optimum; V and the dual mask do not change, and a solve
+that excludes no pair runs the same iterates.  The incumbent starts at x
+and U0 and takes every lower rounding of a check, the first-column
+rounding of a screened check that stops included; it is what
+``certified``, the screen's target and the report's ubd and assignment
+use.  The relaxation stop measures the open gap against the best
+rounding of the recorded checks alone, the bound history's: a lower
+incumbent narrows that gap, and measured against it the stop would end
+acceptance corpus instance 147 at 1,000 iterations instead of 200.
 
 The mask zeroes the dual coordinates whose optimal values are known (row 0,
 column 0, diagonal), so those entries stay at their initialized values for
@@ -77,8 +90,9 @@ from .bounds import (
     screen_declines,
     upper_bound,
 )
-from .instances import Assignment, ScpInstance
+from .instances import Assignment, ScpInstance, objective
 from .lifting import LiftedGeometry, build_geometry
+from .oracle import dead_end_pairs
 from .projections import MIN_ORDER, CarriedProof, project_box_gangster, project_psd_trace
 
 TERMINATION_MAX_ITER = "max_iter"
@@ -152,6 +166,9 @@ class SolveReport:
     certified: bool
     residuals: tuple[float, float]
     bound_history: tuple[BoundRecord, ...]
+    # pairs of rotamers pinned to 0 by ``oracle.dead_end_pairs`` before
+    # iteration 1; None where its upper bound showed that none can go
+    excluded_pairs: int | None = None
 
 
 def default_params(instance: ScpInstance) -> SolverParams:
@@ -209,7 +226,7 @@ def y_update(vrv, Z_half, geometry: LiftedGeometry, beta: float) -> np.ndarray:
     target = geometry.lifted_cost + Z_half
     target /= beta
     np.subtract(vrv, target, out=target)
-    return project_box_gangster(target, geometry.pinned)
+    return project_box_gangster(target, geometry.free)
 
 
 def frobenius(x) -> float:
@@ -228,58 +245,62 @@ def solve(
     """Run the splitting method on one instance until termination.
 
     The solve starts from the lifted 1-opt assignment of the module
-    docstring, written into ``initialize``'s Y in place; the descent counts
-    in ``time_sec``.
+    docstring, written into ``initialize``'s Y in place, on the gangster
+    set with its dead-end pairs excluded; the descent, the exclusion and
+    the geometry count in ``time_sec``.
 
     The solve decides once per iteration whether to stop: after the
     iteration, at the cap ("max_iter"), else on t_consecutive residual
     checks in a row below epsilon ("residual"); after a check, if neither
-    fired, on best bounds that pass ``certified`` ("gap_closed"), else on
-    the relaxation stop below.  The residuals, primal |Y - VRV'|/|Y| and
-    dual beta |Y - Y_before|, are taken only where they are read: at an
-    iteration whose primal norm lets the residual rule count it, at a
-    check and at the cap.  The bounds are checked every period
-    iterations and at the last one, the period being RITZ_SCREEN_PERIOD
-    (5) at a face dimension of at least ``projections.MIN_ORDER`` and
-    SCREEN_PERIOD (10) below it; the check is full at a multiple of
-    CHECK_PERIOD and at the last iteration, and screened otherwise.  The
-    iterates do not depend on when a check runs, so the shorter period
-    runs every check of the longer one on the same state, and a solve
-    stops no later.  Each check rounds the first column of Y, and a full
-    check takes the lower bound ``dual_lower_bound``.  A screened check
-    stops, recording and keeping nothing, unless the best lower bound,
-    its own included, passes ``certified`` with U, the smaller of the
-    best and the column upper bound.  At a face dimension of at least
-    ``projections.MIN_ORDER`` it first asks ``bounds.screen_declines``,
-    which shows from a Ritz value of V'ZV on R's top eigenvector, G's
-    last column, that the bound cannot pass, and then stops without
-    taking it; otherwise it takes the bound, handing on the box term the
-    screen computed.  So each check takes exactly one of a declining
-    screen or the lower bound, the screened checks that do not certify
-    leave the report as the full checks alone give it, and the bound
-    history holds exactly the full checks and the check that certifies.
-    A check that goes on also rounds R's top eigenvector lifted by V, the
-    last column of F = VG, which the iteration has already formed, so no
-    eigensolve is needed; it keeps that rounding only when strictly
-    lower.  beta changes once, 8x, after iteration 50 (BETA_STEP after
-    BETA_STEP_AT) if the solve is still running, and the dual step
-    gamma*beta with it; each record carries the beta of the iteration it
-    follows.  The report carries the best lower/upper bounds recorded and
-    the feasible assignment of smallest energy found by rounding.
+    fired, on the best lower bound and the incumbent passing ``certified``
+    ("gap_closed"), else on the relaxation stop below.  The residuals,
+    primal |Y - VRV'|/|Y| and dual beta |Y - Y_before|, are taken only where
+    they are read: at an iteration whose primal norm lets the residual rule
+    count it, at a check and at the cap.  The bounds are checked every
+    period iterations and at the last one, the period being
+    RITZ_SCREEN_PERIOD (5) at a face dimension of at least
+    ``projections.MIN_ORDER`` and SCREEN_PERIOD (10) below it; the check is
+    full at a multiple of CHECK_PERIOD and at the last iteration, and
+    screened otherwise.  The iterates do not depend on when a check runs, so
+    the shorter period runs every check of the longer one on the same state,
+    and a solve stops no later.  Each check rounds the first column of Y,
+    and a full check takes the lower bound ``dual_lower_bound``.  The column
+    rounding joins the incumbent when it is lower.  A screened check then
+    stops, recording nothing, unless the best lower bound, its own included,
+    passes ``certified`` with the incumbent.  At a face dimension of at
+    least ``projections.MIN_ORDER`` it first asks
+    ``bounds.screen_declines``, which shows from a Ritz value of V'ZV on R's
+    top eigenvector, G's last column, that the bound cannot pass, and then
+    stops without taking it; otherwise it takes the bound, handing on the
+    box term the screen computed.  So each check takes exactly one of a
+    declining screen or the lower bound, the screened checks that do not
+    certify leave the report as the full checks alone give it but for the
+    incumbent (ubd, assignment, rel_gap), and the bound history holds
+    exactly the full checks and the check that certifies.  A check that goes
+    on also rounds R's top eigenvector lifted by V, the last column of
+    F = VG, which the iteration has already formed, so no eigensolve is needed;
+    it records that rounding only when strictly lower, and it joins the
+    incumbent the same way.  beta changes once, 8x, after iteration 50
+    (BETA_STEP after BETA_STEP_AT) if the solve is still running, and the
+    dual step gamma*beta with it; each record carries the beta of the
+    iteration it follows.  The report carries the best lower bound recorded,
+    the incumbent as ubd and assignment, and ``excluded_pairs``, the number
+    of pairs ``oracle.dead_end_pairs`` excluded (None where its upper bound
+    showed that none can go and the exact bound was not taken).
     ``on_checkpoint(iteration, R, Y, Z)``, if given, is called at every
     recorded check with R formed from its factor and the live Y, Z
     (read-only use).  Deterministic for fixed instance and parameters.
 
     The relaxation stop: at each full check at a multiple of CHECK_PERIOD
     that leaves the gap open, the relaxation's primal value <L, Y> (L the
-    lifted cost) is compared with the best bounds.  When it lies within
-    RELAXATION_GAP_RTOL times the open gap (best ubd - best lbd) of the
-    best lbd, strictly, at this check and at the previous one, the solve
-    stops with "relaxation_gap", uncertified: no dual bound rises above
-    the relaxation's optimum, so the gap cannot close.  One such check is
-    not enough (``random_instance(8, 6, (-10, 10), seed=7093)`` meets it
-    at 100 and certifies at 1,530).  The rule leaves the iterates alone, and
-    a RELAXATION_GAP_RTOL of 0 switches it off.
+    lifted cost) is compared with the best recorded bounds.  When it lies
+    within RELAXATION_GAP_RTOL times the open gap (best recorded upper
+    bound - best lbd) of the best lbd, strictly, at this check and at the
+    previous one, the solve stops with "relaxation_gap", uncertified: no
+    dual bound rises above the relaxation's optimum, so the gap cannot
+    close.  One such check is not enough (``random_instance(8, 6, (-10, 10),
+    seed=7093)`` meets it at 100 and certifies at 1,530).  The rule leaves
+    the iterates alone, and a RELAXATION_GAP_RTOL of 0 switches it off.
 
     Returns a SolveReport; ``termination`` is one of "gap_closed",
     "relaxation_gap", "residual" or "max_iter".
@@ -287,7 +308,13 @@ def solve(
     if params is None:
         params = default_params(instance)
 
-    geometry = build_geometry(instance)
+    started = time.perf_counter()
+    partition = instance.partition
+    start = one_opt(round_to_feasible(-np.diagonal(instance.energy), partition), instance)
+    incumbent = objective(start.to_indicator(partition), instance.energy)
+    incumbent_assignment = start
+    excluded = dead_end_pairs(instance, start, incumbent)
+    geometry = build_geometry(instance, excluded)
     G, Y, Z = initialize(geometry)
     proof = CarriedProof()
     face = geometry.face
@@ -301,24 +328,26 @@ def solve(
     bounds: list[BoundRecord] = []
     best_lower = -math.inf
     best_upper = math.inf
-    best_assignment: Assignment | None = None
 
     def check(screened):
-        nonlocal best_lower, best_upper, best_assignment
+        nonlocal best_lower, best_upper, incumbent, incumbent_assignment
         source_here = FIRST_COLUMN
         upper_here, assignment_here = upper_bound(Y[:, 0], instance, FIRST_COLUMN)
-        upper = min(best_upper, upper_here)
+        if upper_here < incumbent:
+            incumbent, incumbent_assignment = upper_here, assignment_here
         box = None
         if screened and ritz:
             box = box_term(Z, geometry)
-            if screen_declines(Z, geometry, G[:, -1], best_lower, upper, box):
+            if screen_declines(Z, geometry, G[:, -1], best_lower, incumbent, box):
                 return
         lower = dual_lower_bound(Z, geometry, box=box)
-        if screened and not certified(max(best_lower, lower), upper):
+        if screened and not certified(max(best_lower, lower), incumbent):
             return
         value, assignment = upper_bound(F[:, -1], instance, EIGENVECTOR)
         if value < upper_here:
             source_here, upper_here, assignment_here = EIGENVECTOR, value, assignment
+        if upper_here < incumbent:
+            incumbent, incumbent_assignment = upper_here, assignment_here
         bounds.append(
             BoundRecord(
                 iteration=iterations,
@@ -331,16 +360,12 @@ def solve(
             )
         )
         best_lower = max(best_lower, lower)
-        if upper_here < best_upper:
-            best_upper, best_assignment = upper_here, assignment_here
+        best_upper = min(best_upper, upper_here)
         if on_checkpoint is not None:
             on_checkpoint(iterations, G @ G.T, Y, Z)
 
-    started = time.perf_counter()
     # Y is zero, so [1; x][1; x]' is set at its (p + 1)^2 ones, in place,
     # with no second n x n array
-    partition = instance.partition
-    start = one_opt(round_to_feasible(-np.diagonal(instance.energy), partition), instance)
     support = np.flatnonzero(np.concatenate(([1.0], start.to_indicator(partition))))
     Y[np.ix_(support, support)] = 1.0
     primal_res = dual_res = math.inf
@@ -388,7 +413,7 @@ def solve(
             check(screened=False)
         elif iterations % period == 0:
             check(screened=iterations % CHECK_PERIOD != 0)
-            if certified(best_lower, best_upper):
+            if certified(best_lower, incumbent):
                 reason = TERMINATION_GAP
             elif iterations % CHECK_PERIOD == 0:
                 relaxed = cost.dot(Y.ravel())
@@ -403,14 +428,15 @@ def solve(
 
     return SolveReport(
         lbd=best_lower,
-        ubd=best_upper,
-        rel_gap=relative_gap(best_upper, best_lower),
+        ubd=incumbent,
+        rel_gap=relative_gap(incumbent, best_lower),
         iterations=iterations,
         time_sec=elapsed,
-        assignment=best_assignment,
+        assignment=incumbent_assignment,
         termination=reason,
-        certified=certified(best_lower, best_upper),
+        certified=certified(best_lower, incumbent),
         residuals=(primal_res, dual_res),
         bound_history=tuple(bounds),
+        excluded_pairs=None if excluded is None else int(np.count_nonzero(excluded)) // 2,
     )
 

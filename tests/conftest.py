@@ -5,9 +5,9 @@ explicit constraint matrices of the lifted geometry ([-1 | A], its exposing
 matrix H'H), the QR face basis and the closed-form basis written one block
 at a time.  The solver never forms them; the tests use them as independent
 references for the face basis in ``scpsolve.lifting``.  It also holds the
-PRSM iteration written pass by pass, unfused, from the solver's start
-(``reference_iterations``), against which the solver's iterates are
-compared bit for bit, and an instance file reader and writer built on
+PRSM iteration written pass by pass, unfused, from the solver's start and
+on the solver's gangster set (``reference_iterations``), against which the
+solver's iterates are compared bit for bit, and an instance file reader and writer built on
 one ``json.loads`` or ``json.dumps`` of the whole document
 (``reference_parse_instance``,
 ``reference_serialize_instance``, with ``reference_canonicalize_energy``),
@@ -20,8 +20,9 @@ import math
 import numpy as np
 import pytest
 
-from scpsolve import Assignment, InstanceError, RotamerPartition, ScpInstance, canonicalize_energy, random_instance
+from scpsolve import Assignment, InstanceError, RotamerPartition, ScpInstance, canonicalize_energy, objective, random_instance
 from scpsolve.bounds import one_opt
+from scpsolve import oracle
 from scpsolve.instances import SYMMETRY_RTOL
 from scpsolve.lifting import build_geometry, lift_indicator
 from scpsolve.projections import (
@@ -176,21 +177,36 @@ def reference_box_gangster(M, gangster):
     return out
 
 
-def reference_iterations(instance, params, iterations):
-    """``iterations`` PRSM iterations from ``initialize``'s G and Z and Y
-    lifted from the 1-opt descent (``bounds.one_opt``) that starts at each
-    block's first smallest self energy, one numpy pass at a time, with the
-    mask and the box projection applied to copies and the norms taken by
-    ``np.linalg.norm``.  Returns the factor G of R, Y, Z and the residuals
-    (primal, dual) of every iteration, in order."""
-    geometry = build_geometry(instance)
-    G, _, Z = initialize(geometry)
+def solve_start(instance):
+    """The solve's start: the 1-opt descent (``bounds.one_opt``) from each
+    block's first smallest self energy, and its energy."""
     self_energy = np.diagonal(instance.energy)
     smallest = []
     for off, mi in zip(instance.partition.offsets, instance.partition.m):
         block = list(self_energy[off : off + mi])
         smallest.append(block.index(min(block)) + 1)
     start = one_opt(Assignment(tuple(smallest)), instance)
+    return start, objective(start.to_indicator(instance.partition), instance.energy)
+
+
+def solve_geometry(instance):
+    """The lifted geometry a solve of ``instance`` runs on: its gangster
+    set holds the dead-end pairs at the energy of ``solve_start``
+    (``oracle.dead_end_pairs``, looked up at call time, so a test that
+    patches it away in the solve can patch it away here too)."""
+    start, energy = solve_start(instance)
+    return build_geometry(instance, oracle.dead_end_pairs(instance, start, energy))
+
+
+def reference_iterations(instance, params, iterations):
+    """``iterations`` PRSM iterations on ``solve_geometry`` from
+    ``initialize``'s G and Z and Y lifted from ``solve_start``, one numpy
+    pass at a time, with the mask and the box projection applied to copies
+    and the norms taken by ``np.linalg.norm``.  Returns the factor G of R,
+    Y, Z and the residuals (primal, dual) of every iteration, in order."""
+    geometry = solve_geometry(instance)
+    G, _, Z = initialize(geometry)
+    start, _ = solve_start(instance)
     Y = lift_indicator(start.to_indicator(instance.partition))
     beta = params.beta
     step = params.gamma * beta

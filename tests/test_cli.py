@@ -96,9 +96,11 @@ class TestSolveCommand:
         assert doc["certified"] is True
 
     def test_residual_stop_without_certificate_exit_code(self, tmp_path, monkeypatch):
-        # corpus instance 146, with the relaxation stop switched off, meets
-        # the residual rule with a 2.4% gap left
+        # corpus instance 146, with the relaxation stop and the dead-end
+        # pairs switched off, meets the residual rule with a 2.4% gap left
+        # (with its 14 pairs excluded it certifies at iteration 90)
         monkeypatch.setattr(solver_module, "RELAXATION_GAP_RTOL", 0.0)
+        monkeypatch.setattr(solver_module, "dead_end_pairs", lambda *args: None)
         inst = next(itertools.islice(acceptance_corpus(), 146, None))
         path = tmp_path / "c146.json"
         save_instance(inst, path)
@@ -112,7 +114,7 @@ class TestSolveCommand:
 
     def test_relaxation_gap_stop_exit_code(self, tmp_path):
         # corpus instance 147, whose relaxation is not tight, stops at
-        # iteration 300 with the relaxation converged below the incumbent
+        # iteration 200 with the relaxation converged below the incumbent
         inst = next(itertools.islice(acceptance_corpus(), 147, None))
         path = tmp_path / "c147.json"
         save_instance(inst, path)
@@ -120,9 +122,26 @@ class TestSolveCommand:
         assert main(["solve", str(path), "--out", str(out)]) == EXIT_UNCERTIFIED
         doc = json.loads(out.read_text())
         assert doc["termination"] == "relaxation_gap"
-        assert doc["iter"] == 300
+        assert doc["iter"] == 200
         assert not certified(doc["lbd"], doc["ubd"])
         assert doc["certified"] is False
+
+    def test_dead_end_pairs_reported(self, tmp_path, capsys):
+        # corpus instance 146 loses 14 of its 29 pairs of rotamers in
+        # distinct blocks and certifies; on p=20 seed 3 the upper bound at
+        # the start shows that no pair can go, and the report says so
+        inst = next(itertools.islice(acceptance_corpus(), 146, None))
+        skipped = random_instance(20, 10, (-10, 10), seed=3)
+        for instance, code, line, count in (
+            (inst, EXIT_OK, "14 of 29 rotamer pairs excluded", 14),
+            (skipped, EXIT_MAX_ITER, "none can go by the upper bound at the start, exact bound skipped", None),
+        ):
+            path = tmp_path / "instance.json"
+            save_instance(instance, path)
+            out = tmp_path / "report.json"
+            assert main(["solve", str(path), "--max-iter", "100", "--out", str(out)]) == code
+            assert capsys.readouterr().err == f"dead-end pairs: {line}\n"
+            assert json.loads(out.read_text())["excluded_pairs"] == count
 
     def test_param_overrides_echoed(self, derived_path, tmp_path):
         out = tmp_path / "report.json"
@@ -147,6 +166,7 @@ class TestSolveCommand:
             "assignment",
             "termination",
             "certified",
+            "excluded_pairs",
             "params",
         ]
         assert list(doc["params"].items()) == [

@@ -3,17 +3,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import acceptance_corpus, make_instance
+from conftest import acceptance_corpus, feasible_indicators, make_instance, solve_start
 from perfbench.structured import structured_instance
 from scpsolve import oracle
 from scpsolve import (
     Assignment,
     InstanceError,
     OracleSizeError,
+    SolverParams,
     brute_force,
     goldstein_reduce,
     objective,
     random_instance,
+    solve,
 )
 
 
@@ -275,3 +277,147 @@ class TestGoldsteinReduce:
         reduction = goldstein_reduce(inst)
         assert reduction.kept == ((1,), (1,))
         assert reduction.kept == goldstein_reference(inst)
+
+
+def reference_pair_lower_bounds(instance):
+    """The ordered pair bound of every pair of rotamers in distinct blocks,
+    from its definition, block pair by block pair: for r in i and s in j,
+    E_rr + E_ss + 2 E_rs + sum_{k not in {i, j}} min_{t in k} [E_tt + 2 E_rt
+    + 2 E_st + 2 sum_{l > k, l not in {i, j}} min_{u in l} E_tu], in O(n0^3).
+    Entries with r and s in one block are NaN."""
+    partition, E = instance.partition, instance.energy
+    p, offsets = partition.p, partition.offsets
+    blocks = [np.arange(off, off + mi) for off, mi in zip(offsets, partition.m)]
+    block_of = np.repeat(np.arange(p), partition.m)
+    least = np.minimum.reduceat(E, offsets, axis=1)
+    bound = np.full((partition.n0, partition.n0), np.nan)
+    for i in range(p):
+        for j in range(p):
+            if i == j:
+                continue
+            others = np.array([k for k in range(p) if k not in (i, j)], dtype=int)
+            rows = np.concatenate([blocks[k] for k in others]) if others.size else np.zeros(0, int)
+            later = np.arange(p)[None, :] > block_of[rows, None]
+            later[:, [i, j]] = False
+            tail = E[rows, rows] + 2.0 * (least[rows] * later).sum(axis=1)
+            share = tail[:, None, None] + 2.0 * E[np.ix_(rows, blocks[i])][:, :, None] + 2.0 * E[np.ix_(rows, blocks[j])][:, None, :]
+            value = np.add.outer(np.diagonal(E)[blocks[i]], np.diagonal(E)[blocks[j]]) + 2.0 * E[np.ix_(blocks[i], blocks[j])]
+            for k in others:
+                value = value + share[block_of[rows] == k].min(axis=0)
+            bound[np.ix_(blocks[i], blocks[j])] = value
+    return bound
+
+
+def distinct_blocks(partition):
+    """n0 x n0 mask of the pairs of rotamers in distinct blocks."""
+    distinct = ~partition.same_block
+    np.fill_diagonal(distinct, False)
+    return distinct
+
+
+def dense_instance():
+    """The benchmark's dense i.i.d. instance shape: p = 80, n0 = 803."""
+    sizes = random_instance(80, 20, (-10, 10), seed=3).partition.m
+    rng = np.random.default_rng(1)
+    m = tuple(int(v) for v in rng.permutation(sizes))
+    raw = rng.uniform(-10.0, 10.0, size=(sum(m), sum(m)))
+    return make_instance(m, 0.5 * (raw + raw.T))
+
+
+@st.composite
+def small_instances(draw):
+    """p 2-5, m 1-4 and energies in -10..10, integers or floats: integer
+    energies make pair bounds that meet an assignment's energy exactly."""
+    m = tuple(draw(st.lists(st.integers(1, 4), min_size=2, max_size=5)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return symmetric_instance(m, seed, integer=draw(st.booleans()))
+
+
+class TestDeadEndPairs:
+    def test_no_pair_of_the_optimum_is_excluded(self):
+        # the acceptance corpus: the brute-force optimum and the solve's
+        # start keep every pair, while the corpus as a whole loses thousands
+        excluded_total = 0
+        for inst in acceptance_corpus():
+            start, energy = solve_start(inst)
+            excluded = oracle.dead_end_pairs(inst, start, energy)
+            assert excluded is not None
+            for choice in (brute_force(inst).argmin, start):
+                rows = np.flatnonzero(choice.to_indicator(inst.partition))
+                assert not excluded[np.ix_(rows, rows)].any()
+            assert np.array_equal(excluded, excluded.T)
+            assert not (excluded & ~distinct_blocks(inst.partition)).any()
+            excluded_total += int(excluded.sum()) // 2
+        assert excluded_total == 9306
+
+    @settings(max_examples=60, deadline=None)
+    @given(inst=small_instances())
+    def test_pair_bounds_hold_on_every_assignment(self, inst):
+        # LB_rs is at most the energy of every assignment using r and s,
+        # the O(n0^2) upper bound at the start is never below it, and the
+        # decomposed bound is the O(n0^3) one: each within the rounding
+        # allowance.  No pair of the start goes, whatever the cutoff's ties
+        partition = inst.partition
+        allowance = oracle.pair_rounding(inst)
+        lower = oracle.pair_lower_bounds(inst)
+        distinct = distinct_blocks(partition)
+        assert np.array_equal(lower, lower.T)
+        for x in feasible_indicators(partition):
+            rows = np.flatnonzero(x)
+            pairs = lower[np.ix_(rows, rows)][distinct[np.ix_(rows, rows)]]
+            assert np.all(pairs <= objective(x, inst.energy) + allowance)
+        start, energy = solve_start(inst)
+        upper = oracle.pair_upper_bounds(inst, start)
+        assert np.all(upper[distinct] >= lower[distinct] - allowance)
+        reference = reference_pair_lower_bounds(inst)
+        assert np.all(np.abs(lower[distinct] - reference[distinct]) <= allowance)
+        excluded = oracle.dead_end_pairs(inst, start, energy)
+        if excluded is not None:
+            rows = np.flatnonzero(start.to_indicator(partition))
+            assert not excluded[np.ix_(rows, rows)].any()
+
+    def test_decomposed_bound_matches_the_cubic_form_on_structured(self):
+        reduced = goldstein_reduce(structured_instance(101)[0]).reduced
+        distinct = distinct_blocks(reduced.partition)
+        lower = oracle.pair_lower_bounds(reduced)[distinct]
+        reference = reference_pair_lower_bounds(reduced)[distinct]
+        assert np.all(np.abs(lower - reference) <= 1e-12 * (1.0 + np.abs(reference)))
+
+    @pytest.mark.parametrize("allowance", [None, 0.0])
+    def test_a_start_pair_whose_bound_is_the_cutoff_stays(self, allowance, monkeypatch):
+        # at p = 2 each pair bound is the energy of the pair, exactly for
+        # integers: the start's pair bound is the cutoff itself, and the
+        # strict test keeps it even with no allowance, while every pair
+        # above the cutoff goes
+        if allowance is not None:
+            monkeypatch.setattr(oracle, "pair_rounding", lambda inst: allowance)
+        inst = symmetric_instance((3, 3), 7, integer=True)
+        start, energy = solve_start(inst)
+        lower = oracle.pair_lower_bounds(inst)
+        rows = np.flatnonzero(start.to_indicator(inst.partition))
+        assert lower[rows[0], rows[1]] == energy
+        excluded = oracle.dead_end_pairs(inst, start, energy)
+        assert not excluded[rows[0], rows[1]]
+        top = lower[:3, 3:]
+        assert excluded[:3, 3:].sum() == (top > energy).sum() > 0
+
+    def test_dense_instance_skips_the_exact_bound(self, monkeypatch):
+        # on a dense-sized i.i.d. instance the O(n0^2) upper bound lies far
+        # below the start's energy, so the solve never takes the exact bound
+        calls = []
+        exact = oracle.pair_lower_bounds
+        monkeypatch.setattr(oracle, "pair_lower_bounds", lambda inst: calls.append(inst) or exact(inst))
+        inst = dense_instance()
+        start, energy = solve_start(inst)
+        distinct = distinct_blocks(inst.partition)
+        assert oracle.pair_upper_bounds(inst, start)[distinct].max() < energy - 10_000
+        report = solve(inst, SolverParams(beta=5.0, max_iter=1))
+        assert report.excluded_pairs is None
+        assert calls == []
+
+    def test_non_finite_allowance_excludes_nothing(self):
+        # energies whose sums could overflow give up the exclusion
+        inst = make_instance((2, 2), np.diag([1e306, 0.0, -1e306, 0.0]))
+        assert oracle.pair_rounding(inst) == np.inf
+        start, energy = solve_start(inst)
+        assert oracle.dead_end_pairs(inst, start, energy) is None

@@ -41,9 +41,9 @@ def geometry_of(m):
     return build_geometry(make_instance(m, np.zeros((sum(m), sum(m)))))
 
 
-def box_matrix(M, pinned):
+def box_matrix(M, free):
     """The box/gangster projection of a copy of M, which is left as it is."""
-    return project_box_gangster(np.array(M, dtype=float), pinned)
+    return project_box_gangster(np.array(M, dtype=float), free)
 
 
 def dual_mask(M, fixed):
@@ -885,10 +885,10 @@ class TestCarriedProof:
 class TestBoxGangster:
     part = RotamerPartition((2, 2))
     geometry = geometry_of(part.m)
-    pinned = geometry.pinned
+    free = geometry.free
 
     def test_zero_matrix_gets_unit_corner(self):
-        out = project_box_gangster(np.zeros((5, 5)), self.pinned)
+        out = project_box_gangster(np.zeros((5, 5)), self.free)
         expected = np.zeros((5, 5))
         expected[0, 0] = 1.0
         assert np.array_equal(out, expected)
@@ -896,19 +896,19 @@ class TestBoxGangster:
     def test_upper_clamp(self):
         M = np.zeros((5, 5))
         M[1, 3] = M[3, 1] = 7.3
-        out = project_box_gangster(M, self.pinned)
+        out = project_box_gangster(M, self.free)
         assert out[1, 3] == 1.0 and out[3, 1] == 1.0
         assert out is M  # the projection overwrites its input
 
     def test_feasible_lift_unchanged(self):
         for x in feasible_indicators(self.part):
             Y = lift_indicator(x)
-            assert np.array_equal(box_matrix(Y, self.pinned), Y)
+            assert np.array_equal(box_matrix(Y, self.free), Y)
 
     def test_output_in_feasible_box_exactly(self):
         rng = np.random.default_rng(13)
         M = rng.normal(scale=4.0, size=(5, 5))
-        out = project_box_gangster(M + M.T, self.pinned)
+        out = project_box_gangster(M + M.T, self.free)
         assert np.array_equal(out, out.T)
         assert out.min() >= 0.0 and out.max() <= 1.0
         assert out[0, 0] == 1.0
@@ -964,7 +964,7 @@ class TestNonexpansiveness:
             pairs = [
                 (project_simplex(va, c), project_simplex(vb, c)),
                 (psd_trace_matrix(a, c), psd_trace_matrix(b, c)),
-                (box_matrix(a, geometry.pinned), box_matrix(b, geometry.pinned)),
+                (box_matrix(a, geometry.free), box_matrix(b, geometry.free)),
                 (dual_mask(a, geometry.dual_fixed), dual_mask(b, geometry.dual_fixed)),
             ]
             assert np.linalg.norm(pairs[0][0] - pairs[0][1]) <= np.linalg.norm(va - vb) + 1e-12

@@ -2,15 +2,16 @@
 
 Skipped automatically when cvxpy is not installed; the core suite never
 depends on it.  This rebuilds the exact same relaxation (face basis,
-gangster pattern, box, trace) as a cvxpy program and compares its optimal
-value with the splitting solver's certified bounds.
+gangster pattern with the solve's dead-end pairs, box, trace) as a cvxpy
+program and compares its optimal value with the splitting solver's
+certified bounds.
 """
 
 import numpy as np
 import pytest
 
+from conftest import solve_geometry
 from scpsolve import brute_force, random_instance, solve
-from scpsolve.lifting import build_geometry
 
 cp = pytest.importorskip("cvxpy")
 
@@ -18,7 +19,7 @@ cp = pytest.importorskip("cvxpy")
 @pytest.mark.parametrize("seed", [1, 4])
 def test_relaxation_value_matches_reference_solver(seed):
     inst = random_instance(3, 3, (-8, 8), seed=seed)
-    geometry = build_geometry(inst)
+    geometry = solve_geometry(inst)
     R = cp.Variable((geometry.face_dim, geometry.face_dim), symmetric=True)
     Y = geometry.face.matrix @ R @ geometry.face.matrix.T
     constraints = [R >> 0, cp.trace(R) == geometry.partition.p + 1]
