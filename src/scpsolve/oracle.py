@@ -49,10 +49,14 @@ def brute_force(instance: ScpInstance, limit: int = 1_000_000) -> OracleResult:
             f"{count} feasible assignments exceed the enumeration limit {limit}"
         )
     E = instance.energy
-    grids = np.meshgrid(
-        *[np.arange(mi, dtype=np.intp) for mi in partition.m], indexing="ij"
-    )
-    local = [g.reshape(-1) for g in grids]
+    # block i's choice in each assignment, the i-th digit of its index in
+    # row-major order; not np.meshgrid, whose p-dimensional grids numpy
+    # caps at 64 dimensions
+    index = np.arange(count)
+    local, stride = [], count
+    for mi in partition.m:
+        stride //= mi
+        local.append(index // stride % mi)
     glob = [off + loc for off, loc in zip(partition.offsets, local)]
     values = np.zeros(count)
     for i in range(partition.p):

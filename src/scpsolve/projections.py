@@ -12,9 +12,10 @@ inequality, to the nearby matrices of later projections
 at most f / CROSSOVER, MRRR finds only those, and serves the
 projection when the smallest of them projects to zero; else
 divide and conquer solves the tridiagonal matrix whole.  Either way only
-the kept eigenvectors are transformed back.  Calls without a start, on
-a non-finite S, and where LAPACK is not bound or reports an error, run
-the full ``eigh``.
+the kept eigenvectors are transformed back.  Calls without a start,
+below MIN_ORDER, on a non-finite S, and where LAPACK is not bound
+(``lapack``) or reports an error, run the full ``eigh``; where it is not
+bound, ``np.linalg.cholesky`` makes the rank-one path's check.
 """
 
 from __future__ import annotations
@@ -25,15 +26,16 @@ import types
 
 import numpy as np
 
-# The rank-one path is tried only from order MIN_ORDER on: below it the
-# full eigh costs under half a millisecond, and small solves, the
-# acceptance corpus's among them, stay those of the full eigh alone.  Its
-# power iteration runs at most MAX_STEPS steps; from step MIN_STEPS on it
-# gives up as soon as the residual falls too slowly to reach
-# RESIDUAL_RTOL * |S|_F in the steps left.
+# MIN_ORDER is the order from which a projection with a start tries the
+# rank-one path and the tridiagonal route: below it the full eigh costs
+# under half a millisecond, and small solves, the acceptance corpus's
+# among them, stay those of the full eigh alone.  From face dimension
+# MIN_ORDER on, ``solver`` also screens each check with a Ritz value and
+# checks every RITZ_SCREEN_PERIOD iterations.  The rank-one path's power
+# iteration makes at most MAX_STEPS products with S, and serves the call
+# only once its residual reaches RESIDUAL_RTOL * |S|_F.
 MIN_ORDER = 80
 MAX_STEPS = 16
-MIN_STEPS = 3
 RESIDUAL_RTOL = 1e-13
 # A carried proof (``CarriedProof``) is first tried with the margin
 # PROOF_MARGIN * |tau|, halved after each failure: of 5e-4 to 8e-3, 4e-3
@@ -60,15 +62,19 @@ LAPACKE_BUILDS = (
     ("scipy_LAPACKE_{}64_", ctypes.c_int64),
     ("scipy_LAPACKE_{}", ctypes.c_int32),
 )
-# The argument types of the routines the tridiagonal route calls, with
-# INTEGER for the LAPACK integer and a void pointer for each array.
-# dormtr is called with the workspace it is given: LAPACK's dormtr asks
-# for too little for dormqr's blocked update, which then halves its
-# block size, and dormqr takes at most DORMQR_NBMAX reflectors per block
-# and DORMQR_TSIZE entries for the block's triangular factor.
+# The argument types of the routines that ``lapack`` binds, with INTEGER
+# for the LAPACK integer and a void pointer for each array.  dormtr is
+# called with the workspace it is given: LAPACK's dormtr asks for too
+# little for dormqr's blocked update, which then halves its block size,
+# and dormqr takes at most DORMQR_NBMAX reflectors per block and
+# DORMQR_TSIZE entries for the block's triangular factor.  dpotrf is the
+# routine np.linalg.cholesky calls on a column-major copy of its input,
+# reading the lower triangle; ``cholesky_succeeds`` calls it the same way,
+# through the LAPACKE wrapper that adds no NaN check, without the copy
+# back and the zeroed triangle.
 INTEGER = object()
 _CHAR, _DOUBLE, _POINTER = ctypes.c_char, ctypes.c_double, ctypes.c_void_p
-TRIDIAGONAL_ROUTINES = {
+LAPACK_ROUTINES = {
     # matrix_layout, uplo, n, a, lda, d, e, tau
     "dsytrd": (ctypes.c_int, _CHAR, INTEGER, _POINTER, INTEGER, _POINTER, _POINTER, _POINTER),
     # matrix_layout, jobz, range, n, d, e, vl, vu, il, iu, m, w, z, ldz, nzc, isuppz, tryrac
@@ -83,14 +89,6 @@ TRIDIAGONAL_ROUTINES = {
         ctypes.c_int, _CHAR, _CHAR, _CHAR, INTEGER, INTEGER, _POINTER, INTEGER, _POINTER,
         _POINTER, INTEGER, _POINTER, INTEGER,
     ),
-}
-# numpy's own Cholesky factorization, np.linalg.cholesky, calls LAPACK's
-# dpotrf on a column-major copy of its input, reading the lower triangle;
-# ``cholesky_succeeds`` calls it the same way, through the LAPACKE wrapper
-# that adds no NaN check, without the copy back and the zeroed triangle.
-# It is bound on its own, so a LAPACK without it keeps the tridiagonal
-# route.
-CHOLESKY_ROUTINES = {
     # matrix_layout, uplo, n, a, lda
     "dpotrf_work": (ctypes.c_int, _CHAR, INTEGER, _POINTER, INTEGER),
 }
@@ -151,12 +149,11 @@ def project_psd_trace(M, total, start=None, proof=None) -> np.ndarray:
     start of any other width r, ``tridiagonal_psd_trace`` serves it from
     one reduction of S, trying the top k = r + GUARD eigenpairs
     (FIRST_GUESS at r = 0) first if k <= f / CROSSOVER.  Without a start,
-    below MIN_ORDER, where the LAPACK binding is absent
-    (``tridiagonal_lapack``), on a non-finite S and on an error from
-    LAPACK, the full eigendecomposition runs.  ``proof``, a
-    ``CarriedProof`` that travels with the starts of one sequence of
-    projections, lets the rank-one path reuse an earlier proof; it changes
-    no result.
+    below MIN_ORDER, where the LAPACK binding is absent (``lapack``), on a
+    non-finite S and on an error from LAPACK, the full eigendecomposition
+    runs.  ``proof``, a ``CarriedProof`` that travels with the starts of
+    one sequence of projections, lets the rank-one path reuse an earlier
+    proof; it changes no result.
     """
     S = np.asarray(M, dtype=float)
     # in place, so no second order-f array lives through the eigensolve
@@ -169,12 +166,12 @@ def project_psd_trace(M, total, start=None, proof=None) -> np.ndarray:
             G = rank_one_psd_trace(S, total, start[:, 0], proof)
             if G is not None:
                 return G
-        lapack = tridiagonal_lapack()
+        routines = lapack()
         # a sum with an inf or NaN is not finite; one that overflows sends a
         # finite S to the full eigh, which gives the same answer
-        if lapack is not None and np.isfinite(S.sum()):
+        if routines is not None and np.isfinite(S.sum()):
             try:
-                return tridiagonal_psd_trace(S, total, r + GUARD if r else FIRST_GUESS, lapack)
+                return tridiagonal_psd_trace(S, total, r + GUARD if r else FIRST_GUESS, routines)
             except LapackError:
                 pass
     w, U = np.linalg.eigh(S)
@@ -197,8 +194,8 @@ class LapackError(Exception):
 
 def tridiagonal_psd_trace(S, total, k: int, lapack) -> np.ndarray:
     """``project_psd_trace`` of finite symmetric S through one reduction
-    to tridiagonal form, by the routines that ``tridiagonal_lapack``
-    binds, ``lapack``; raises ``LapackError`` when one of them reports an
+    to tridiagonal form, by the routines ``lapack`` that ``lapack()``
+    binds; raises ``LapackError`` when one of them reports an
     error.
 
     dsytrd reduces a copy of S to tridiagonal T = Q'SQ.  While k <= f /
@@ -267,26 +264,14 @@ def top_tridiagonal(lapack, d, e, k: int, total):
 
 
 @functools.cache
-def tridiagonal_lapack() -> types.SimpleNamespace | None:
-    """The routines of ``tridiagonal_psd_trace``, ``TRIDIAGONAL_ROUTINES``,
-    bound by ``bind_lapack``; resolved on first use."""
-    return bind_lapack(TRIDIAGONAL_ROUTINES)
-
-
-@functools.cache
-def cholesky_lapack() -> types.SimpleNamespace | None:
-    """The routine of ``cholesky_succeeds``, ``CHOLESKY_ROUTINES``, bound
-    by ``bind_lapack``; resolved on first use."""
-    return bind_lapack(CHOLESKY_ROUTINES)
-
-
-def bind_lapack(routines) -> types.SimpleNamespace | None:
-    """``routines`` bound to the LAPACK that numpy loads, or None where no
-    build of ``LAPACKE_BUILDS`` exports them all: a namespace with one
-    ctypes function for each name, returning LAPACK's info (0 on
-    success), and the LAPACK integer type they take, ``integer``.  Bound
-    through the symbols that numpy's own linalg extension sees, so no
-    library is searched for and nothing is imported beyond ctypes."""
+def lapack() -> types.SimpleNamespace | None:
+    """``LAPACK_ROUTINES`` bound to the LAPACK that numpy loads, on first
+    use, or None where no build of ``LAPACKE_BUILDS`` exports them all: a
+    namespace with one ctypes function for each name, returning LAPACK's
+    info (0 on success), and the LAPACK integer type they take,
+    ``integer``.  Bound through the symbols that numpy's own linalg
+    extension sees, so no library is searched for and nothing is imported
+    beyond ctypes."""
     try:
         from numpy.linalg import _umath_linalg
 
@@ -295,7 +280,7 @@ def bind_lapack(routines) -> types.SimpleNamespace | None:
         return None
     for pattern, integer in LAPACKE_BUILDS:
         functions = {}
-        for name, arguments in routines.items():
+        for name, arguments in LAPACK_ROUTINES.items():
             function = getattr(lib, pattern.format(name), None)
             if function is None:
                 break
@@ -346,10 +331,12 @@ def rank_one_psd_trace(S, total, start, proof=None) -> np.ndarray | None:
 
     A power iteration from the vector ``start`` runs until its Rayleigh
     quotient theta and unit vector u have a residual |Su - theta u| at
-    rounding level.  The projection is then total * uu' exactly when no
-    other eigenvalue of S exceeds the simplex threshold tau = theta - total,
-    and one Cholesky factorization of tau I - S + (total + 1) uu' proves
-    that: on u the matrix is 1, on its complement it is tau I - S.
+    rounding level, RESIDUAL_RTOL * |S|_F; a call whose residual has not
+    reached it after MAX_STEPS products with S returns None.  The
+    projection is then total * uu' exactly when no other eigenvalue of S
+    exceeds the simplex threshold tau = theta - total, and one Cholesky
+    factorization of tau I - S + (total + 1) uu' proves that: on u the
+    matrix is 1, on its complement it is tau I - S.
 
     With a ``CarriedProof``, a proof it holds that covers S stands in for
     the factorization.  Otherwise the factorization is made with the
@@ -363,19 +350,13 @@ def rank_one_psd_trace(S, total, start, proof=None) -> np.ndarray | None:
         return None
     u = start / size
     tol = RESIDUAL_RTOL * np.linalg.norm(S)
-    for step in range(MAX_STEPS):
+    for _ in range(MAX_STEPS):
         Su = S @ u
         theta = u @ Su
-        residual = np.linalg.norm(Su - theta * u)
-        if residual <= tol:
+        if np.linalg.norm(Su - theta * u) <= tol:
             break
-        # the last step's rate of decrease, kept up, would still miss tol
-        steps_left = MAX_STEPS - 1 - step
-        if step >= MIN_STEPS and residual * (residual / previous) ** steps_left > tol:
-            return None
-        previous = residual
         u = Su / np.linalg.norm(Su)
-    else:  # reached only when the residual is not finite
+    else:  # the residual never reached tol
         return None
     G = (np.sqrt(total) * u)[:, None]
     tau = theta - total
@@ -403,8 +384,7 @@ def cholesky_succeeds(T) -> bool:
     It is ``np.linalg.cholesky``'s factorization, the same LAPACK routine
     on the same column-major copy, so the two decide alike, also on a T
     that is not exactly symmetric, whose upper triangle neither reads.
-    Where ``cholesky_lapack`` binds no routine, ``np.linalg.cholesky``
-    runs.
+    Where ``lapack`` binds no routines, ``np.linalg.cholesky`` runs.
 
     Success shows T positive definite only up to rounding: Rump's
     criterion (BIT 2006) proves definiteness from a factorization of T
@@ -414,8 +394,8 @@ def cholesky_succeeds(T) -> bool:
     rank-one one or a fallback's, which differ by at most that rounding;
     it never decides a certificate, which rests on ``bounds``.
     """
-    lapack = cholesky_lapack()
-    if lapack is None:
+    routines = lapack()
+    if routines is None:
         try:
             np.linalg.cholesky(T)
         except np.linalg.LinAlgError:
@@ -423,7 +403,7 @@ def cholesky_succeeds(T) -> bool:
         return True
     n = T.shape[0]
     A = np.array(T, dtype=float, order="F")
-    return lapack.dpotrf_work(LAPACK_COL_MAJOR, b"L", n, A.ctypes.data, n) == 0
+    return routines.dpotrf_work(LAPACK_COL_MAJOR, b"L", n, A.ctypes.data, n) == 0
 
 
 def project_box_gangster(M, free: np.ndarray) -> np.ndarray:

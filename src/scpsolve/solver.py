@@ -40,8 +40,9 @@ The mask zeroes the dual coordinates whose optimal values are known (row 0,
 column 0, diagonal), so those entries stay at their initialized values for
 the entire run.  R is kept as its factor G with R = GG' and rank r, G's
 width, so VRV' is the rank-r product (VG)(VG)'.  Each R-update passes the
-previous G to the projection, whose width r picks one of two routes
-that give the same projection up to rounding: at r = 1 a power iteration
+previous G to the projection.  From face dimension
+``projections.MIN_ORDER`` on, G's width r picks one of two routes that
+give the same projection up to rounding: at r = 1 a power iteration
 warm-started on G's column, whenever its residual test and a Cholesky
 check show its answer; else one LAPACK reduction of the matrix to
 tridiagonal form, from which MRRR (LAPACK's dstemr) finds only the top
@@ -49,7 +50,8 @@ r + GUARD eigenpairs while r + GUARD is small against the face dimension
 and the smallest of them projects to zero, and divide and conquer the
 whole spectrum otherwise; only the kept eigenvectors are transformed back
 (``projections.project_psd_trace``).  The full eigendecomposition runs
-where LAPACK is not bound or reports an error.  The solve keeps
+below MIN_ORDER, and where LAPACK is not bound (``projections.lapack``)
+or reports an error.  The solve keeps
 one ``CarriedProof`` beside G: a Cholesky check made with a margin covers
 the later R-updates whose matrices stay within half of it.  Lower and
 upper bounds are checked on the schedule stated in ``solve``, every 5th

@@ -22,7 +22,7 @@ import pytest
 
 from scpsolve import Assignment, InstanceError, RotamerPartition, ScpInstance, canonicalize_energy, objective, random_instance
 from scpsolve.bounds import one_opt
-from scpsolve import oracle
+from scpsolve import oracle, projections
 from scpsolve.instances import SYMMETRY_RTOL
 from scpsolve.lifting import build_geometry, lift_indicator
 from scpsolve.projections import (
@@ -31,7 +31,6 @@ from scpsolve.projections import (
     MIN_ORDER,
     LapackError,
     rank_one_psd_trace,
-    tridiagonal_lapack,
     tridiagonal_psd_trace,
 )
 from scpsolve.solver import initialize
@@ -155,7 +154,7 @@ def reference_psd_trace(M, total, start=None):
             G = rank_one_psd_trace(S, total, start[:, 0])
             if G is not None:
                 return G
-        lapack = tridiagonal_lapack()
+        lapack = projections.lapack()
         if lapack is not None and np.all(np.isfinite(S)):
             try:
                 return tridiagonal_psd_trace(S, total, width + GUARD if width else FIRST_GUESS, lapack)

@@ -267,8 +267,8 @@ class TestPsdTraceReference:
 def test_binding_resolves_with_scipy_openblas():
     # where numpy's LAPACK is scipy-openblas, the one numpy's own wheels
     # ship, every routine of the tridiagonal route and the Cholesky
-    # factorization must bind, with the integer type of one build, so
-    # none can go missing unnoticed; elsewhere they may not
+    # factorization, dpotrf_work, must bind, with the integer type of one
+    # build, so none can go missing unnoticed; elsewhere they may not
     try:
         config = np.show_config(mode="dicts")
     except TypeError:
@@ -276,26 +276,14 @@ def test_binding_resolves_with_scipy_openblas():
     lapack = config.get("Build Dependencies", {}).get("lapack", {}).get("name", "")
     if "scipy-openblas" not in lapack:
         pytest.skip(f"numpy's LAPACK is {lapack!r}, not scipy-openblas")
-    for bind, routines in (
-        (projections.tridiagonal_lapack, projections.TRIDIAGONAL_ROUTINES),
-        (projections.cholesky_lapack, projections.CHOLESKY_ROUTINES),
-    ):
-        lapack = bind()
-        assert lapack is not None
-        pattern = next(pattern for pattern, integer in projections.LAPACKE_BUILDS if integer is lapack.integer)
-        for name, arguments in routines.items():
-            function = getattr(lapack, name)
-            assert function.__name__ == pattern.format(name)
-            assert function.restype is lapack.integer and len(function.argtypes) == len(arguments)
-
-
-def test_bindings_resolve_apart():
-    # a LAPACK that lacks one binding's routines keeps the other's: a
-    # routine set with a missing name binds nothing, and the two sets
-    # share no name
-    missing = {**projections.CHOLESKY_ROUTINES, "no_such_routine": ()}
-    assert projections.bind_lapack(missing) is None
-    assert not projections.TRIDIAGONAL_ROUTINES.keys() & projections.CHOLESKY_ROUTINES.keys()
+    lapack = projections.lapack()
+    assert lapack is not None
+    assert {*DECLINED, "dpotrf_work"} == projections.LAPACK_ROUTINES.keys()
+    pattern = next(pattern for pattern, integer in projections.LAPACKE_BUILDS if integer is lapack.integer)
+    for name, arguments in projections.LAPACK_ROUTINES.items():
+        function = getattr(lapack, name)
+        assert function.__name__ == pattern.format(name)
+        assert function.restype is lapack.integer and len(function.argtypes) == len(arguments)
 
 
 class TestCholeskySucceeds:
@@ -390,7 +378,7 @@ class TestCholeskySucceeds:
             calls.append(a.shape)
             return cholesky(a)
 
-        monkeypatch.setattr(projections, "cholesky_lapack", lambda: None)
+        monkeypatch.setattr(projections, "lapack", lambda: None)
         monkeypatch.setattr(np.linalg, "cholesky", counting)
         assert projections.cholesky_succeeds(np.eye(4)) and not projections.cholesky_succeeds(-np.eye(4))
         assert calls == [(4, 4), (4, 4)]
@@ -403,6 +391,21 @@ def with_spectrum(Q, values):
 
 def orthonormal(rng, n, k=None):
     return np.linalg.qr(rng.normal(size=(n, n if k is None else k)))[0]
+
+
+class CountingMatrix:
+    """A matrix that counts its products with vectors, ``S @ v``; numpy
+    reads it as the array it wraps."""
+
+    def __init__(self, S):
+        self.S, self.shape, self.products = S, S.shape, 0
+
+    def __array__(self, dtype=None, copy=None):
+        return self.S
+
+    def __matmul__(self, v):
+        self.products += 1
+        return self.S @ v
 
 
 @pytest.fixture
@@ -439,9 +442,9 @@ def tridiagonal_results(monkeypatch):
     return results
 
 
-# the routines of the tridiagonal route, where numpy's LAPACK exports them;
-# where it does not, the route never runs and the full eigh serves
-LAPACK = projections.tridiagonal_lapack()
+# the bound LAPACK routines, where numpy's LAPACK exports them all; where
+# it does not, the tridiagonal route never runs and the full eigh serves
+LAPACK = projections.lapack()
 # the LAPACK calls of each branch of the tridiagonal route: top-k
 # eigenpairs that show tau, top-k eigenpairs that cannot and the whole
 # tridiagonal solve after them, and the whole solve alone above the
@@ -467,7 +470,7 @@ def reduction(S):
 @pytest.fixture
 def lapack_calls(monkeypatch):
     """The name of every LAPACK routine of the tridiagonal route called
-    during the test, in order."""
+    during the test, in order; the rank-one path's dpotrf is not counted."""
     calls = []
 
     def counting(name, function):
@@ -477,7 +480,7 @@ def lapack_calls(monkeypatch):
 
         return counted
 
-    for name in projections.TRIDIAGONAL_ROUTINES if LAPACK is not None else ():
+    for name in DECLINED if LAPACK is not None else ():
         monkeypatch.setattr(LAPACK, name, counting(name, getattr(LAPACK, name)))
     return calls
 
@@ -689,7 +692,7 @@ class TestPartialPsdTrace:
     def test_without_the_binding_the_full_path_runs(self, monkeypatch):
         # with no LAPACK binding the route does not run, and the factor is
         # the full eigh's, byte for byte and in memory layout
-        monkeypatch.setattr(projections, "tridiagonal_lapack", lambda: None)
+        monkeypatch.setattr(projections, "lapack", lambda: None)
         rng = np.random.default_rng(36)
         for width in (0, 2, 5, 30):
             _, S = self.spectrum(rng, self.n, 4)
@@ -763,6 +766,22 @@ class TestPartialPsdTrace:
             values = np.concatenate([[70.0, -100.0], rng.uniform(-4.0, 4.0, size=self.n - 2)])
             S = with_spectrum(Q, values)
             self.assert_falls_back(S, Q[:, :1] + 1e-3 * rng.normal(size=(self.n, 1)))
+
+    def test_power_iteration_declines_only_after_max_steps(self):
+        # lambda_2 = 0.99 lambda_1 and a start even on both eigenvectors:
+        # the residual falls about 1% a product and never reaches rounding
+        # level, so the power iteration makes all MAX_STEPS products with S
+        # before it declines, and the tridiagonal route serves the call
+        rng = np.random.default_rng(44)
+        Q = orthonormal(rng, self.n)
+        values = np.concatenate([[100.0, 99.0], rng.uniform(-4.0, 4.0, size=self.n - 2)])
+        S = with_spectrum(Q, values)
+        S = 0.5 * (S + S.T)
+        start = Q[:, 0] + Q[:, 1]
+        counted = CountingMatrix(S)
+        assert projections.rank_one_psd_trace(counted, self.total, start) is None
+        assert counted.products == projections.MAX_STEPS
+        self.assert_falls_back(S, start[:, None])
 
     def test_below_min_order_makes_no_attempt(self):
         rng = np.random.default_rng(28)

@@ -4,6 +4,7 @@ import json
 import math
 import pickle
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -375,6 +376,42 @@ class TestSolve:
         assert report.ubd == 1.5
         assert report.assignment.choice == (1, 1, 1)
 
+    @pytest.mark.parametrize(
+        "m",
+        [(5,), (1,) * 130, (1,) * 40 + (100,), (1, 90, 1, 1, 40)],
+        ids=["one-block", "singletons", "singletons-beside-100", "singletons-beside-90-and-40"],
+    )
+    def test_degenerate_partitions_certify(self, m, monkeypatch):
+        # one block, singletons alone (face dimension 1), and singletons
+        # beside blocks whose faces (f = 100, 129) are above MIN_ORDER:
+        # those two take the reflector face basis, the rank-one path and
+        # the tridiagonal route.  Each solve certifies brute force's
+        # optimum and warns of nothing
+        n0 = sum(m)
+        raw = np.random.default_rng(1).uniform(-10.0, 10.0, size=(n0, n0))
+        inst = make_instance(m, 0.5 * (raw + raw.T))
+        routes = set()
+        for name in ("rank_one_psd_trace", "tridiagonal_psd_trace"):
+
+            def recording(*args, route=getattr(projections, name), name=name):
+                routes.add(name)
+                return route(*args)
+
+            monkeypatch.setattr(projections, name, recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = solve(inst)
+        best = brute_force(inst)
+        assert report.certified and report.termination == "gap_closed"
+        assert report.ubd == best.optimum and report.assignment == best.argmin
+        geometry = build_geometry(inst)
+        if geometry.face_dim >= projections.MIN_ORDER:
+            assert type(geometry.face) is lifting.FaceBasis
+            assert "rank_one_psd_trace" in routes
+            assert ("tridiagonal_psd_trace" in routes) == (projections.lapack() is not None)
+        else:
+            assert not routes
+
     def test_collision_scale_energies_certify(self):
         # huge pair energies mark collisions; the box projection keeps those
         # pairs out and the certificate still closes on the clean optimum
@@ -473,7 +510,7 @@ class TestSolve:
         if dense:
             monkeypatch.setattr(lifting, "FACE_CROSSOVER", inst.partition.n0 + 1)
             allowance += n * f * 8
-        lapack = projections.tridiagonal_lapack()
+        lapack = projections.lapack()
         eigensolves = [(np.linalg, "eigvalsh")]
         if lapack is None:
             eigensolves.append((np.linalg, "eigh"))
@@ -543,7 +580,7 @@ class TestSolve:
         widths, failed, routed = [], [], []
         project = solver_module.project_psd_trace
         rank_one, tridiagonal = projections.rank_one_psd_trace, projections.tridiagonal_psd_trace
-        lapack = projections.tridiagonal_lapack()
+        lapack = projections.lapack()
         reductions = []
 
         def recording_project(M, total, start, proof):
