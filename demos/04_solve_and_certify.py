@@ -2,7 +2,7 @@
 # End to end: solve the relaxation, watch the bounds close, and check the
 # certificate against exhaustive enumeration.  Each checkpoint line shows
 # the penalty beta of its iteration: it starts at the default and changes
-# once, 8x, after iteration 50.
+# once, 8x, after iteration 20.
 
 from scpsolve import brute_force, default_params, random_instance, solve
 

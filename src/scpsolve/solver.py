@@ -63,7 +63,7 @@ residuals, on a relaxation that has converged below the incumbent (at a
 recorded full check, like a closed gap), or at the iteration cap.
 
 The penalty beta starts at ``SolverParams.beta`` and changes once, 8x,
-after iteration 50: when the solve is still running after iteration
+after iteration 20: when the solve is still running after iteration
 BETA_STEP_AT, beta becomes BETA_STEP times its starting value.  A solve
 that ends by iteration BETA_STEP_AT never changes it.  The penalty changes
 finitely often, which keeps the splitting's convergence, and every lower
@@ -114,14 +114,14 @@ CHECK_PERIOD = 100
 RELAXATION_GAP_RTOL = 0.01
 # the penalty step, stated in the module docstring
 BETA_STEP = 8.0
-BETA_STEP_AT = 50
+BETA_STEP_AT = 20
 
 @dataclass(frozen=True)
 class SolverParams:
     """Penalty, step and stopping parameters.
 
     beta         starting quadratic penalty, finite and >= 1 (``solve``
-                 changes it once, 8x, after iteration 50)
+                 changes it once, 8x, after iteration 20)
     gamma        dual damping factor, in (0, 1)
     epsilon      residual tolerance, finite and > 0
     max_iter     iteration cap, an integer >= 1
@@ -282,7 +282,7 @@ def solve(
     on also rounds R's top eigenvector lifted by V, the last column of
     F = VG, which the iteration has already formed, so no eigensolve is needed;
     it records that rounding only when strictly lower, and it joins the
-    incumbent the same way.  beta changes once, 8x, after iteration 50
+    incumbent the same way.  beta changes once, 8x, after iteration 20
     (BETA_STEP after BETA_STEP_AT) if the solve is still running, and the
     dual step gamma*beta with it; each record carries the beta of the
     iteration it follows.  The report carries the best lower bound recorded,
@@ -301,7 +301,7 @@ def solve(
     previous one, the solve stops with "relaxation_gap", uncertified: no
     dual bound rises above the relaxation's optimum, so the gap cannot
     close.  One such check is not enough (``random_instance(8, 6, (-10, 10),
-    seed=7093)`` meets it at 100 and certifies at 1,530).  The rule leaves
+    seed=7070)`` meets it at 100 and certifies at 2,470).  The rule leaves
     the iterates alone, and a RELAXATION_GAP_RTOL of 0 switches it off.
 
     Returns a SolveReport; ``termination`` is one of "gap_closed",

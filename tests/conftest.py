@@ -22,7 +22,7 @@ import pytest
 
 from scpsolve import Assignment, InstanceError, RotamerPartition, ScpInstance, canonicalize_energy, objective, random_instance
 from scpsolve.bounds import one_opt
-from scpsolve import oracle, projections
+from scpsolve import oracle, projections, solver
 from scpsolve.instances import SYMMETRY_RTOL
 from scpsolve.lifting import build_geometry, lift_indicator
 from scpsolve.projections import (
@@ -33,7 +33,6 @@ from scpsolve.projections import (
     rank_one_psd_trace,
     tridiagonal_psd_trace,
 )
-from scpsolve.solver import initialize
 
 # the acceptance gate's fixed corpus
 CORPUS_SIZE = 200
@@ -201,16 +200,18 @@ def reference_iterations(instance, params, iterations):
     """``iterations`` PRSM iterations on ``solve_geometry`` from
     ``initialize``'s G and Z and Y lifted from ``solve_start``, one numpy
     pass at a time, with the mask and the box projection applied to copies
-    and the norms taken by ``np.linalg.norm``.  Returns the factor G of R,
+    and the norms taken by ``np.linalg.norm``; beta becomes
+    ``solver.BETA_STEP`` times ``params.beta`` after iteration
+    ``solver.BETA_STEP_AT``, as in ``solve``.  Returns the factor G of R,
     Y, Z and the residuals (primal, dual) of every iteration, in order."""
     geometry = solve_geometry(instance)
-    G, _, Z = initialize(geometry)
+    G, _, Z = solver.initialize(geometry)
     start, _ = solve_start(instance)
     Y = lift_indicator(start.to_indicator(instance.partition))
     beta = params.beta
     step = params.gamma * beta
     residuals = []
-    for _ in range(iterations):
+    for iteration in range(1, iterations + 1):
         shifted = Z / beta
         shifted += Y
         W = geometry.face.congruence(shifted)
@@ -226,6 +227,9 @@ def reference_iterations(instance, params, iterations):
         Y = Y_new
         primal_res = float(np.linalg.norm(primal) / np.linalg.norm(Y))
         residuals.append((primal_res, dual_res))
+        if iteration == solver.BETA_STEP_AT:
+            beta = solver.BETA_STEP * params.beta
+            step = params.gamma * beta
     return G, Y, Z, residuals
 
 

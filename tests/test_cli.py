@@ -98,7 +98,7 @@ class TestSolveCommand:
     def test_residual_stop_without_certificate_exit_code(self, tmp_path, monkeypatch):
         # corpus instance 146, with the relaxation stop and the dead-end
         # pairs switched off, meets the residual rule with a 2.4% gap left
-        # (with its 14 pairs excluded it certifies at iteration 90)
+        # (with its 14 pairs excluded it certifies at iteration 60)
         monkeypatch.setattr(solver_module, "RELAXATION_GAP_RTOL", 0.0)
         monkeypatch.setattr(solver_module, "dead_end_pairs", lambda *args: None)
         inst = next(itertools.islice(acceptance_corpus(), 146, None))
@@ -114,7 +114,7 @@ class TestSolveCommand:
 
     def test_relaxation_gap_stop_exit_code(self, tmp_path):
         # corpus instance 147, whose relaxation is not tight, stops at
-        # iteration 200 with the relaxation converged below the incumbent
+        # iteration 300 with the relaxation converged below the incumbent
         inst = next(itertools.islice(acceptance_corpus(), 147, None))
         path = tmp_path / "c147.json"
         save_instance(inst, path)
@@ -122,7 +122,7 @@ class TestSolveCommand:
         assert main(["solve", str(path), "--out", str(out)]) == EXIT_UNCERTIFIED
         doc = json.loads(out.read_text())
         assert doc["termination"] == "relaxation_gap"
-        assert doc["iter"] == 200
+        assert doc["iter"] == 300
         assert not certified(doc["lbd"], doc["ubd"])
         assert doc["certified"] is False
 
