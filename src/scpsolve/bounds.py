@@ -25,7 +25,7 @@ import numpy as np
 
 from .instances import Assignment, RotamerPartition, ScpInstance
 from .lifting import LiftedGeometry
-from .projections import EPS
+from .projections import EPS, eigvalsh
 
 FIRST_COLUMN = "first_column"
 EIGENVECTOR = "dominant_eigenvector"
@@ -73,7 +73,7 @@ def dual_lower_bound(Z, geometry: LiftedGeometry, *, box: float | None = None) -
     # eigensolve
     np.add(W, W.T.copy(), out=W)
     W *= 0.5
-    top = float(np.linalg.eigvalsh(W)[-1])
+    top = float(eigvalsh(W)[-1])
     if box is None:
         box = box_term(Z, geometry)
     return box - (geometry.partition.p + 1) * top
@@ -156,7 +156,7 @@ def extract_fractional(v) -> np.ndarray:
     they sum below zero, with negative entries set to 0.  The scale is left
     as it is, which the rounding does not see."""
     x = np.asarray(v, dtype=float)[1:]
-    if x.sum() < 0.0:
+    if np.add.reduce(x) < 0.0:  # x.sum() without its wrapper
         x = -x
     return np.maximum(x, 0.0)
 
@@ -168,7 +168,7 @@ def block_argmax(x, partition: RotamerPartition) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (partition.n0,):
         raise ValueError("fractional vector length does not match partition")
-    return np.argmax(np.append(x, -np.inf)[partition.block_table], axis=1)
+    return np.concatenate((x, (-np.inf,)))[partition.block_table].argmax(axis=1)
 
 
 def round_to_feasible(x_approx, partition: RotamerPartition) -> Assignment:
@@ -221,7 +221,7 @@ def one_opt(assignment: Assignment, instance: ScpInstance) -> Assignment:
     for i, offset, end in itertools.cycle(blocks):
         if unchanged == len(blocks):
             break
-        score = pairs[:, offset:end].sum(axis=0)
+        score = np.add.reduce(pairs[:, offset:end], axis=0)  # the column sums, without .sum's wrapper
         score *= 2.0
         score += diag[offset:end]
         best = score.argmin()

@@ -86,6 +86,13 @@ class RotamerPartition:
         table.flags.writeable = False
         return table
 
+    @cached_property
+    def block_index(self) -> np.ndarray:
+        """Length-n0 read-only array: the 0-based block of each rotamer."""
+        block = np.repeat(np.arange(self.p), self.m)
+        block.flags.writeable = False
+        return block
+
     @property
     def same_block(self) -> np.ndarray:
         """n0 x n0 boolean mask of the pairs of distinct rotamers at one
@@ -93,7 +100,7 @@ class RotamerPartition:
         row-sum matrix.  Built on each access rather than cached, because
         each instance reads it once or twice and a cache would keep n0^2
         bytes alive beside every partition."""
-        block = np.repeat(np.arange(self.p), self.m)
+        block = self.block_index
         mask = block[:, None] == block[None, :]
         np.fill_diagonal(mask, False)
         return mask

@@ -31,6 +31,21 @@ from .instances import RotamerPartition, ScpInstance
 FACE_CROSSOVER = 120
 
 
+def face_columns(partition: RotamerPartition) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The numbers V is made of (``FaceBasis``): a, D's entry d on each
+    rotamer's row (1/sqrt(m_i) at the leading row of block i,
+    -1/(m_i - sqrt(m_i)) on its others), the latter per block, and
+    sqrt(m_i) per block."""
+    m = np.asarray(partition.m)
+    root = np.sqrt(m)
+    # a singleton block adds no column (m_i - sqrt(m_i) = 0)
+    rest_value = np.divide(-1.0, m - root, out=np.zeros(partition.p), where=m > 1)
+    d = np.repeat(rest_value, m)
+    d[list(partition.offsets)] = 1.0 / root
+    a = np.concatenate([[1.0], np.repeat(1.0 / m, m)])
+    return a / np.linalg.norm(a), d, rest_value, root
+
+
 class FaceBasis:
     """The closed-form orthonormal basis V of the face and its products.
 
@@ -60,15 +75,8 @@ class FaceBasis:
         self.rows = np.concatenate([[0], self.rest])  # V'XV reads X only here
         self.dim = self.rows.size  # n0 + 1 - p, V's width
         self.block_of_rest = np.repeat(np.arange(partition.p), self.counts)
-        root = np.sqrt(m)
-        # a singleton block adds no column (m_i - sqrt(m_i) = 0)
-        rest_value = np.divide(-1.0, m - root, out=np.zeros(partition.p), where=m > 1)
-        self.lead_weight = 1.0 / root - rest_value  # D'A = lead_weight A_lead + rest_value sum(A)
-        self.rest_value = rest_value
-        self.d = np.repeat(rest_value, m)
-        self.d[self.leads - 1] = 1.0 / root
-        a = np.concatenate([[1.0], np.repeat(1.0 / m, m)])
-        self.a = a / np.linalg.norm(a)
+        self.a, self.d, self.rest_value, root = face_columns(partition)
+        self.lead_weight = 1.0 / root - self.rest_value  # D'A = lead_weight A_lead + rest_value sum(A)
         for arr in vars(self).values():
             if isinstance(arr, np.ndarray):
                 arr.flags.writeable = False
@@ -76,8 +84,8 @@ class FaceBasis:
     @cached_property
     def matrix(self) -> np.ndarray:
         """V itself, of shape (n0+1) x (n0+1-p), read-only: ``apply`` of
-        the identity (FaceBasis's own, as DenseFaceBasis.apply reads V)."""
-        V = FaceBasis.apply(self, np.eye(self.dim))
+        the identity."""
+        V = self.apply(np.eye(self.dim))
         V.flags.writeable = False
         return V
 
@@ -132,9 +140,28 @@ class FaceBasis:
         return out if Y.ndim == 2 else out[:, 0]
 
 
-class DenseFaceBasis(FaceBasis):
+class DenseFaceBasis:
     """FaceBasis's products as dense products with V: fewer numpy calls,
-    so faster below FACE_CROSSOVER."""
+    so faster below FACE_CROSSOVER.  V is written down entry by entry, bit
+    for bit ``FaceBasis.apply`` of the identity: column 0 is a, and the
+    column of each non-leading row of block i holds 1 + d at that row, d on
+    the block's other non-leading rows and 1/sqrt(m_i) at its leading row,
+    with d = -1/(m_i - sqrt(m_i)), and 0 elsewhere."""
+
+    def __init__(self, partition: RotamerPartition):
+        self.order = partition.n0 + 1
+        self.dim = self.order - partition.p
+        a, d, _, _ = face_columns(partition)
+        block = partition.block_index
+        rest = np.ones(partition.n0, dtype=bool)
+        rest[list(partition.offsets)] = False
+        rest = np.flatnonzero(rest)  # the rows past the leading one of each block, less 1
+        V = np.zeros((self.order, self.dim))
+        V[:, 0] = a
+        V[1:, 1:] = np.where(block[:, None] == block[rest], d[:, None], 0.0)
+        V[rest + 1, np.arange(1, self.dim)] += 1.0
+        V.flags.writeable = False
+        self.matrix = V
 
     def congruence(self, X) -> np.ndarray:
         V = self.matrix
@@ -227,8 +254,10 @@ def build_geometry(instance: ScpInstance, excluded: np.ndarray | None = None) ->
     A product with ``free`` zeroes the gangster entries in one pass, whose
     cost does not grow with their number, as indexing does."""
     partition = instance.partition
-    free = np.ones((partition.n0 + 1, partition.n0 + 1), dtype=bool)
-    free.flat[np.ravel_multi_index(gangster_indices(partition).T, free.shape)] = False
+    free = np.empty((partition.n0 + 1, partition.n0 + 1), dtype=bool)
+    free[0] = free[:, 0] = True
+    free[0, 0] = False
+    free[1:, 1:] = ~partition.same_block  # gangster_indices' pairs
     if excluded is not None:
         free[1:, 1:] &= ~excluded
     arrays = (lift_energy(instance.energy), free)

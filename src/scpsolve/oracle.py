@@ -183,21 +183,19 @@ def goldstein_reduce(instance: ScpInstance) -> DeeReduction:
 # minimum over t (``pair_lower_bounds``).
 
 
-def block_terms(instance: ScpInstance, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-    """The tables of the pair bounds above: b (length n0) and the ``rows``
-    of T (n0 x n0; T[t, r] is used for t and r in distinct blocks only),
-    in O(n0^2)."""
+def block_terms(instance: ScpInstance) -> tuple[np.ndarray, np.ndarray]:
+    """The tables of the pair bounds above: b (length n0) and T (n0 x n0;
+    T[t, r] is used for t and r in distinct blocks only), in O(n0^2)."""
     partition, E = instance.partition, instance.energy
-    block = np.repeat(np.arange(partition.p), partition.m)
+    block = partition.block_index
     least = np.minimum.reduceat(E, partition.offsets, axis=1)  # least[t, l] = min_{u in l} E_tu
     b = 2.0 * (least * (np.arange(partition.p)[None, :] > block[:, None])).sum(axis=1)
     b += np.diagonal(E)
-    later = block[None, :] > block[rows, None]  # r's block after t's
-    T = least[rows][:, block]
-    T *= later
+    T = least[:, block]
+    T *= block[None, :] > block[:, None]  # r's block after t's
     T *= -2.0
-    T += 2.0 * E[rows]
-    T += b[rows, None]
+    T += 2.0 * E
+    T += b[:, None]
     return b, T
 
 
@@ -205,32 +203,59 @@ def pair_bounds(instance: ScpInstance, share: np.ndarray, const: np.ndarray) -> 
     """n0 x n0 symmetric matrix, at (r, s) for r and s in distinct blocks
     i and j: E_rr + E_ss + 2 E_rs + sum_{k not in {i, j}} (share[k, r] +
     share[k, s] - const[k]), for a p x n0 ``share`` and a length-p
-    ``const``.  Entries with r and s in one block are not meaningful."""
+    ``const``.  Entries with r and s in one block are not meaningful.
+    Stacked ``share`` and ``const``, with the same leading axes, give the
+    stacked matrices, each the same floats as alone."""
     partition, E = instance.partition, instance.energy
-    block = np.repeat(np.arange(partition.p), partition.m)
+    block = partition.block_index
     share = share.copy()
-    share[block, np.arange(partition.n0)] = 0.0  # a rotamer's own block is no k
-    own = np.diagonal(E) + share.sum(axis=0) + const[block]
-    bound = share.T[:, block]  # share[block of s, r] at (r, s)
-    bound += bound.T
-    np.subtract(np.add.outer(own, own), bound, out=bound)
+    share[..., block, np.arange(partition.n0)] = 0.0  # a rotamer's own block is no k
+    own = np.diagonal(E) + share.sum(axis=-2) + const[..., block]
+    bound = share.swapaxes(-1, -2)[..., block]  # share[block of s, r] at (r, s)
+    bound += bound.swapaxes(-1, -2)
+    np.subtract(own[..., :, None] + own[..., None, :], bound, out=bound)
     bound += E
     bound += E
-    bound -= const.sum()
+    bound -= const.sum(axis=-1)[..., None, None]
     return bound
+
+
+def start_rows(instance: ScpInstance, start: Assignment) -> np.ndarray:
+    """The global index of the rotamer ``start`` chooses in each block."""
+    return instance.partition.block_table[:, 0] + np.asarray(start.choice) - 1
 
 
 def pair_upper_bounds(instance: ScpInstance, start: Assignment) -> np.ndarray:
     """An upper bound on every ordered pair bound LB_rs, in O(n0^2): each
     block's minimum over t taken at the rotamer ``start`` chooses there
     instead (``pair_bounds`` on the rows of T at those rotamers)."""
-    rows = instance.partition.block_table[:, 0] + np.asarray(start.choice) - 1
-    b, T = block_terms(instance, rows)
-    return pair_bounds(instance, T, b[rows])
+    rows = start_rows(instance, start)
+    b, T = block_terms(instance)
+    return pair_bounds(instance, T[rows], b[rows])
 
 
 # the joint minima of ``pair_lower_bounds`` hold at most this many floats
 JOINT_CHUNK = 1 << 20
+# Consecutive blocks share the passes of those joint minima, over every
+# column, while the group's blocks times its largest block times n0^2 are
+# at most JOINT_GROUP floats: below it numpy's per-call cost outweighs the
+# columns a block's own contacts do not need.  The acceptance corpus
+# (p <= 6, m <= 5, n0 <= 30) takes one group per instance.
+JOINT_GROUP = 1 << 15
+
+
+def joint_groups(partition: RotamerPartition):
+    """The runs of consecutive blocks that ``pair_lower_bounds`` takes
+    together, as (first, last) with last exclusive: as many blocks as fit
+    JOINT_GROUP, or a single block."""
+    n = partition.n0**2
+    first, widest = 0, 0
+    for k, size in enumerate(partition.m):
+        widest = max(widest, size)
+        if k > first and (k + 1 - first) * widest * n > JOINT_GROUP:
+            yield first, k
+            first, widest = k, size
+    yield first, partition.p
 
 
 def pair_lower_bounds(instance: ScpInstance) -> np.ndarray:
@@ -239,31 +264,59 @@ def pair_lower_bounds(instance: ScpInstance) -> np.ndarray:
     meaningful).  Each block's minimum is first taken for r and s apart
     (``pair_bounds``), exact for the blocks in contact with at most one of
     i and j; the blocks in contact with both then add their joint minimum
-    over t less those two.  So the cost is O(n0^2) plus, per block k,
-    O(m_k c_k^2) for the c_k rotamers of the blocks in contact with it."""
-    partition = instance.partition
+    over t less those two, block by block in ascending order.  So the cost
+    is O(n0^2) plus, per block k, O(m_k c_k^2) for the c_k rotamers of the
+    blocks in contact with it.  The blocks of a group (``joint_groups``)
+    take their minima together over the columns of all their contacts, each
+    block's rows padded to the group's largest block by repeating its last
+    row, which leaves every minimum as it is; a pair whose blocks are not
+    both in contact with k adds 0."""
     b, T = block_terms(instance)
-    offsets = partition.offsets
-    share = np.minimum.reduceat(T, offsets, axis=0)
-    const = np.minimum.reduceat(b, offsets)
-    bound = pair_bounds(instance, share, const)
+    share, const = block_minima(instance, b, T)
+    return joint_minima(instance, b, T, share, const, pair_bounds(instance, share, const))
+
+
+def block_minima(instance: ScpInstance, b, T) -> tuple[np.ndarray, np.ndarray]:
+    """``pair_lower_bounds``' separate minima: each block's least row of T
+    and least b."""
+    offsets = instance.partition.offsets
+    return np.minimum.reduceat(T, offsets, axis=0), np.minimum.reduceat(b, offsets)
+
+
+def joint_minima(instance: ScpInstance, b, T, share, const, bound) -> np.ndarray:
+    """``bound``, ``pair_bounds`` of ``block_minima``, with the joint
+    minima of ``pair_lower_bounds`` added in place."""
+    partition = instance.partition
+    offsets = np.asarray(partition.offsets)
     contacts = block_contacts(instance)
     np.fill_diagonal(contacts, False)
-    block = np.repeat(np.arange(partition.p), partition.m)
-    for k in np.flatnonzero(contacts.sum(axis=1) >= 2):
-        cols = np.flatnonzero(contacts[k, block])  # the rotamers of k's contacts
-        end = offsets[k] + partition.m[k]
-        step = max(1, JOINT_CHUNK // cols.size**2)
-        joint = np.inf
-        for lo in range(offsets[k], end, step):
-            t = slice(lo, min(lo + step, end))
-            here = np.ascontiguousarray(T[t, cols])  # fancy indexing returns it in F order
-            here = here[:, :, None] + here[:, None, :]
-            here -= b[t, None, None]
-            joint = np.minimum(joint, here.min(axis=0))
-        joint -= np.add.outer(share[k, cols], share[k, cols])
-        joint += const[k]
-        bound[cols[:, None], cols] += joint
+    near = contacts[:, partition.block_index]  # near[k, r]: r's block is in contact with k
+    # row j of block k, its last where the block is shorter
+    rows = np.minimum(partition.block_table, (offsets + partition.m - 1)[:, None])
+    for first, last in joint_groups(partition):
+        pick = near[first:last]
+        cols = np.flatnonzero(pick.any(axis=0))
+        if cols.size == 0:
+            continue
+        table = rows[first:last, : max(partition.m[first:last])]
+        step = max(1, JOINT_CHUNK // (table.shape[0] * cols.size**2))
+        joint = None
+        for j in range(0, table.shape[1], step):
+            t = table[:, j : j + step]
+            here = T[t[:, :, None], cols]
+            here = here[:, :, :, None] + here[:, :, None, :]
+            here -= b[t][:, :, None, None]
+            least = here.min(axis=1)
+            joint = least if joint is None else np.minimum(joint, least, out=joint)
+        own = share[first:last, cols]
+        joint -= own[:, :, None] + own[:, None, :]
+        joint += const[first:last, None, None]
+        pick = pick[:, cols]
+        joint *= pick[:, :, None] & pick[:, None, :]
+        pairs = bound[cols[:, None], cols]
+        for term in joint:  # ascending k, as one block at a time
+            pairs += term
+        bound[cols[:, None], cols] = pairs
     return bound
 
 
@@ -300,10 +353,15 @@ def dead_end_pairs(instance: ScpInstance, start: Assignment, cutoff: float) -> n
     allowance = pair_rounding(instance)
     if partition.p < 2 or not math.isfinite(allowance):
         return None
-    distinct = ~partition.same_block
-    np.fill_diagonal(distinct, False)
-    if not np.any(pair_upper_bounds(instance, start)[distinct] > cutoff):
+    distinct = partition.block_index[:, None] != partition.block_index
+    # ``pair_upper_bounds`` and ``pair_lower_bounds``' separate minima in
+    # one stacked ``pair_bounds``
+    b, T = block_terms(instance)
+    rows = start_rows(instance, start)
+    share, const = block_minima(instance, b, T)
+    upper, bound = pair_bounds(instance, np.stack((T[rows], share)), np.stack((b[rows], const)))
+    if not np.any(upper[distinct] > cutoff):
         return None
-    excluded = pair_lower_bounds(instance) > cutoff + allowance
+    excluded = joint_minima(instance, b, T, share, const, bound) > cutoff + allowance
     excluded &= distinct
     return excluded

@@ -313,7 +313,8 @@ def solve(
     started = time.perf_counter()
     partition = instance.partition
     start = one_opt(round_to_feasible(-np.diagonal(instance.energy), partition), instance)
-    incumbent = objective(start.to_indicator(partition), instance.energy)
+    start_indicator = start.to_indicator(partition)
+    incumbent = objective(start_indicator, instance.energy)
     incumbent_assignment = start
     excluded = dead_end_pairs(instance, start, incumbent)
     geometry = build_geometry(instance, excluded)
@@ -368,7 +369,7 @@ def solve(
 
     # Y is zero, so [1; x][1; x]' is set at its (p + 1)^2 ones, in place,
     # with no second n x n array
-    support = np.flatnonzero(np.concatenate(([1.0], start.to_indicator(partition))))
+    support = np.flatnonzero(np.concatenate(([1.0], start_indicator)))
     Y[np.ix_(support, support)] = 1.0
     primal_res = dual_res = math.inf
     cost = geometry.lifted_cost.ravel()

@@ -187,6 +187,35 @@ def solve_start(instance):
     return start, objective(start.to_indicator(instance.partition), instance.energy)
 
 
+def reference_pair_lower_bounds(instance):
+    """The ordered pair bound of every pair of rotamers in distinct blocks,
+    from its definition, block pair by block pair: for r in i and s in j,
+    E_rr + E_ss + 2 E_rs + sum_{k not in {i, j}} min_{t in k} [E_tt + 2 E_rt
+    + 2 E_st + 2 sum_{l > k, l not in {i, j}} min_{u in l} E_tu], in O(n0^3).
+    Entries with r and s in one block are NaN."""
+    partition, E = instance.partition, instance.energy
+    p, offsets = partition.p, partition.offsets
+    blocks = [np.arange(off, off + mi) for off, mi in zip(offsets, partition.m)]
+    block_of = np.repeat(np.arange(p), partition.m)
+    least = np.minimum.reduceat(E, offsets, axis=1)
+    bound = np.full((partition.n0, partition.n0), np.nan)
+    for i in range(p):
+        for j in range(p):
+            if i == j:
+                continue
+            others = np.array([k for k in range(p) if k not in (i, j)], dtype=int)
+            rows = np.concatenate([blocks[k] for k in others]) if others.size else np.zeros(0, int)
+            later = np.arange(p)[None, :] > block_of[rows, None]
+            later[:, [i, j]] = False
+            tail = E[rows, rows] + 2.0 * (least[rows] * later).sum(axis=1)
+            share = tail[:, None, None] + 2.0 * E[np.ix_(rows, blocks[i])][:, :, None] + 2.0 * E[np.ix_(rows, blocks[j])][:, None, :]
+            value = np.add.outer(np.diagonal(E)[blocks[i]], np.diagonal(E)[blocks[j]]) + 2.0 * E[np.ix_(blocks[i], blocks[j])]
+            for k in others:
+                value = value + share[block_of[rows] == k].min(axis=0)
+            bound[np.ix_(blocks[i], blocks[j])] = value
+    return bound
+
+
 def solve_geometry(instance):
     """The lifted geometry a solve of ``instance`` runs on: its gangster
     set holds the dead-end pairs at the energy of ``solve_start``
@@ -323,15 +352,15 @@ def derived_instance():
 
 @pytest.fixture
 def eigh_orders(monkeypatch):
-    """The order of every matrix passed to ``np.linalg.eigh`` during the
-    test, so a test can tell the full eigendecomposition from any other
-    eigensolve."""
+    """The order of every matrix passed to the projection's full
+    eigendecomposition, ``projections.eigh``, during the test, so a test
+    can tell it from any other eigensolve."""
     orders = []
-    eigh = np.linalg.eigh
+    eigh = projections.eigh
 
-    def counting(a, *args, **kwargs):
+    def counting(a):
         orders.append(np.shape(a)[0])
-        return eigh(a, *args, **kwargs)
+        return eigh(a)
 
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+    monkeypatch.setattr(projections, "eigh", counting)
     return orders

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import feasible_indicators, make_instance
+from conftest import acceptance_corpus, feasible_indicators, make_instance
+import scpsolve.bounds as bounds_module
 from perfbench.structured import structured_instance
 from scpsolve import (
     Assignment,
@@ -94,6 +95,21 @@ class TestDualLowerBound:
             W = geo.face.congruence(Z)
             top = np.linalg.eigvalsh(0.5 * (W + W.T))[-1]
             assert value == box_term(Z, geo) - (p + 1) * float(top)
+
+    def test_nan_multiplier_raises_as_numpy_eigvalsh(self, monkeypatch):
+        # below MIN_ORDER, on the first four corpus geometries: a NaN in Z
+        # reaches the eigensolve, which does not converge and raises
+        # LinAlgError, as np.linalg.eigvalsh, which it replaces, does
+        for inst in itertools.islice(acceptance_corpus(), 4):
+            geo = build_geometry(inst)
+            Z = initialize(geo)[2]
+            Z[2, 4] = Z[4, 2] = np.nan
+            with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+                dual_lower_bound(Z, geo)
+            with monkeypatch.context() as patched:
+                patched.setattr(bounds_module, "eigvalsh", np.linalg.eigvalsh)
+                with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+                    dual_lower_bound(Z, geo)
 
 
 # block sizes whose face dimension f = n0 + 1 - p is 80 (products with a

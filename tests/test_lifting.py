@@ -157,6 +157,19 @@ class TestFaceBasis:
         assert np.array_equal(face.apply(G), V @ G)
         assert np.array_equal(face.apply_transpose(X), V.T @ X)
 
+    def test_dense_v_is_the_reflector_products_v(self):
+        # DenseFaceBasis writes V down entry by entry: bit for bit
+        # FaceBasis.apply of the identity, singletons and blocks of the
+        # benchmark's m = 20 included
+        rng = np.random.default_rng(16)
+        parts = [random_partition(rng, p_max=11, m_max=20) for _ in range(200)]
+        parts += [RotamerPartition((1,)), RotamerPartition((1,) * 6), RotamerPartition((20, 1, 13, 20))]
+        for part in parts:
+            dense, face = DenseFaceBasis(part), FaceBasis(part)
+            assert (dense.order, dense.dim) == (face.order, face.dim)
+            assert dense.matrix.tobytes() == face.apply(np.eye(face.dim)).tobytes()
+            assert not dense.matrix.flags.writeable
+
     def test_build_geometry_chooses_the_form_by_size(self):
         for n0, kind in ((FACE_CROSSOVER - 1, DenseFaceBasis), (FACE_CROSSOVER, FaceBasis)):
             inst = make_instance((n0,), np.zeros((n0, n0)))

@@ -1,9 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import acceptance_corpus, feasible_indicators, make_instance, solve_start
+from conftest import (
+    acceptance_corpus,
+    feasible_indicators,
+    make_instance,
+    reference_pair_lower_bounds,
+    solve_start,
+)
 from perfbench.structured import structured_instance
 from scpsolve import oracle
 from scpsolve import (
@@ -279,35 +287,6 @@ class TestGoldsteinReduce:
         assert reduction.kept == goldstein_reference(inst)
 
 
-def reference_pair_lower_bounds(instance):
-    """The ordered pair bound of every pair of rotamers in distinct blocks,
-    from its definition, block pair by block pair: for r in i and s in j,
-    E_rr + E_ss + 2 E_rs + sum_{k not in {i, j}} min_{t in k} [E_tt + 2 E_rt
-    + 2 E_st + 2 sum_{l > k, l not in {i, j}} min_{u in l} E_tu], in O(n0^3).
-    Entries with r and s in one block are NaN."""
-    partition, E = instance.partition, instance.energy
-    p, offsets = partition.p, partition.offsets
-    blocks = [np.arange(off, off + mi) for off, mi in zip(offsets, partition.m)]
-    block_of = np.repeat(np.arange(p), partition.m)
-    least = np.minimum.reduceat(E, offsets, axis=1)
-    bound = np.full((partition.n0, partition.n0), np.nan)
-    for i in range(p):
-        for j in range(p):
-            if i == j:
-                continue
-            others = np.array([k for k in range(p) if k not in (i, j)], dtype=int)
-            rows = np.concatenate([blocks[k] for k in others]) if others.size else np.zeros(0, int)
-            later = np.arange(p)[None, :] > block_of[rows, None]
-            later[:, [i, j]] = False
-            tail = E[rows, rows] + 2.0 * (least[rows] * later).sum(axis=1)
-            share = tail[:, None, None] + 2.0 * E[np.ix_(rows, blocks[i])][:, :, None] + 2.0 * E[np.ix_(rows, blocks[j])][:, None, :]
-            value = np.add.outer(np.diagonal(E)[blocks[i]], np.diagonal(E)[blocks[j]]) + 2.0 * E[np.ix_(blocks[i], blocks[j])]
-            for k in others:
-                value = value + share[block_of[rows] == k].min(axis=0)
-            bound[np.ix_(blocks[i], blocks[j])] = value
-    return bound
-
-
 def distinct_blocks(partition):
     """n0 x n0 mask of the pairs of rotamers in distinct blocks."""
     distinct = ~partition.same_block
@@ -383,6 +362,22 @@ class TestDeadEndPairs:
         reference = reference_pair_lower_bounds(reduced)[distinct]
         assert np.all(np.abs(lower - reference) <= 1e-12 * (1.0 + np.abs(reference)))
 
+    @pytest.mark.parametrize("group, chunk", [(0, oracle.JOINT_CHUNK), (0, 500), (1 << 22, oracle.JOINT_CHUNK)])
+    def test_grouping_and_chunking_leave_the_bound(self, group, chunk, monkeypatch):
+        # the joint minima taken block by block (JOINT_GROUP 0), in passes
+        # of one row (JOINT_CHUNK 500), or with the reduced structured
+        # instance's blocks in groups of several over the union of their
+        # contacts' columns (JOINT_GROUP 2^22) give every pair bound of
+        # distinct blocks bit for bit as the default grouping
+        instances = list(itertools.islice(acceptance_corpus(), 40))
+        instances.append(goldstein_reduce(structured_instance(101)[0]).reduced)
+        want = [oracle.pair_lower_bounds(inst) for inst in instances]
+        monkeypatch.setattr(oracle, "JOINT_GROUP", group)
+        monkeypatch.setattr(oracle, "JOINT_CHUNK", chunk)
+        for inst, bound in zip(instances, want):
+            distinct = distinct_blocks(inst.partition)
+            assert oracle.pair_lower_bounds(inst)[distinct].tobytes() == bound[distinct].tobytes()
+
     @pytest.mark.parametrize("allowance", [None, 0.0])
     def test_a_start_pair_whose_bound_is_the_cutoff_stays(self, allowance, monkeypatch):
         # at p = 2 each pair bound is the energy of the pair, exactly for
@@ -403,10 +398,11 @@ class TestDeadEndPairs:
 
     def test_dense_instance_skips_the_exact_bound(self, monkeypatch):
         # on a dense-sized i.i.d. instance the O(n0^2) upper bound lies far
-        # below the start's energy, so the solve never takes the exact bound
+        # below the start's energy, so the solve never takes the exact
+        # bound's joint minima
         calls = []
-        exact = oracle.pair_lower_bounds
-        monkeypatch.setattr(oracle, "pair_lower_bounds", lambda inst: calls.append(inst) or exact(inst))
+        exact = oracle.joint_minima
+        monkeypatch.setattr(oracle, "joint_minima", lambda *args: calls.append(args) or exact(*args))
         inst = dense_instance()
         start, energy = solve_start(inst)
         distinct = distinct_blocks(inst.partition)

@@ -205,6 +205,40 @@ def assert_reference_factor(M, total):
     return G
 
 
+class TestEigensolvers:
+    """``projections.eigh`` and ``projections.eigvalsh``: numpy's own
+    eigensolvers without their wrappers."""
+
+    def test_bit_for_bit_numpys(self):
+        rng = np.random.default_rng(40)
+        for order in list(range(1, 31)) + [79, 120]:
+            M = rng.normal(size=(order, order))
+            for S in (M + M.T, np.asfortranarray(M + M.T), M):  # M: only its lower triangle is read
+                w, U = projections.eigh(S)
+                want_w, want_U = np.linalg.eigh(S)
+                assert w.tobytes() == want_w.tobytes() and U.tobytes() == want_U.tobytes()
+                assert projections.eigvalsh(S).tobytes() == np.linalg.eigvalsh(S).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("seed", [0, 35])
+    def test_non_finite_input_below_min_order_raises_as_numpys_eigh(self, bad, seed, monkeypatch):
+        # at face dimension 12, below MIN_ORDER, the full eigendecomposition
+        # runs whatever the start; on a non-finite S it either does not
+        # converge (LinAlgError) or hands the simplex projection a spectrum
+        # that loses the total (ValueError), as np.linalg.eigh's path does
+        # on the same matrix
+        rng = np.random.default_rng(seed)
+        M = rng.normal(size=(12, 12))
+        M[3, 5] = bad
+        expected = (np.linalg.LinAlgError, ValueError)
+        with pytest.raises(expected, match="did not converge|lost to rounding") as got:
+            project_psd_trace(M.copy(), 13.0, rng.normal(size=(12, 1)))
+        monkeypatch.setattr(projections, "eigh", np.linalg.eigh)
+        with pytest.raises(expected) as want:
+            project_psd_trace(M.copy(), 13.0)
+        assert (got.type, str(got.value)) == (want.type, str(want.value))
+
+
 class TestPsdTraceReference:
     def test_random_symmetric(self):
         rng = np.random.default_rng(18)

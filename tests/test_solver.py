@@ -11,7 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import acceptance_corpus, make_instance, reference_iterations, zero_border_diag
+from conftest import (
+    acceptance_corpus,
+    make_instance,
+    reference_iterations,
+    reference_pair_lower_bounds,
+    zero_border_diag,
+)
 import scpsolve.bounds as bounds_module
 import scpsolve.solver as solver_module
 from perfbench.structured import structured_instance
@@ -490,7 +496,8 @@ class TestSolve:
     @pytest.mark.parametrize("dense", [False, True])
     def test_eigensolves_start_on_a_lean_working_set(self, dense, monkeypatch):
         # when the R-update's tridiagonal route (or, without the LAPACK
-        # binding, its eigh) and the lower bound's eigvalsh start, the
+        # binding, its eigh, ``projections.eigh``) and the lower bound's
+        # eigvalsh (``projections.eigvalsh``, as bounds reads it) start, the
         # solve holds Y, Z, the lifted cost and the matrix being
         # decomposed, and no n x n temporary of the iteration: the traced
         # bytes above the level before the solve stay under five n x n
@@ -511,9 +518,9 @@ class TestSolve:
             monkeypatch.setattr(lifting, "FACE_CROSSOVER", inst.partition.n0 + 1)
             allowance += n * f * 8
         lapack = projections.lapack()
-        eigensolves = [(np.linalg, "eigvalsh")]
+        eigensolves = [(bounds_module, "eigvalsh")]
         if lapack is None:
-            eigensolves.append((np.linalg, "eigh"))
+            eigensolves.append((projections, "eigh"))
         else:
             eigensolves += [(projections, "tridiagonal_psd_trace"), (lapack, "dstedc")]
         readings = [(owner, name, []) for owner, name in eigensolves]
@@ -1233,6 +1240,43 @@ class TestRelaxationStop:
         ratios = relaxation_ratios(inst, report, Y_at)
         rtol = solver_module.RELAXATION_GAP_RTOL
         assert [ratios[k] < rtol for k in (100, 200, 300)] == [True, False, False]
+
+
+class ReferenceDenseFaceBasis(lifting.DenseFaceBasis):
+    """The dense face basis with V taken as ``FaceBasis.apply`` of the
+    identity, the reflector products' own V."""
+
+    def __init__(self, partition):
+        face = lifting.FaceBasis(partition)
+        self.order, self.dim, self.matrix = face.order, face.dim, face.matrix
+
+
+def reference_dead_end_pairs(instance, start, cutoff):
+    """``oracle.dead_end_pairs`` from the O(n0^3) definition of the pair
+    bound, for instances where its upper-bound screen passes (entries
+    within a block are NaN there, and NaN exceeds nothing)."""
+    return reference_pair_lower_bounds(instance) > cutoff + oracle.pair_rounding(instance)
+
+
+def test_corpus_reports_match_the_reference_routines(monkeypatch):
+    # the solve's own small eigensolves, dense V and dead-end pairs give
+    # every report field but time_sec bit for bit as numpy's wrapped
+    # eigh and eigvalsh, FaceBasis.apply of the identity and the cubic
+    # pair bound do, on the 200 corpus instances (none of which the
+    # upper-bound screen lets off)
+    def fields(report):
+        values = dataclasses.asdict(report)
+        del values["time_sec"]
+        return pickle.dumps(values)
+
+    instances = list(acceptance_corpus())
+    reports = [fields(solve(inst)) for inst in instances]
+    monkeypatch.setattr(projections, "eigh", np.linalg.eigh)
+    monkeypatch.setattr(bounds_module, "eigvalsh", np.linalg.eigvalsh)
+    monkeypatch.setattr(lifting, "DenseFaceBasis", ReferenceDenseFaceBasis)
+    monkeypatch.setattr(solver_module, "dead_end_pairs", reference_dead_end_pairs)
+    for inst, report in zip(instances, reports):
+        assert fields(solve(inst)) == report, inst.name
 
 
 def test_held_out_solves_bracket_the_optimum():
