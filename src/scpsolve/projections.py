@@ -7,7 +7,8 @@ power iteration serves it when its residual is at rounding level and a
 Cholesky factorization shows that no other eigenvalue lies above the
 simplex threshold; a proof made with a margin carries over, by Weyl's
 inequality, to the nearby matrices of later projections
-(``CarriedProof``).  Otherwise LAPACK reduces S to tridiagonal form once
+(``CarriedProof``).  Otherwise LAPACK reduces S to tridiagonal form once,
+in place, and restores S from the triangle the reduction leaves alone
 (``tridiagonal_psd_trace``).  While the k = r + GUARD top eigenpairs are
 at most f / CROSSOVER, MRRR finds only those, and serves the
 projection when the smallest of them projects to zero; else
@@ -142,11 +143,14 @@ def project_psd_trace(M, total, start=None, proof=None) -> np.ndarray:
 
     Symmetrizes the input in place, overwriting M with (M + M')/2, which
     leaves a symmetric M as it is, bit for bit; then eigendecomposes and
-    projects the spectrum onto the scaled simplex.  G's columns are the
-    eigenvectors whose projected eigenvalue is above rounding level
-    (``kept``), each scaled by its square root, in increasing order of
-    eigenvalue, so ``G.shape[1]`` is the rank of the projection and
-    ``G[:, -1]`` its top eigenvector.
+    projects the spectrum onto the scaled simplex.  Every route leaves
+    the symmetrized M as it is, bit for bit, also where LAPACK reports an
+    error: the tridiagonal route reduces M itself, when it is a C-ordered
+    float64 array, and restores it before it returns or falls back.  G's
+    columns are the eigenvectors whose projected eigenvalue is above
+    rounding level (``kept``), each scaled by its square root, in
+    increasing order of eigenvalue, so ``G.shape[1]`` is the rank of the
+    projection and ``G[:, -1]`` its top eigenvector.
 
     ``start``, a factor from a nearby earlier projection, picks the route
     when M has order f >= MIN_ORDER.  With one column it warm-starts
@@ -229,41 +233,58 @@ def tridiagonal_psd_trace(S, total, k: int, lapack) -> np.ndarray:
     binds; raises ``LapackError`` when one of them reports an
     error.
 
-    dsytrd reduces a copy of S to tridiagonal T = Q'SQ.  While k <= f /
-    CROSSOVER, dstemr finds T's k largest eigenvalues and their
-    eigenvectors.  The simplex projection of those eigenvalues alone has
-    the full spectrum's threshold tau exactly when its smallest one
-    projects to 0: that eigenvalue is at most tau, and so is every one not
-    computed, so none of them is kept and none moves tau.  Otherwise
-    dstedc solves T for its whole spectrum by divide and conquer.  Either
-    way dormtr applies Q to the kept eigenvectors alone.
+    dsytrd reduces S to tridiagonal T = Q'SQ in place when S is a
+    writeable C-ordered float64 array, so no order-f copy lives through
+    the eigensolve, and a C-ordered copy of any other S.  In place, S's
+    diagonal is saved first, and S is restored from it and from its strict
+    lower triangle, which dsytrd leaves alone, before the call returns or
+    raises: a symmetric S comes back bit for bit, as ``project_psd_trace``
+    and a ``CarriedProof`` holding S need.  While k <= f / CROSSOVER,
+    dstemr finds T's k largest eigenvalues and their eigenvectors.  The
+    simplex projection of those eigenvalues alone has the full spectrum's
+    threshold tau exactly when its smallest one projects to 0: that
+    eigenvalue is at most tau, and so is every one not computed, so none
+    of them is kept and none moves tau.  Otherwise dstedc solves T for its
+    whole spectrum by divide and conquer.  Either way dormtr applies Q to
+    the kept eigenvectors alone.
     """
     n = S.shape[0]
-    # S is symmetric, so its C-ordered copy is its F-ordered one; dsytrd
-    # overwrites its lower triangle with the reflectors that make up Q
-    A = np.array(S, dtype=float, order="C")
-    d, e, tau = np.empty(n), np.empty(n), np.empty(n)
-    if lapack.dsytrd(LAPACK_COL_MAJOR, b"L", n, A.ctypes.data, n, d.ctypes.data, e.ctypes.data, tau.ctypes.data):
-        raise LapackError("dsytrd")
-    top = top_tridiagonal(lapack, d, e, k, total) if k * CROSSOVER <= n else None
-    if top is None:
-        # dstedc overwrites d with the eigenvalues, ascending, and e
-        U = np.empty((n, n), order="F")
-        if lapack.dstedc(LAPACK_COL_MAJOR, b"I", n, d.ctypes.data, e.ctypes.data, U.ctypes.data, n):
-            raise LapackError("dstedc")
-        w = project_simplex(d, total)
-    else:
-        w, U = top
-    first = len(w) - np.count_nonzero(kept(w, n, total))
-    G = np.array(U[:, first:], order="F")
-    del U
-    r = G.shape[1]
-    work = np.empty(r * DORMQR_NBMAX + DORMQR_TSIZE)
-    if lapack.dormtr_work(
-        LAPACK_COL_MAJOR, b"L", b"L", b"N", n, r, A.ctypes.data, n, tau.ctypes.data, G.ctypes.data, n,
-        work.ctypes.data, work.size,
-    ):
-        raise LapackError("dormtr")
+    # S is symmetric, so its C-ordered form is its F-ordered one; dsytrd,
+    # on "L" in column-major terms, overwrites its C-order upper triangle,
+    # diagonal included, with T and the reflectors that make up Q, and
+    # leaves the strict lower triangle alone
+    in_place = S.dtype == np.float64 and S.flags.carray
+    A = S if in_place else np.array(S, dtype=float, order="C")
+    diagonal = S.diagonal().copy() if in_place else None
+    try:
+        d, e, tau = np.empty(n), np.empty(n), np.empty(n)
+        if lapack.dsytrd(LAPACK_COL_MAJOR, b"L", n, A.ctypes.data, n, d.ctypes.data, e.ctypes.data, tau.ctypes.data):
+            raise LapackError("dsytrd")
+        top = top_tridiagonal(lapack, d, e, k, total) if k * CROSSOVER <= n else None
+        if top is None:
+            # dstedc overwrites d with the eigenvalues, ascending, and e
+            U = np.empty((n, n), order="F")
+            if lapack.dstedc(LAPACK_COL_MAJOR, b"I", n, d.ctypes.data, e.ctypes.data, U.ctypes.data, n):
+                raise LapackError("dstedc")
+            w = project_simplex(d, total)
+        else:
+            w, U = top
+        first = len(w) - np.count_nonzero(kept(w, n, total))
+        G = np.array(U[:, first:], order="F")
+        del U
+        r = G.shape[1]
+        work = np.empty(r * DORMQR_NBMAX + DORMQR_TSIZE)
+        if lapack.dormtr_work(
+            LAPACK_COL_MAJOR, b"L", b"L", b"N", n, r, A.ctypes.data, n, tau.ctypes.data, G.ctypes.data, n,
+            work.ctypes.data, work.size,
+        ):
+            raise LapackError("dormtr")
+    finally:
+        if in_place:
+            # one row at a time, so no order-f temporary is made
+            for i in range(n - 1):
+                S[i, i + 1 :] = S[i + 1 :, i]
+            np.fill_diagonal(S, diagonal)
     G *= np.sqrt(w[first:])
     return G
 

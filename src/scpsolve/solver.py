@@ -222,10 +222,12 @@ def dual_step(Z, residual, step: float, fixed: np.ndarray) -> np.ndarray:
     return residual
 
 
-def y_update(vrv, Z_half, geometry: LiftedGeometry, beta: float) -> np.ndarray:
+def y_update(vrv, Z_half, geometry: LiftedGeometry, beta: float, out=None) -> np.ndarray:
     """Closed-form box block update: project VRV' - (cost + Z)/beta onto the
-    gangster-pinned unit box."""
-    target = geometry.lifted_cost + Z_half
+    gangster-pinned unit box.  The result is written into ``out``, an
+    n x n float64 array other than vrv, when given (``solve`` hands it the
+    retired Z), and into a new array otherwise."""
+    target = np.add(geometry.lifted_cost, Z_half, out=out)
     target /= beta
     np.subtract(vrv, target, out=target)
     return project_box_gangster(target, geometry.free)
@@ -291,7 +293,8 @@ def solve(
     showed that none can go and the exact bound was not taken).
     ``on_checkpoint(iteration, R, Y, Z)``, if given, is called at every
     recorded check with R formed from its factor and the live Y, Z
-    (read-only use).  Deterministic for fixed instance and parameters.
+    (read-only use, within the call: the next iteration writes its Y into
+    Z's buffer).  Deterministic for fixed instance and parameters.
 
     The relaxation stop: at each full check at a multiple of CHECK_PERIOD
     that leaves the gap open, the relaxation's primal value <L, Y> (L the
@@ -386,14 +389,17 @@ def solve(
         # symmetric, and so are Z, Y and the box projection's input
         vrv = F @ F.T
         Z_half = dual_step(Z, Y - vrv, step, fixed)
-        Y_new = y_update(vrv, Z_half, geometry, beta)
-        primal = Y_new - vrv
+        # Z is dead once Z_half exists: Y_new goes into its buffer, and the
+        # primal residual Y_new - vrv into vrv's, which the full dual step
+        # turns into the new Z; so Y, vrv, Z_half and Y_new are the n x n
+        # arrays alive when the Y-update returns
+        Y_new = y_update(vrv, Z_half, geometry, beta, out=Z)
+        primal = np.subtract(Y_new, vrv, out=vrv)
         primal_norm = frobenius(primal)  # before the dual step overwrites it
         Z = dual_step(Z_half, primal, step, fixed)
-        # the check reads only Y, Z, F and G: dropping these n x n arrays
-        # (primal is Z's alias) keeps them out of its eigensolve and the
-        # next R-update's
-        del Z_half, primal, vrv
+        # the check reads only Y, Z, F and G: dropping Z_half keeps it out
+        # of the check's eigensolve and the next R-update's
+        del Z_half
         iterations += 1
         # the residuals are read only by the residual rule, where it can
         # count the iteration, by a check and at the cap; elsewhere they keep

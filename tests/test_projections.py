@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -296,6 +297,27 @@ class TestPsdTraceReference:
             assert M.tobytes() == ((original + original.T) * 0.5).tobytes()
             want = reference_psd_trace(original, 3.0, start)
             assert G.shape == want.shape and G.tobytes(order="A") == want.tobytes(order="A")
+
+    @pytest.mark.parametrize("width", [2, 30])
+    def test_tridiagonal_route_leaves_any_layout_as_it_is(self, width, tridiagonal_results):
+        # the route reduces a C-ordered S in place and restores it, and
+        # reduces a copy of an F-ordered, transposed or strided one: each
+        # symmetric S comes back bit for bit, and the factor is the
+        # C-ordered S's, on the top-k branch (width 2) and dstedc's (30)
+        rng = np.random.default_rng(30 + width)
+        n = MIN_ORDER
+        M = rng.normal(size=(2 * n, 2 * n))
+        wide = M + M.T
+        S = wide[::2, ::2].copy()
+        start = rng.normal(size=(n, width))
+        want = project_psd_trace(S.copy(), 3.0, start)
+        for layout in (np.asfortranarray(S), S.copy().T, wide[::2, ::2]):
+            before = layout.copy(order="A")
+            G = project_psd_trace(layout, 3.0, start)
+            assert layout.tobytes(order="A") == before.tobytes(order="A")
+            assert G.shape == want.shape and G.tobytes(order="A") == want.tobytes(order="A")
+        if LAPACK is not None:
+            assert [type(result) for _, result in tridiagonal_results] == [np.ndarray] * 4
 
 
 def test_binding_resolves_with_scipy_openblas():
@@ -682,6 +704,38 @@ class TestPartialPsdTrace:
             assert (d.tobytes(), e.tobytes()) == before
 
     @pytest.mark.skipif(LAPACK is None, reason="numpy's LAPACK lacks the tridiagonal route's routines")
+    @pytest.mark.parametrize("rank, width, branch", [(4, 2, TOP_K), (60, 60, WHOLE)])
+    def test_route_reduces_s_without_a_copy(self, rank, width, branch, monkeypatch):
+        # S is reduced in place: beyond the eigenvectors the branch
+        # computes, f x k for the top k and f x f for dstedc, the route's
+        # traced peak stays under half an f x f array, where the copy of S
+        # it reduced before was a whole one
+        n = 271
+        rng = np.random.default_rng(42)
+        _, S = self.spectrum(rng, n, rank)
+        route = projections.tridiagonal_psd_trace
+        rises = []
+
+        def traced(S, total, k, lapack):
+            tracemalloc.reset_peak()
+            level = tracemalloc.get_traced_memory()[0]
+            G = route(S, total, k, lapack)
+            rises.append((k, tracemalloc.get_traced_memory()[1] - level))
+            return G
+
+        monkeypatch.setattr(projections, "tridiagonal_psd_trace", traced)
+        start = rng.normal(size=(n, width))
+        tracemalloc.start()
+        try:
+            G = project_psd_trace(S, self.total, start)
+        finally:
+            tracemalloc.stop()
+        assert self.lapack_calls == branch and G.shape == (n, rank)
+        [(k, rise)] = rises
+        eigenvectors = n * (n if branch is WHOLE else k) * 8
+        assert rise < eigenvectors + 0.5 * n * n * 8
+
+    @pytest.mark.skipif(LAPACK is None, reason="numpy's LAPACK lacks the tridiagonal route's routines")
     @pytest.mark.parametrize(
         "routine, rank",
         [
@@ -692,7 +746,9 @@ class TestPartialPsdTrace:
     def test_lapack_error_runs_the_full_path(self, routine, rank, monkeypatch):
         # a nonzero info from any step of either branch sends the call to
         # the full eigh: the factor is its, byte for byte and in memory
-        # layout
+        # layout.  The route reduced S in place before the step failed,
+        # and restored it before the fallback: the eigh reads S as it came,
+        # and a symmetric S comes back bit for bit
         def failing(*args):
             self.lapack_calls.append(routine)
             return 1
@@ -700,9 +756,12 @@ class TestPartialPsdTrace:
         monkeypatch.setattr(LAPACK, routine, failing)
         rng = np.random.default_rng(39)
         _, S = self.spectrum(rng, self.n, rank)
-        G, _, routes, calls, full_calls = self.project(S.copy(), rng.normal(size=(self.n, rank)))
+        S = 0.5 * (S + S.T)
+        M = S.copy()
+        G, _, routes, calls, full_calls = self.project(M, rng.normal(size=(self.n, rank)))
         assert len(routes) == 1 and isinstance(routes[0][1], LapackError)
         assert calls[-1] == routine and full_calls == 1
+        assert M.tobytes() == S.tobytes()
         want = project_psd_trace(S.copy(), self.total)
         assert G.flags.f_contiguous == want.flags.f_contiguous
         assert G.shape == want.shape and G.tobytes(order="A") == want.tobytes(order="A")

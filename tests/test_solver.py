@@ -196,6 +196,10 @@ class TestYUpdate:
         vrv = 0.5 * (vrv + vrv.T)
         Z = rng.normal(size=(5, 5))
         Y = y_update(vrv, 0.5 * (Z + Z.T), geo, beta=2.0)
+        # written into ``out`` when given, with the same bits
+        out = np.full((5, 5), np.nan)
+        assert y_update(vrv, 0.5 * (Z + Z.T), geo, beta=2.0, out=out) is out
+        assert out.tobytes() == Y.tobytes()
         assert Y[0, 0] == 1.0
         g = geo.gangster
         assert np.all(Y[g[1:, 0], g[1:, 1]] == 0.0)
@@ -504,10 +508,10 @@ class TestSolve:
         # matrices, plus V where the dense basis holds it.  About 4.4 n^2
         # here; each kept temporary adds n^2, a symmetrized copy
         # (f/n)^2 = 0.71 n^2.  When the route's dstedc starts, the solve
-        # holds two f x f arrays more, the route's reduced copy of S and
-        # the eigenvectors that dstedc writes: about 5.9 n^2 here.  The
-        # corpus instances are too small to tell: at n = 19 the solve's
-        # Python objects alone weigh about 3 n^2.  The start is written
+        # holds one f x f array more, the eigenvectors that dstedc writes:
+        # the route reduces S in place, with no copy.  The corpus instances
+        # are too small to tell: at n = 19 the solve's Python objects alone
+        # weigh about 3 n^2.  The start is written
         # into initialize's Y: from there to the first R-update the traced
         # peak rises by under half an n x n matrix (the descent's p x n0
         # array is 0.16 n^2 here), where a fresh Y would add a whole one
@@ -558,10 +562,44 @@ class TestSolve:
             tracemalloc.stop()
         for _, name, seen in readings:
             assert seen, f"no {name} ran"
-            route_arrays = 2 * f * f * 8 if name == "dstedc" else 0
+            route_arrays = f * f * 8 if name == "dstedc" else 0
             assert max(seen) - before < allowance + route_arrays, name
         level, peak = start
         assert peak - level < 0.5 * n * n * 8
+
+    def test_y_update_returns_on_four_n_by_n_arrays(self, monkeypatch):
+        # once Z_half exists Z is dead, so the Y-update writes into Z's
+        # buffer: when it returns the solve holds Y, vrv, Z_half and Y_new,
+        # four n x n arrays beyond those that exist when initialize is
+        # called (the geometry's, the dead-end pairs), where a new Y_new
+        # made five.  The rest alive, G, F and the start, is about 0.1 n^2
+        # here.  The instance is above FACE_CROSSOVER and its face
+        # dimension, 143, above MIN_ORDER, as CI's big.json
+        inst = random_instance(30, 12, (-10, 10), seed=3)
+        n = inst.partition.n0 + 1
+        assert inst.partition.n0 >= lifting.FACE_CROSSOVER
+        assert n - inst.partition.p >= projections.MIN_ORDER
+        level, returned = [], []
+        initialize, y_update = solver_module.initialize, solver_module.y_update
+
+        def traced_initialize(geometry):
+            level.append(tracemalloc.get_traced_memory()[0])
+            return initialize(geometry)
+
+        def traced_y_update(*args, **kwargs):
+            Y = y_update(*args, **kwargs)
+            returned.append(tracemalloc.get_traced_memory()[0])
+            return Y
+
+        monkeypatch.setattr(solver_module, "initialize", traced_initialize)
+        monkeypatch.setattr(solver_module, "y_update", traced_y_update)
+        tracemalloc.start()
+        try:
+            solve(inst, dataclasses.replace(default_params(inst), max_iter=5))
+        finally:
+            tracemalloc.stop()
+        assert len(returned) == 5
+        assert max(returned) - level[0] < 4.5 * n * n * 8
 
     def test_rank_one_on_reduced_structured_instance(self):
         # guards the certificate's margin: each reduced instance certifies
