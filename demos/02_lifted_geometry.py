@@ -5,7 +5,7 @@
 import numpy as np
 
 from scpsolve import RotamerPartition
-from scpsolve.lifting import gangster_indices, lift_indicator, null_space_basis
+from scpsolve.lifting import FaceBasis
 
 partition = RotamerPartition((2, 2))
 
@@ -18,13 +18,14 @@ print(A)
 
 # A feasible indicator lifts to the rank-one matrix [1; x][1; x]'.
 x = np.array([1.0, 0.0, 0.0, 1.0])
-Y = lift_indicator(x)
+v = np.concatenate([[1.0], x])
+Y = np.outer(v, v)
 print("\nlifted matrix of x =", x)
 print(Y)
 
-# The gangster index list pins entries of every lifted matrix: the corner
-# (0,0) is 1, within-block off-diagonal pairs are 0.
-gangster = gangster_indices(partition)
+# The gangster index list, in row-major order, pins entries of every lifted
+# matrix: the corner (0,0) is 1, within-block off-diagonal pairs are 0.
+gangster = np.concatenate([[[0, 0]], np.argwhere(partition.same_block) + 1])
 print("\ngangster indices:", [tuple(r) for r in gangster.tolist()])
 print("values at those indices:", Y[gangster[:, 0], gangster[:, 1]])
 
@@ -38,7 +39,7 @@ print("\n|K Y| max:", np.max(np.abs(K @ Y)))
 # ...parametrized by an orthonormal basis V of H's null space: Y = V R V'
 # with R of order n0 + 1 - p and trace p + 1.  V depends only on the block
 # sizes, so it is written down in closed form, one block at a time.
-V = null_space_basis(partition)
+V = FaceBasis(partition).matrix
 print("V shape:", V.shape)
 print(np.round(V, 4))
 print("|V'V - I| max:", np.max(np.abs(V.T @ V - np.eye(V.shape[1]))))

@@ -13,7 +13,7 @@ from scpsolve.bounds import (
     round_to_feasible,
     upper_bound,
 )
-from scpsolve.lifting import build_geometry, lift_indicator
+from scpsolve.lifting import build_geometry
 from scpsolve.solver import initialize
 
 instance = random_instance(p=4, m_max=4, energy_range=(-10, 10), seed=3)
@@ -35,7 +35,8 @@ print("dual bound at a random multiplier:  ", dual_lower_bound(0.5 * (W + W.T), 
 # forms anyway).  The exact lift of a feasible point is Y = VRV' with
 # R = V'YV of rank one, and both vectors recover the point.
 x_opt = oracle.argmin.to_indicator(instance.partition)
-Y = lift_indicator(x_opt)
+v = np.concatenate([[1.0], x_opt])
+Y = np.outer(v, v)
 V = geometry.face.matrix
 _, U = np.linalg.eigh(V.T @ Y @ V)
 top = V @ U[:, -1]  # of either sign

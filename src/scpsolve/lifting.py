@@ -174,36 +174,12 @@ class DenseFaceBasis:
         return self.matrix.T @ Y
 
 
-def null_space_basis(partition: RotamerPartition) -> np.ndarray:
-    """Orthonormal basis V of the null space of the homogenized constraints,
-    shape (n0+1) x (n0+1-p), in the closed form of ``FaceBasis``."""
-    return FaceBasis(partition).matrix
-
-
-def gangster_indices(partition: RotamerPartition) -> np.ndarray:
-    """Pinned entries of the lifted matrix as a sorted (N, 2) ``intp`` array.
-
-    Row 0 is (0, 0); the rest are the entries of ``partition.same_block``,
-    shifted to lifted indices 1..n0, so the rows index the support of
-    blkdiag(1, A'A - I).  Row-major order is the canonical ordering shared
-    by extraction and the box projection.
-    """
-    pairs = np.argwhere(partition.same_block) + 1
-    return np.concatenate([np.zeros((1, 2), dtype=np.intp), pairs])
-
-
 def lift_energy(energy: np.ndarray) -> np.ndarray:
     """Embed E as the lower-right block of an (n0+1) matrix with zero border."""
     n0 = energy.shape[0]
     out = np.zeros((n0 + 1, n0 + 1))
     out[1:, 1:] = energy
     return out
-
-
-def lift_indicator(x) -> np.ndarray:
-    """Rank-one lifted matrix [1; x][1; x]' of an indicator vector."""
-    v = np.concatenate([[1.0], np.asarray(x, dtype=float)])
-    return np.outer(v, v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,14 +200,6 @@ class LiftedGeometry:
     def face_dim(self) -> int:
         """Order of the reduced PSD variable, n0 + 1 - p."""
         return self.face.dim
-
-    @cached_property
-    def gangster(self) -> np.ndarray:
-        """The entries ``free`` leaves out, as a sorted read-only (N, 2)
-        ``intp`` array in the row-major order of ``gangster_indices``."""
-        pairs = np.argwhere(~self.free)
-        pairs.flags.writeable = False
-        return pairs
 
     @cached_property
     def dual_fixed(self) -> np.ndarray:
@@ -257,7 +225,7 @@ def build_geometry(instance: ScpInstance, excluded: np.ndarray | None = None) ->
     free = np.empty((partition.n0 + 1, partition.n0 + 1), dtype=bool)
     free[0] = free[:, 0] = True
     free[0, 0] = False
-    free[1:, 1:] = ~partition.same_block  # gangster_indices' pairs
+    free[1:, 1:] = ~partition.same_block  # the pairs of rotamers of one block
     if excluded is not None:
         free[1:, 1:] &= ~excluded
     arrays = (lift_energy(instance.energy), free)

@@ -180,7 +180,7 @@ def goldstein_reduce(instance: ScpInstance) -> DeeReduction:
 # T[t, r] = b_t exactly, and a block in contact with only one of i, j
 # contributes a term of r alone or of s alone.  ``pair_bounds`` sums those
 # O(n0^2) terms; only the blocks in contact with both i and j need the joint
-# minimum over t (``pair_lower_bounds``).
+# minimum over t (``joint_minima``).
 
 
 def block_terms(instance: ScpInstance) -> tuple[np.ndarray, np.ndarray]:
@@ -220,21 +220,7 @@ def pair_bounds(instance: ScpInstance, share: np.ndarray, const: np.ndarray) -> 
     return bound
 
 
-def start_rows(instance: ScpInstance, start: Assignment) -> np.ndarray:
-    """The global index of the rotamer ``start`` chooses in each block."""
-    return instance.partition.block_table[:, 0] + np.asarray(start.choice) - 1
-
-
-def pair_upper_bounds(instance: ScpInstance, start: Assignment) -> np.ndarray:
-    """An upper bound on every ordered pair bound LB_rs, in O(n0^2): each
-    block's minimum over t taken at the rotamer ``start`` chooses there
-    instead (``pair_bounds`` on the rows of T at those rotamers)."""
-    rows = start_rows(instance, start)
-    b, T = block_terms(instance)
-    return pair_bounds(instance, T[rows], b[rows])
-
-
-# the joint minima of ``pair_lower_bounds`` hold at most this many floats
+# the passes of ``joint_minima`` hold at most this many floats
 JOINT_CHUNK = 1 << 20
 # Consecutive blocks share the passes of those joint minima, over every
 # column, while the group's blocks times its largest block times n0^2 are
@@ -245,7 +231,7 @@ JOINT_GROUP = 1 << 15
 
 
 def joint_groups(partition: RotamerPartition):
-    """The runs of consecutive blocks that ``pair_lower_bounds`` takes
+    """The runs of consecutive blocks that ``joint_minima`` takes
     together, as (first, last) with last exclusive: as many blocks as fit
     JOINT_GROUP, or a single block."""
     n = partition.n0**2
@@ -258,34 +244,15 @@ def joint_groups(partition: RotamerPartition):
     yield first, partition.p
 
 
-def pair_lower_bounds(instance: ScpInstance) -> np.ndarray:
-    """The ordered pair bound LB_rs of every pair of rotamers in distinct
-    blocks, as an n0 x n0 symmetric matrix (entries within a block are not
-    meaningful).  Each block's minimum is first taken for r and s apart
-    (``pair_bounds``), exact for the blocks in contact with at most one of
-    i and j; the blocks in contact with both then add their joint minimum
-    over t less those two, block by block in ascending order.  So the cost
-    is O(n0^2) plus, per block k, O(m_k c_k^2) for the c_k rotamers of the
-    blocks in contact with it.  The blocks of a group (``joint_groups``)
-    take their minima together over the columns of all their contacts, each
-    block's rows padded to the group's largest block by repeating its last
-    row, which leaves every minimum as it is; a pair whose blocks are not
-    both in contact with k adds 0."""
-    b, T = block_terms(instance)
-    share, const = block_minima(instance, b, T)
-    return joint_minima(instance, b, T, share, const, pair_bounds(instance, share, const))
-
-
-def block_minima(instance: ScpInstance, b, T) -> tuple[np.ndarray, np.ndarray]:
-    """``pair_lower_bounds``' separate minima: each block's least row of T
-    and least b."""
-    offsets = instance.partition.offsets
-    return np.minimum.reduceat(T, offsets, axis=0), np.minimum.reduceat(b, offsets)
-
-
 def joint_minima(instance: ScpInstance, b, T, share, const, bound) -> np.ndarray:
-    """``bound``, ``pair_bounds`` of ``block_minima``, with the joint
-    minima of ``pair_lower_bounds`` added in place."""
+    """``bound``, ``pair_bounds`` of each block's least row of T
+    (``share``) and least b (``const``), with each block k's joint minimum
+    over t, less those two, added in place at the pairs whose blocks are
+    both in contact with k, in ascending k.  The blocks of a group
+    (``joint_groups``) take their minima together over the columns of all
+    their contacts, each block's rows padded to the group's largest block
+    by repeating its last row, which leaves every minimum as it is; a pair
+    whose blocks are not both in contact with k adds 0."""
     partition = instance.partition
     offsets = np.asarray(partition.offsets)
     contacts = block_contacts(instance)
@@ -339,14 +306,22 @@ def pair_rounding(instance: ScpInstance) -> float:
 
 def dead_end_pairs(instance: ScpInstance, start: Assignment, cutoff: float) -> np.ndarray | None:
     """n0 x n0 symmetric boolean mask of the rotamer pairs in distinct
-    blocks whose ordered pair bound (``pair_lower_bounds``) exceeds
-    ``cutoff``, the energy of ``start``, by more than ``pair_rounding``:
-    no assignment of energy at most the cutoff uses such a pair, so no
-    optimum does, and none of ``start``'s pairs is ever in the mask.
+    blocks whose ordered pair bound LB_rs (above) exceeds ``cutoff``, the
+    energy of ``start``, by more than ``pair_rounding``: no assignment of
+    energy at most the cutoff uses such a pair, so no optimum does, and
+    none of ``start``'s pairs is ever in the mask.
 
-    None, with the exact bound not taken, when no pair can go: when the
-    O(n0^2) ``pair_upper_bounds`` at ``start`` is at most the cutoff
-    everywhere (each pair bound is at most its upper bound, and the
+    Each block's minimum is first taken for r and s apart
+    (``pair_bounds``), exact for the blocks in contact with at most one of
+    i and j; the blocks in contact with both then add their joint minimum
+    over t less those two (``joint_minima``).  So the cost is O(n0^2)
+    plus, per block k, O(m_k c_k^2) for the c_k rotamers of the blocks in
+    contact with it.
+
+    None, with the joint minima not taken, when no pair can go: when an
+    O(n0^2) upper bound on every pair bound, each block's minimum over t
+    taken at the rotamer ``start`` chooses there instead, is at most the
+    cutoff everywhere (each pair bound is at most its upper bound, and the
     allowance covers the rounding of both), as on large i.i.d. instances,
     and when the allowance is infinite."""
     partition = instance.partition
@@ -354,11 +329,11 @@ def dead_end_pairs(instance: ScpInstance, start: Assignment, cutoff: float) -> n
     if partition.p < 2 or not math.isfinite(allowance):
         return None
     distinct = partition.block_index[:, None] != partition.block_index
-    # ``pair_upper_bounds`` and ``pair_lower_bounds``' separate minima in
-    # one stacked ``pair_bounds``
     b, T = block_terms(instance)
-    rows = start_rows(instance, start)
-    share, const = block_minima(instance, b, T)
+    offsets = partition.offsets
+    rows = partition.block_table[:, 0] + np.asarray(start.choice) - 1  # start's rotamers
+    share, const = np.minimum.reduceat(T, offsets, axis=0), np.minimum.reduceat(b, offsets)
+    # the upper bound and the separate minima in one stacked call
     upper, bound = pair_bounds(instance, np.stack((T[rows], share)), np.stack((b[rows], const)))
     if not np.any(upper[distinct] > cutoff):
         return None

@@ -138,6 +138,9 @@ class SolverParams:
     t_consecutive: int = 100
 
     def __post_init__(self):
+        for name in ("beta", "gamma", "epsilon"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, not a bool")
         if not 1.0 <= self.beta < math.inf:
             raise ValueError("beta must be finite and at least 1")
         if not 0.0 < self.gamma < 1.0:

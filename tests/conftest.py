@@ -24,7 +24,7 @@ from scpsolve import Assignment, InstanceError, RotamerPartition, ScpInstance, c
 from scpsolve.bounds import one_opt
 from scpsolve import oracle, projections, solver
 from scpsolve.instances import SYMMETRY_RTOL
-from scpsolve.lifting import build_geometry, lift_indicator
+from scpsolve.lifting import build_geometry
 from scpsolve.projections import (
     FIRST_GUESS,
     GUARD,
@@ -87,11 +87,6 @@ def exposing_matrix(partition: RotamerPartition) -> np.ndarray:
     return H.T @ H
 
 
-def gangster_values(M, gangster: np.ndarray) -> np.ndarray:
-    """Entries of M at the gangster indices, in their canonical order."""
-    return np.asarray(M)[gangster[:, 0], gangster[:, 1]]
-
-
 def qr_face_basis(partition: RotamerPartition) -> np.ndarray:
     """Reference face basis: the null space of [-1 | A] from a complete QR
     of its transpose, dropping the first p columns."""
@@ -118,6 +113,11 @@ def blockwise_face_basis(partition: RotamerPartition) -> np.ndarray:
             col += mi - 1
     V[:, 0] /= np.linalg.norm(V[:, 0])
     return V
+
+
+def lift(x) -> np.ndarray:
+    """The rank-one lifted matrix [1; x][1; x]' of an indicator vector."""
+    return np.outer(np.r_[1.0, x], np.r_[1.0, x])
 
 
 def zero_border_diag(M) -> np.ndarray:
@@ -166,11 +166,12 @@ def reference_psd_trace(M, total, start=None):
 
 
 def reference_box_gangster(M, gangster):
-    """Box/gangster projection of a copy of M, symmetrized first."""
+    """Box/gangster projection of a copy of M, symmetrized first, for a
+    boolean mask ``gangster`` of the pinned entries."""
     out = M + M.T
     out *= 0.5
     np.clip(out, 0.0, 1.0, out=out)
-    out[gangster[:, 0], gangster[:, 1]] = 0.0
+    out[gangster] = 0.0
     out[0, 0] = 1.0
     return out
 
@@ -236,7 +237,7 @@ def reference_iterations(instance, params, iterations):
     geometry = solve_geometry(instance)
     G, _, Z = solver.initialize(geometry)
     start, _ = solve_start(instance)
-    Y = lift_indicator(start.to_indicator(instance.partition))
+    Y = lift(start.to_indicator(instance.partition))
     beta = params.beta
     step = params.gamma * beta
     residuals = []
@@ -249,7 +250,7 @@ def reference_iterations(instance, params, iterations):
         vrv = F @ F.T
         Z_half = zero_border_diag(Y - vrv) * step + Z
         target = (geometry.lifted_cost + Z_half) / beta
-        Y_new = reference_box_gangster(vrv - target, geometry.gangster)
+        Y_new = reference_box_gangster(vrv - target, ~geometry.free)
         primal = Y_new - vrv
         Z = zero_border_diag(primal) * step + Z_half
         dual_res = beta * float(np.linalg.norm(Y_new - Y))

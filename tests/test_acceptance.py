@@ -16,6 +16,7 @@ from conftest import (
     exposing_matrix,
     feasible_indicators,
     homogenized_constraints,
+    lift,
     make_instance,
 )
 from scpsolve import (
@@ -30,10 +31,10 @@ from scpsolve import (
 )
 from scpsolve.bounds import certified, dual_lower_bound, round_to_feasible
 from scpsolve.cli import build_report
-from scpsolve.lifting import build_geometry, gangster_indices, lift_indicator, null_space_basis
+from scpsolve.lifting import FaceBasis, build_geometry
 from scpsolve.projections import project_simplex
 from scpsolve.solver import initialize
-from test_projections import psd_trace_matrix, simplex_oracle
+from test_projections import geometry_of, psd_trace_matrix, simplex_oracle
 
 INVARIANT_SUBSET = 20
 
@@ -62,7 +63,8 @@ def corpus_results(corpus):
     for index, inst in enumerate(corpus):
         geometry = build_geometry(inst)
         _, _, pinned = initialize(geometry)
-        gangster = geometry.gangster
+        gangster = ~geometry.free
+        gangster[0, 0] = False  # pinned to 1, the rest to 0
         p = inst.partition.p
         final = {}
         invariants = {
@@ -86,8 +88,7 @@ def corpus_results(corpus):
             invariants["min_eig"] = min(
                 invariants["min_eig"], float(np.linalg.eigvalsh(R)[0])
             )
-            g_vals = Y[gangster[:, 0], gangster[:, 1]]
-            if g_vals[0] != 1.0 or not np.all(g_vals[1:] == 0.0):
+            if Y[0, 0] != 1.0 or not np.all(Y[gangster] == 0.0):
                 invariants["gangster_exact"] = False
             if Y.min() < 0.0 or Y.max() > 1.0:
                 invariants["box_exact"] = False
@@ -227,13 +228,13 @@ def test_criterion_05_geometry_invariants():
     for _ in range(trials):
         p = int(rng.integers(1, 9))
         part = RotamerPartition(tuple(int(v) for v in rng.integers(1, 7, size=p)))
-        V = null_space_basis(part)
+        V = FaceBasis(part).matrix
         H = homogenized_constraints(part)
         eye_err = float(np.max(np.abs(V.T @ V - np.eye(V.shape[1]))))
         ann_err = float(np.max(np.abs(H @ V)))
         if eye_err <= 1e-12 and ann_err <= 1e-12:
             basis_ok += 1
-        if len(gangster_indices(part)) == 1 + sum(mi * (mi - 1) for mi in part.m):
+        if np.count_nonzero(~geometry_of(part.m).free) == 1 + sum(mi * (mi - 1) for mi in part.m):
             count_ok += 1
     expose_ok = 0
     for trial in range(20):
@@ -243,7 +244,7 @@ def test_criterion_05_geometry_invariants():
         x = np.zeros(part.n0)
         for off, mi in zip(part.offsets, part.m):
             x[off + int(rng.integers(mi))] = 1.0
-        if float(np.max(np.abs(K @ lift_indicator(x)))) <= 1e-10:
+        if float(np.max(np.abs(K @ lift(x)))) <= 1e-10:
             expose_ok += 1
     ok = basis_ok == trials and count_ok == trials and expose_ok == 20
     _criterion(
@@ -326,10 +327,10 @@ def test_criterion_08_lower_bound_formula():
         # closed-form inner minimum vs direct 0/1 extreme-point minimization
         C = geometry.lifted_cost + Z
         clipped = np.minimum(C, 0.0)
-        clipped[geometry.gangster[:, 0], geometry.gangster[:, 1]] = 0.0
+        clipped[~geometry.free] = 0.0
         closed = float(C[0, 0] + clipped.sum())
         Ymin = (C < 0.0).astype(float)
-        Ymin[geometry.gangster[:, 0], geometry.gangster[:, 1]] = 0.0
+        Ymin[~geometry.free] = 0.0
         Ymin[0, 0] = 1.0
         direct = float(np.sum(C * Ymin))
         if abs(closed - direct) <= 1e-10:

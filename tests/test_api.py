@@ -1,5 +1,6 @@
-"""The package namespace is the user API, and the benchmark's hooks still
-find every name they patch."""
+"""The package namespace is the user API, the benchmark's hooks still find
+every name they patch, and src/ holds nothing that the program does not
+reach."""
 
 import ast
 import inspect
@@ -54,6 +55,35 @@ def benchmark_imports():
             if isinstance(node, ast.ImportFrom) and node.module == "scpsolve":
                 names.update(alias.name for alias in node.names)
     return names
+
+
+# the field that holds the name a node reads, calls or imports
+NAMED = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+
+
+def test_src_holds_only_what_the_program_reaches():
+    # what only the tests or the demos use belongs in them, built from the
+    # pieces a solve runs: each module-level function and class of the
+    # package, and each method but a dunder of a class outside PUBLIC_API,
+    # is named in src/ or the benchmark (its tests aside) or is public
+    src = sorted((ROOT / "src" / "scpsolve").glob("*.py"))
+    reached = set(PUBLIC_API)
+    for path in src + sorted((ROOT / "perfbench").glob("*.py")):
+        if not path.name.startswith("test_"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if type(node) in NAMED:
+                    reached.add(getattr(node, NAMED[type(node)]))
+    unreached = []
+    for path in src:
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            names = [node.name]
+            if isinstance(node, ast.ClassDef) and node.name not in PUBLIC_API:
+                methods = (f.name for f in node.body if isinstance(f, ast.FunctionDef))
+                names += [f"{node.name}.{name}" for name in methods if not name.startswith("__")]
+            unreached += [f"{path.stem}.{name}" for name in names if name.split(".")[-1] not in reached]
+    assert unreached == []
 
 
 def test_namespace_is_the_user_api():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import acceptance_corpus, feasible_indicators, make_instance
+from conftest import acceptance_corpus, feasible_indicators, lift, make_instance
 import scpsolve.bounds as bounds_module
 from perfbench.structured import structured_instance
 from scpsolve import (
@@ -35,7 +35,7 @@ from scpsolve.bounds import (
     top_ritz_value,
     upper_bound,
 )
-from scpsolve.lifting import FACE_CROSSOVER, build_geometry, lift_indicator
+from scpsolve.lifting import FACE_CROSSOVER, build_geometry
 from scpsolve.solver import initialize
 
 
@@ -44,7 +44,7 @@ def inner_minimum_oracle(Z, geometry):
     set to 0 or 1 entrywise, gangster entries fixed."""
     C = geometry.lifted_cost + Z
     Y = (C < 0.0).astype(float)
-    Y[geometry.gangster[:, 0], geometry.gangster[:, 1]] = 0.0
+    Y[~geometry.free] = 0.0
     Y[0, 0] = 1.0
     return float(np.sum(C * Y))
 
@@ -225,13 +225,13 @@ class TestExtractFractional:
 
     def test_first_column_recovers_indicator(self):
         for x in feasible_indicators(self.part):
-            assert np.array_equal(extract_fractional(lift_indicator(x)[:, 0]), x)
+            assert np.array_equal(extract_fractional(lift(x)[:, 0]), x)
 
     def test_eigenvector_recovers_direction(self):
         # the top eigenvector of the lift, either sign, and any multiple
         # c [1; x] give |c| x
         for x in feasible_indicators(self.part):
-            w, U = np.linalg.eigh(lift_indicator(x))
+            w, U = np.linalg.eigh(lift(x))
             top = U[:, -1] * np.sqrt(w[-1])
             assert np.allclose(extract_fractional(top), x, atol=1e-12)
             for c in (2.5, 0.3, -0.3, -2.5):

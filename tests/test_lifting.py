@@ -4,8 +4,8 @@ from conftest import (
     blockwise_face_basis,
     exposing_matrix,
     feasible_indicators,
-    gangster_values,
     homogenized_constraints,
+    lift,
     make_instance,
     qr_face_basis,
     row_sum_matrix,
@@ -16,11 +16,9 @@ from scpsolve.lifting import (
     DenseFaceBasis,
     FaceBasis,
     build_geometry,
-    gangster_indices,
     lift_energy,
-    lift_indicator,
-    null_space_basis,
 )
+from test_projections import geometry_of
 
 
 def random_partition(rng, p_max=8, m_max=6):
@@ -49,20 +47,20 @@ class TestRowSums:
 
 class TestNullBasis:
     def test_single_rotamer_column(self):
-        V = null_space_basis(RotamerPartition((1,)))
+        V = FaceBasis(RotamerPartition((1,))).matrix
         assert V.shape == (2, 1)
         expected = np.array([1.0, 1.0]) / np.sqrt(2.0)
         assert np.allclose(np.abs(V[:, 0]), expected, atol=1e-14)
 
     def test_shape(self):
-        V = null_space_basis(RotamerPartition((2, 2)))
+        V = FaceBasis(RotamerPartition((2, 2))).matrix
         assert V.shape == (5, 3)
 
     def test_orthonormal_and_annihilating(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             part = random_partition(rng)
-            V = null_space_basis(part)
+            V = FaceBasis(part).matrix
             H = homogenized_constraints(part)
             n0, p = part.n0, part.p
             assert V.shape == (n0 + 1, n0 + 1 - p)
@@ -78,7 +76,7 @@ class TestNullBasis:
         parts = [random_partition(rng, p_max=11, m_max=8) for _ in range(50)]
         parts += [RotamerPartition((5,)), RotamerPartition((1,) * 6), RotamerPartition((20, 1, 13, 20))]
         for part in parts:
-            V = null_space_basis(part)
+            V = FaceBasis(part).matrix
             Q = qr_face_basis(part)
             assert V.shape == Q.shape
             assert np.max(np.abs(V @ V.T - Q @ Q.T)) <= 1e-12
@@ -98,11 +96,11 @@ class TestNullBasis:
         parts = [random_partition(rng, p_max=11, m_max=8) for _ in range(50)]
         parts += [RotamerPartition((1,)), RotamerPartition((1,) * 6), RotamerPartition((20, 1, 13, 20))]
         for part in parts:
-            assert np.array_equal(null_space_basis(part), blockwise_face_basis(part))
+            assert np.array_equal(FaceBasis(part).matrix, blockwise_face_basis(part))
 
     def test_deterministic(self):
         part = RotamerPartition((3, 1, 4))
-        assert np.array_equal(null_space_basis(part), null_space_basis(part))
+        assert np.array_equal(FaceBasis(part).matrix, FaceBasis(part).matrix)
 
 
 def assert_close(got, want, rtol=1e-12):
@@ -120,7 +118,7 @@ class TestFaceBasis:
         parts += [RotamerPartition((7,)), RotamerPartition((1,) * 6), RotamerPartition((20, 1, 13, 20))]
         for part in parts:
             face = FaceBasis(part)
-            V = null_space_basis(part)
+            V = FaceBasis(part).matrix
             n, f = V.shape
             X = rng.standard_normal((n, n))
             X += X.T
@@ -150,7 +148,7 @@ class TestFaceBasis:
         # below the crossover the solve must run exactly the dense products
         rng = np.random.default_rng(14)
         part = RotamerPartition((3, 1, 5, 2))
-        face, V = DenseFaceBasis(part), null_space_basis(part)
+        face, V = DenseFaceBasis(part), FaceBasis(part).matrix
         X = rng.standard_normal((part.n0 + 1,) * 2)
         G = rng.standard_normal((V.shape[1], 2))
         assert np.array_equal(face.congruence(X), V.T @ X @ V)
@@ -178,18 +176,18 @@ class TestFaceBasis:
 
 class TestGangster:
     def test_two_blocks_of_two(self):
-        idx = gangster_indices(RotamerPartition((2, 2)))
+        idx = np.argwhere(~geometry_of((2, 2)).free)
         assert [tuple(r) for r in idx] == [(0, 0), (1, 2), (2, 1), (3, 4), (4, 3)]
 
     def test_singleton_blocks_only_corner(self):
-        idx = gangster_indices(RotamerPartition((1, 1, 1)))
+        idx = np.argwhere(~geometry_of((1, 1, 1)).free)
         assert [tuple(r) for r in idx] == [(0, 0)]
 
     def test_count_formula_and_operator_support(self):
         rng = np.random.default_rng(2)
         for _ in range(15):
             part = random_partition(rng)
-            idx = gangster_indices(part)
+            idx = np.argwhere(~geometry_of(part.m).free)
             assert len(idx) == 1 + sum(mi * (mi - 1) for mi in part.m)
             # independent oracle: support of blkdiag(0, A'A - I)
             A = row_sum_matrix(part)
@@ -224,20 +222,17 @@ class TestGangsterValues:
     part = RotamerPartition((2, 2))
 
     def test_lifted_indicator_pattern(self):
-        idx = gangster_indices(self.part)
         for x in feasible_indicators(self.part):
-            vals = gangster_values(lift_indicator(x), idx)
+            vals = lift(x)[~geometry_of(self.part.m).free]
             assert vals[0] == 1.0
             assert np.all(vals[1:] == 0.0)
 
     def test_identity(self):
-        idx = gangster_indices(self.part)
-        vals = gangster_values(np.eye(5), idx)
+        vals = np.eye(5)[~geometry_of(self.part.m).free]
         assert vals[0] == 1.0 and np.all(vals[1:] == 0.0)
 
     def test_all_ones(self):
-        idx = gangster_indices(self.part)
-        assert np.all(gangster_values(np.ones((5, 5)), idx) == 1.0)
+        assert np.all(np.ones((5, 5))[~geometry_of(self.part.m).free] == 1.0)
 
 
 class TestExposingMatrix:
@@ -247,7 +242,7 @@ class TestExposingMatrix:
             part = random_partition(rng, p_max=5, m_max=4)
             K = exposing_matrix(part)
             for x in feasible_indicators(part):
-                assert np.max(np.abs(K @ lift_indicator(x))) <= 1e-10
+                assert np.max(np.abs(K @ lift(x))) <= 1e-10
 
     def test_rank_equals_block_count(self):
         rng = np.random.default_rng(5)
@@ -266,9 +261,9 @@ class TestFaceParametrization:
         rng = np.random.default_rng(6)
         for _ in range(8):
             part = random_partition(rng, p_max=5, m_max=4)
-            V = null_space_basis(part)
+            V = FaceBasis(part).matrix
             for x in feasible_indicators(part):
-                Y = lift_indicator(x)
+                Y = lift(x)
                 R = V.T @ Y @ V
                 assert abs(np.trace(R) - (part.p + 1)) <= 1e-10
                 back = V @ R @ V.T

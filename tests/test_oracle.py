@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -294,6 +295,22 @@ def distinct_blocks(partition):
     return distinct
 
 
+def dead_end_bounds(inst, start, cutoff=-np.inf):
+    """What ``dead_end_pairs`` computes at ``start`` and ``cutoff`` on its
+    way to the mask, as n0 x n0 matrices whose entries within a block are
+    not meaningful: the O(n0^2) upper bounds, and the ordered pair bounds
+    LB_rs or None where it skips them, as it never does at the default."""
+    calls = {}
+
+    def record(name, real):
+        return lambda *args: calls.setdefault(name, real(*args))
+
+    upper, lower = record("upper", oracle.pair_bounds), record("lower", oracle.joint_minima)
+    with mock.patch.multiple(oracle, pair_bounds=upper, joint_minima=lower):
+        oracle.dead_end_pairs(inst, start, cutoff)
+    return calls["upper"][0], calls.get("lower")
+
+
 def dense_instance():
     """The benchmark's dense i.i.d. instance shape: p = 80, n0 = 803."""
     sizes = random_instance(80, 20, (-10, 10), seed=3).partition.m
@@ -338,15 +355,14 @@ class TestDeadEndPairs:
         # allowance.  No pair of the start goes, whatever the cutoff's ties
         partition = inst.partition
         allowance = oracle.pair_rounding(inst)
-        lower = oracle.pair_lower_bounds(inst)
+        start, energy = solve_start(inst)
+        upper, lower = dead_end_bounds(inst, start)
         distinct = distinct_blocks(partition)
         assert np.array_equal(lower, lower.T)
         for x in feasible_indicators(partition):
             rows = np.flatnonzero(x)
             pairs = lower[np.ix_(rows, rows)][distinct[np.ix_(rows, rows)]]
             assert np.all(pairs <= objective(x, inst.energy) + allowance)
-        start, energy = solve_start(inst)
-        upper = oracle.pair_upper_bounds(inst, start)
         assert np.all(upper[distinct] >= lower[distinct] - allowance)
         reference = reference_pair_lower_bounds(inst)
         assert np.all(np.abs(lower[distinct] - reference[distinct]) <= allowance)
@@ -358,7 +374,7 @@ class TestDeadEndPairs:
     def test_decomposed_bound_matches_the_cubic_form_on_structured(self):
         reduced = goldstein_reduce(structured_instance(101)[0]).reduced
         distinct = distinct_blocks(reduced.partition)
-        lower = oracle.pair_lower_bounds(reduced)[distinct]
+        lower = dead_end_bounds(reduced, solve_start(reduced)[0])[1][distinct]
         reference = reference_pair_lower_bounds(reduced)[distinct]
         assert np.all(np.abs(lower - reference) <= 1e-12 * (1.0 + np.abs(reference)))
 
@@ -371,12 +387,13 @@ class TestDeadEndPairs:
         # distinct blocks bit for bit as the default grouping
         instances = list(itertools.islice(acceptance_corpus(), 40))
         instances.append(goldstein_reduce(structured_instance(101)[0]).reduced)
-        want = [oracle.pair_lower_bounds(inst) for inst in instances]
+        starts = [solve_start(inst)[0] for inst in instances]
+        want = [dead_end_bounds(inst, start)[1] for inst, start in zip(instances, starts)]
         monkeypatch.setattr(oracle, "JOINT_GROUP", group)
         monkeypatch.setattr(oracle, "JOINT_CHUNK", chunk)
-        for inst, bound in zip(instances, want):
+        for inst, start, bound in zip(instances, starts, want):
             distinct = distinct_blocks(inst.partition)
-            assert oracle.pair_lower_bounds(inst)[distinct].tobytes() == bound[distinct].tobytes()
+            assert dead_end_bounds(inst, start)[1][distinct].tobytes() == bound[distinct].tobytes()
 
     @pytest.mark.parametrize("allowance", [None, 0.0])
     def test_a_start_pair_whose_bound_is_the_cutoff_stays(self, allowance, monkeypatch):
@@ -388,7 +405,7 @@ class TestDeadEndPairs:
             monkeypatch.setattr(oracle, "pair_rounding", lambda inst: allowance)
         inst = symmetric_instance((3, 3), 7, integer=True)
         start, energy = solve_start(inst)
-        lower = oracle.pair_lower_bounds(inst)
+        lower = dead_end_bounds(inst, start)[1]
         rows = np.flatnonzero(start.to_indicator(inst.partition))
         assert lower[rows[0], rows[1]] == energy
         excluded = oracle.dead_end_pairs(inst, start, energy)
@@ -406,7 +423,8 @@ class TestDeadEndPairs:
         inst = dense_instance()
         start, energy = solve_start(inst)
         distinct = distinct_blocks(inst.partition)
-        assert oracle.pair_upper_bounds(inst, start)[distinct].max() < energy - 10_000
+        upper, lower = dead_end_bounds(inst, start, energy)
+        assert upper[distinct].max() < energy - 10_000 and lower is None
         report = solve(inst, SolverParams(beta=5.0, max_iter=1))
         assert report.excluded_pairs is None
         assert calls == []

@@ -6,12 +6,13 @@ import pytest
 
 from conftest import (
     feasible_indicators,
+    lift,
     make_instance,
     reference_psd_trace,
     reference_simplex,
 )
 from scpsolve import RotamerPartition, projections
-from scpsolve.lifting import build_geometry, lift_indicator
+from scpsolve.lifting import build_geometry
 from scpsolve.projections import (
     MIN_ORDER,
     PROOF_MARGIN,
@@ -987,9 +988,9 @@ class TestCarriedProof:
             assert attempts[0] is G and counts == (1, 0)
             base = proof.S, proof.tau, proof.delta
             w = Q[:, 1:2]
-            for lift in (3.0 * self.delta, 1.0):
+            for bump in (3.0 * self.delta, 1.0):
                 proof.S, proof.tau, proof.delta = base
-                lifted, attempts, counts = self.project(S + lift * (w @ w.T), G, proof)
+                lifted, attempts, counts = self.project(S + bump * (w @ w.T), G, proof)
                 assert attempts == [None] and counts == (2, int(LAPACK is None)) and proof.S is None
                 assert lifted.shape[1] == 2
 
@@ -1014,7 +1015,7 @@ class TestBoxGangster:
 
     def test_feasible_lift_unchanged(self):
         for x in feasible_indicators(self.part):
-            Y = lift_indicator(x)
+            Y = lift(x)
             assert np.array_equal(box_matrix(Y, self.free), Y)
 
     def test_output_in_feasible_box_exactly(self):
@@ -1024,8 +1025,7 @@ class TestBoxGangster:
         assert np.array_equal(out, out.T)
         assert out.min() >= 0.0 and out.max() <= 1.0
         assert out[0, 0] == 1.0
-        g = self.geometry.gangster
-        assert np.all(out[g[1:, 0], g[1:, 1]] == 0.0)
+        assert np.all(out[~self.free][1:] == 0.0)  # [0] is the corner
 
 
 class TestBorderDiagMask:

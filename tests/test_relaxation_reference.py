@@ -25,7 +25,7 @@ def test_relaxation_value_matches_reference_solver(seed):
     constraints = [R >> 0, cp.trace(R) == geometry.partition.p + 1]
     constraints += [
         Y[r, c] == (1.0 if (r, c) == (0, 0) else 0.0)
-        for r, c in map(tuple, geometry.gangster)
+        for r, c in map(tuple, np.argwhere(~geometry.free))
     ]
     constraints += [Y >= 0, Y <= 1]
     problem = cp.Problem(

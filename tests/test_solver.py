@@ -109,11 +109,15 @@ class TestDefaultParams:
             with pytest.raises(ValueError, match="t_consecutive"):
                 SolverParams(beta=1.0, t_consecutive=bad)
         assert SolverParams(beta=1.0, max_iter=np.int64(7), t_consecutive=1).max_iter == 7
-        for bad in (math.inf, math.nan):
+        # a bool would solve as 1.0 and be reported as true
+        for bad in (math.inf, math.nan, True, np.True_):
             with pytest.raises(ValueError, match="beta"):
                 SolverParams(beta=bad)
             with pytest.raises(ValueError, match="epsilon"):
                 SolverParams(beta=1.0, epsilon=bad)
+        for bad in (True, False, np.True_):
+            with pytest.raises(ValueError, match="gamma"):
+                SolverParams(beta=1.0, gamma=bad)
 
 
 class TestInitialize:
@@ -201,8 +205,7 @@ class TestYUpdate:
         assert y_update(vrv, 0.5 * (Z + Z.T), geo, beta=2.0, out=out) is out
         assert out.tobytes() == Y.tobytes()
         assert Y[0, 0] == 1.0
-        g = geo.gangster
-        assert np.all(Y[g[1:, 0], g[1:, 1]] == 0.0)
+        assert np.all(Y[~geo.free][1:] == 0.0)  # [0] is the corner
         assert Y.min() >= 0.0 and Y.max() <= 1.0
 
     def test_huge_energy_entry_forces_zero(self):
@@ -336,14 +339,13 @@ class TestSolve:
         inst = random_instance(4, 4, (-10, 10), seed=77)
         geo = build_geometry(inst)
         _, _, z0 = initialize(geo)
-        g = geo.gangster
         seen = []
 
         def cb(iteration, R, Y, Z):
             assert abs(np.trace(R) - (inst.partition.p + 1)) <= 1e-10
             assert np.linalg.eigvalsh(R)[0] >= -1e-10
             assert Y[0, 0] == 1.0
-            assert np.all(Y[g[1:, 0], g[1:, 1]] == 0.0)
+            assert np.all(Y[~geo.free][1:] == 0.0)  # [0] is the corner
             assert Y.min() >= 0.0 and Y.max() <= 1.0
             assert np.array_equal(Z[0, :], z0[0, :])
             assert np.array_equal(Z[:, 0], z0[:, 0])
