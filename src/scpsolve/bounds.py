@@ -244,14 +244,12 @@ def certified(lower: float, upper: float) -> bool:
     return math.isfinite(upper) and bool(upper - slack <= lower <= upper + slack)
 
 
-def screen_declines(
-    Z, geometry: LiftedGeometry, start, best_lower: float, upper: float, box: float | None = None
-) -> bool:
+def screen_declines(Z, geometry: LiftedGeometry, start, best_lower: float, upper: float, box: float) -> bool:
     """True when no lower bound that ``dual_lower_bound`` can return at Z
     lets ``certified(max(best_lower, lower), upper)`` pass, shown without
     its eigensolve; False means the bound may certify and must be taken.
-    ``box``, ``box_term(Z, geometry)`` already computed, spares computing
-    it again, and a check that goes on hands it to the bound.
+    ``box`` is ``box_term(Z, geometry)``, which a check that goes on
+    hands to the bound.
 
     At once when best_lower lies above the window ``certified`` accepts.
     Otherwise from ``top_ritz_value`` on ``start`` (in ``solve``, R's top
@@ -269,8 +267,6 @@ def screen_declines(
     floor = rho - margin
     if not math.isfinite(floor):
         return False
-    if box is None:
-        box = box_term(Z, geometry)
     cap = box - (geometry.partition.p + 1) * floor
     reach = max(best_lower, cap)
     return math.isfinite(cap) and bool(reach < upper) and not certified(reach, upper)

@@ -10,8 +10,10 @@ The binary model is lifted to symmetric matrices of order ``n0 + 1`` via
 * an orthonormal basis V of the null space of the homogenized one-per-block
   constraints [-1 | A] (row i of A sums block i).  V spans the minimal face
   containing every feasible lifted matrix (facial reduction); it depends
-  only on the block sizes, is written down in closed form, and is applied
-  through its block-reflector structure (``FaceBasis``).
+  only on the block sizes and is written down in closed form by its
+  block reflectors (``FaceBasis``).  Below ``FACE_CROSSOVER`` its products
+  run as dense products with V itself (``DenseFaceBasis``), which is built
+  from the reflectors too.
 """
 
 from __future__ import annotations
@@ -24,26 +26,11 @@ import numpy as np
 from .instances import RotamerPartition, ScpInstance
 
 
-# Order n0 from which build_geometry applies V through its reflector
-# structure (FaceBasis) rather than as a dense matrix (DenseFaceBasis): below
-# it the few dense BLAS calls beat the structured form's dozen numpy calls.
+# Order n0 from which build_geometry applies V through its reflectors
+# (FaceBasis) rather than as dense products with V (DenseFaceBasis): below it
+# the few dense BLAS calls beat the structured form's dozen numpy calls.
 # Measured on one core; see README, "The R-update's transforms".
 FACE_CROSSOVER = 120
-
-
-def face_columns(partition: RotamerPartition) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The numbers V is made of (``FaceBasis``): a, D's entry d on each
-    rotamer's row (1/sqrt(m_i) at the leading row of block i,
-    -1/(m_i - sqrt(m_i)) on its others), the latter per block, and
-    sqrt(m_i) per block."""
-    m = np.asarray(partition.m)
-    root = np.sqrt(m)
-    # a singleton block adds no column (m_i - sqrt(m_i) = 0)
-    rest_value = np.divide(-1.0, m - root, out=np.zeros(partition.p), where=m > 1)
-    d = np.repeat(rest_value, m)
-    d[list(partition.offsets)] = 1.0 / root
-    a = np.concatenate([[1.0], np.repeat(1.0 / m, m)])
-    return a / np.linalg.norm(a), d, rest_value, root
 
 
 class FaceBasis:
@@ -61,7 +48,8 @@ class FaceBasis:
     1/sqrt(m_i) at its leading row and -1/(m_i - sqrt(m_i)) on the others,
     and J marks the columns of each block.  The products below use only
     row gathers, block sums and D, in O(n0^2) work for V'XV where the
-    dense product costs O(n0^2 (n0 + 1 - p)).
+    dense product costs O(n0^2 (n0 + 1 - p)).  V itself (``matrix``) is
+    their ``apply`` of the identity.
     """
 
     def __init__(self, partition: RotamerPartition):
@@ -75,7 +63,15 @@ class FaceBasis:
         self.rows = np.concatenate([[0], self.rest])  # V'XV reads X only here
         self.dim = self.rows.size  # n0 + 1 - p, V's width
         self.block_of_rest = np.repeat(np.arange(partition.p), self.counts)
-        self.a, self.d, self.rest_value, root = face_columns(partition)
+        root = np.sqrt(m)
+        # D's entry on each rotamer's row: 1/sqrt(m_i) at the leading row of
+        # block i, rest_value on its others; a singleton block adds no
+        # column (m_i - sqrt(m_i) = 0)
+        self.rest_value = np.divide(-1.0, m - root, out=np.zeros(partition.p), where=m > 1)
+        self.d = np.repeat(self.rest_value, m)
+        self.d[self.leads - 1] = 1.0 / root
+        a = np.concatenate([[1.0], np.repeat(1.0 / m, m)])
+        self.a = a / np.linalg.norm(a)
         self.lead_weight = 1.0 / root - self.rest_value  # D'A = lead_weight A_lead + rest_value sum(A)
         for arr in vars(self).values():
             if isinstance(arr, np.ndarray):
@@ -83,9 +79,9 @@ class FaceBasis:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """V itself, of shape (n0+1) x (n0+1-p), read-only: ``apply`` of
-        the identity."""
-        V = self.apply(np.eye(self.dim))
+        """V itself, of shape (n0+1) x (n0+1-p), read-only: the reflector
+        form's ``apply`` of the identity, the one construction of V."""
+        V = FaceBasis.apply(self, np.eye(self.dim))
         V.flags.writeable = False
         return V
 
@@ -140,28 +136,9 @@ class FaceBasis:
         return out if Y.ndim == 2 else out[:, 0]
 
 
-class DenseFaceBasis:
-    """FaceBasis's products as dense products with V: fewer numpy calls,
-    so faster below FACE_CROSSOVER.  V is written down entry by entry, bit
-    for bit ``FaceBasis.apply`` of the identity: column 0 is a, and the
-    column of each non-leading row of block i holds 1 + d at that row, d on
-    the block's other non-leading rows and 1/sqrt(m_i) at its leading row,
-    with d = -1/(m_i - sqrt(m_i)), and 0 elsewhere."""
-
-    def __init__(self, partition: RotamerPartition):
-        self.order = partition.n0 + 1
-        self.dim = self.order - partition.p
-        a, d, _, _ = face_columns(partition)
-        block = partition.block_index
-        rest = np.ones(partition.n0, dtype=bool)
-        rest[list(partition.offsets)] = False
-        rest = np.flatnonzero(rest)  # the rows past the leading one of each block, less 1
-        V = np.zeros((self.order, self.dim))
-        V[:, 0] = a
-        V[1:, 1:] = np.where(block[:, None] == block[rest], d[:, None], 0.0)
-        V[rest + 1, np.arange(1, self.dim)] += 1.0
-        V.flags.writeable = False
-        self.matrix = V
+class DenseFaceBasis(FaceBasis):
+    """FaceBasis's products as dense products with its V (``matrix``):
+    fewer numpy calls, so faster below FACE_CROSSOVER."""
 
     def congruence(self, X) -> np.ndarray:
         V = self.matrix

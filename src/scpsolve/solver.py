@@ -73,6 +73,7 @@ bound is valid for any Z, so the certificate does not depend on beta.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import time
 from dataclasses import dataclass
@@ -120,10 +121,10 @@ BETA_STEP_AT = 20
 class SolverParams:
     """Penalty, step and stopping parameters.
 
-    beta         starting quadratic penalty, finite and >= 1 (``solve``
-                 changes it once, 8x, after iteration 20)
-    gamma        dual damping factor, in (0, 1)
-    epsilon      residual tolerance, finite and > 0
+    beta         starting quadratic penalty, a real number, finite and >= 1
+                 (``solve`` changes it once, 8x, after iteration 20)
+    gamma        dual damping factor, a real number in (0, 1)
+    epsilon      residual tolerance, a real number, finite and > 0
     max_iter     iteration cap, an integer >= 1
     t_consecutive  number of consecutive sub-epsilon residual checks
                  required, an integer >= 1
@@ -138,15 +139,15 @@ class SolverParams:
     t_consecutive: int = 100
 
     def __post_init__(self):
-        for name in ("beta", "gamma", "epsilon"):
-            if isinstance(getattr(self, name), (bool, np.bool_)):
-                raise ValueError(f"{name} must be a number, not a bool")
-        if not 1.0 <= self.beta < math.inf:
-            raise ValueError("beta must be finite and at least 1")
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must lie in (0, 1)")
-        if not 0.0 < self.epsilon < math.inf:
-            raise ValueError("epsilon must be finite and positive")
+        for name, in_range, rule in (
+            ("beta", lambda v: 1.0 <= v < math.inf, "finite and at least 1"),
+            ("gamma", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+            ("epsilon", lambda v: 0.0 < v < math.inf, "finite and positive"),
+        ):
+            value = getattr(self, name)
+            # a bool would solve as 1.0 and be reported as true
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not in_range(value):
+                raise ValueError(f"{name} must be a real number {rule}, got {value!r}")
         for name in ("max_iter", "t_consecutive"):
             value = getattr(self, name)
             try:

@@ -172,7 +172,8 @@ class TestScreen:
         rng = np.random.default_rng(f + 1)
         for _ in range(3):
             geo, Z = screen_case(f, rng, nonnegative=True)
-            assert box_term(Z, geo) == 0.0
+            box = box_term(Z, geo)
+            assert box == 0.0
             (_, U), _ = reduced_spectrum(Z, geo)
             start = U[:, -1]
             lower = dual_lower_bound(Z, geo)
@@ -183,7 +184,7 @@ class TestScreen:
             for offset in offsets:
                 bottom = lower + offset  # the window's bottom, upper - slack
                 upper = bottom + GAP_CLOSE_RTOL * (1.0 + abs(bottom))
-                declines = screen_declines(Z, geo, start, -math.inf, upper)
+                declines = screen_declines(Z, geo, start, -math.inf, upper, box)
                 assert type(declines) is bool
                 certifies = certified(lower, upper)
                 assert not (declines and certifies)
@@ -195,14 +196,17 @@ class TestScreen:
         geo, Z = screen_case(80, np.random.default_rng(5))
         (_, U), _ = reduced_spectrum(Z, geo)
         upper = dual_lower_bound(Z, geo) + 1e3
-        assert screen_declines(Z, geo, U[:, -1], -math.inf, upper)
+        box = box_term(Z, geo)
+        assert screen_declines(Z, geo, U[:, -1], -math.inf, upper, box)
         assert top_ritz_value(Z, geo.face, np.zeros(80)) == (-math.inf, math.inf)
-        assert not screen_declines(Z, geo, np.zeros(80), -math.inf, upper)
+        assert not screen_declines(Z, geo, np.zeros(80), -math.inf, upper, box)
         for bad in (math.nan, math.inf, -math.inf):
             broken = Z.copy()
             broken[3, 5] = broken[5, 3] = bad
             assert top_ritz_value(broken, geo.face, U[:, -1]) == (-math.inf, math.inf)
-            assert not screen_declines(broken, geo, U[:, -1], -math.inf, upper)
+            with np.errstate(invalid="ignore"):  # -inf times a gangster 0
+                broken_box = box_term(broken, geo)
+            assert not screen_declines(broken, geo, U[:, -1], -math.inf, upper, broken_box)
 
     def test_declines_at_once_above_the_window(self):
         # a best lower bound above certified's window fails it whatever the
@@ -211,8 +215,8 @@ class TestScreen:
         unread = np.full((geo.order, geo.order), math.nan)
         upper = -100.0
         slack = GAP_CLOSE_RTOL * (1.0 + abs(upper))
-        assert screen_declines(unread, geo, np.ones(80), upper + 2.0 * slack, upper)
-        assert not screen_declines(unread, geo, np.ones(80), upper + 0.5 * slack, upper)
+        assert screen_declines(unread, geo, np.ones(80), upper + 2.0 * slack, upper, math.nan)
+        assert not screen_declines(unread, geo, np.ones(80), upper + 0.5 * slack, upper, math.nan)
 
 
 def lifted_vector(x, scale=1.0):

@@ -118,6 +118,16 @@ class TestDefaultParams:
         for bad in (True, False, np.True_):
             with pytest.raises(ValueError, match="gamma"):
                 SolverParams(beta=1.0, gamma=bad)
+        # anything but a real number is named by its field, not met by a
+        # bare TypeError from the range check
+        for bad in ("2", None, "0.5", complex(2.0), np.array([2.0])):
+            with pytest.raises(ValueError, match="beta"):
+                SolverParams(beta=bad)
+            with pytest.raises(ValueError, match="gamma"):
+                SolverParams(beta=1.0, gamma=bad)
+            with pytest.raises(ValueError, match="epsilon"):
+                SolverParams(beta=1.0, epsilon=bad)
+        assert SolverParams(beta=np.int64(2), gamma=np.float32(0.5), epsilon=1).beta == 2
 
 
 class TestInitialize:
@@ -1282,15 +1292,6 @@ class TestRelaxationStop:
         assert [ratios[k] < rtol for k in (100, 200, 300)] == [True, False, False]
 
 
-class ReferenceDenseFaceBasis(lifting.DenseFaceBasis):
-    """The dense face basis with V taken as ``FaceBasis.apply`` of the
-    identity, the reflector products' own V."""
-
-    def __init__(self, partition):
-        face = lifting.FaceBasis(partition)
-        self.order, self.dim, self.matrix = face.order, face.dim, face.matrix
-
-
 def reference_dead_end_pairs(instance, start, cutoff):
     """``oracle.dead_end_pairs`` from the O(n0^3) definition of the pair
     bound, for instances where its upper-bound screen passes (entries
@@ -1299,11 +1300,10 @@ def reference_dead_end_pairs(instance, start, cutoff):
 
 
 def test_corpus_reports_match_the_reference_routines(monkeypatch):
-    # the solve's own small eigensolves, dense V and dead-end pairs give
-    # every report field but time_sec bit for bit as numpy's wrapped
-    # eigh and eigvalsh, FaceBasis.apply of the identity and the cubic
-    # pair bound do, on the 200 corpus instances (none of which the
-    # upper-bound screen lets off)
+    # the solve's own small eigensolves and dead-end pairs give every
+    # report field but time_sec bit for bit as numpy's wrapped eigh and
+    # eigvalsh and the cubic pair bound do, on the 200 corpus instances
+    # (none of which the upper-bound screen lets off)
     def fields(report):
         values = dataclasses.asdict(report)
         del values["time_sec"]
@@ -1313,7 +1313,6 @@ def test_corpus_reports_match_the_reference_routines(monkeypatch):
     reports = [fields(solve(inst)) for inst in instances]
     monkeypatch.setattr(projections, "eigh", np.linalg.eigh)
     monkeypatch.setattr(bounds_module, "eigvalsh", np.linalg.eigvalsh)
-    monkeypatch.setattr(lifting, "DenseFaceBasis", ReferenceDenseFaceBasis)
     monkeypatch.setattr(solver_module, "dead_end_pairs", reference_dead_end_pairs)
     for inst, report in zip(instances, reports):
         assert fields(solve(inst)) == report, inst.name
