@@ -21,8 +21,8 @@ SYMMETRY_RTOL = 1e-8
 
 # the types a JSON number decodes to; bool is an int subclass but not one of them
 _NUMBER_TYPES = frozenset((int, float))
-_DECODER = json.JSONDecoder()
-_skip_whitespace = json.decoder.WHITESPACE.match
+# the standard scanner (C where built); every nested value stays on it
+_SCAN = json.JSONDecoder().scan_once
 
 
 class InstanceError(ValueError):
@@ -273,92 +273,60 @@ def serialize_instance(inst: ScpInstance) -> str:
     return "".join(instance_chunks(inst))
 
 
-def _energy_row(row):
-    """A decoded row of ``E`` as a float64 array when it is a list of JSON
-    numbers that all fit a float; anything else is returned as decoded, for
+def _scan_row(text: str, idx: int):
+    """Scan one element of an array value of the top-level object with the
+    standard scanner: a list of JSON numbers that all fit a float becomes a
+    float64 array, anything else is returned as decoded, for
     ``parse_instance``'s checks to judge if its ``E`` is the one that counts."""
+    row, idx = _SCAN(text, idx)
     if isinstance(row, list) and set(map(type, row)) <= _NUMBER_TYPES:
         try:
-            return np.array(row, dtype=float)
+            return np.array(row, dtype=float), idx
         except OverflowError:
             pass
-    return row
+    return row, idx
 
 
-def _decode_rows(text: str, idx: int):
-    """Decode the JSON array whose ``[`` is at ``text[idx]`` one element at
-    a time, as ``_energy_row``s.  Returns the list and the index past the
-    closing ``]``; malformed JSON raises what ``json.loads`` raises."""
-    rows = []
-    idx = _skip_whitespace(text, idx + 1).end()
-    if text[idx : idx + 1] == "]":
-        return rows, idx + 1
-    while True:
-        row, idx = _DECODER.raw_decode(text, idx)
-        rows.append(_energy_row(row))
-        idx = _skip_whitespace(text, idx).end()
-        if text[idx : idx + 1] == "]":
-            return rows, idx + 1
-        if text[idx : idx + 1] != ",":
-            raise json.JSONDecodeError("Expecting ',' delimiter", text, idx)
-        idx = _skip_whitespace(text, idx + 1).end()
+def _scan_field(text: str, idx: int):
+    """Scan one value of the top-level object: an array one ``_scan_row``
+    at a time, anything else with the standard scanner."""
+    if text[idx : idx + 1] == "[":
+        return json.decoder.JSONArray((text, idx + 1), _scan_row)
+    return _SCAN(text, idx)
 
 
-def _decode_object(text: str, idx: int):
-    """Decode the JSON object whose ``{`` is at ``text[idx]``, as the
-    standard decoder does, except that an array under the key ``"E"`` goes
-    through ``_decode_rows``.  The last of duplicate keys wins."""
-    doc = {}
-    idx = _skip_whitespace(text, idx + 1).end()
-    if text[idx : idx + 1] == "}":
-        return doc, idx + 1
-    while True:
-        if text[idx : idx + 1] != '"':
-            raise json.JSONDecodeError("Expecting property name enclosed in double quotes", text, idx)
-        key, idx = json.decoder.scanstring(text, idx + 1)
-        idx = _skip_whitespace(text, idx).end()
-        if text[idx : idx + 1] != ":":
-            raise json.JSONDecodeError("Expecting ':' delimiter", text, idx)
-        idx = _skip_whitespace(text, idx + 1).end()
-        if key == "E" and text[idx : idx + 1] == "[":
-            doc[key], idx = _decode_rows(text, idx)
-        else:
-            doc[key], idx = _DECODER.raw_decode(text, idx)
-        idx = _skip_whitespace(text, idx).end()
-        if text[idx : idx + 1] == "}":
-            return doc, idx + 1
-        if text[idx : idx + 1] != ",":
-            raise json.JSONDecodeError("Expecting ',' delimiter", text, idx)
-        idx = _skip_whitespace(text, idx + 1).end()
-
-
-def _decode_document(text: str):
-    """The JSON document ``text``, accepted or rejected as ``json.loads``
-    does it, with a top-level object's ``"E"`` array decoded one row at a
-    time (see ``_decode_object``): no Python float outlives its row."""
-    if isinstance(text, (bytes, bytearray)):
-        text = text.decode(json.detect_encoding(text), "surrogatepass")
-    elif text.startswith("\ufeff"):
-        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-    idx = _skip_whitespace(text, 0).end()
+def _scan_document(text: str, idx: int):
+    """Scan the top-level value: an object one ``_scan_field`` at a time,
+    anything else with the standard scanner."""
     if text[idx : idx + 1] == "{":
-        doc, idx = _decode_object(text, idx)
-    else:
-        doc, idx = _DECODER.raw_decode(text, idx)
-    idx = _skip_whitespace(text, idx).end()
-    if idx != len(text):
-        raise json.JSONDecodeError("Extra data", text, idx)
-    return doc
+        return json.decoder.JSONObject((text, idx + 1), True, _scan_field, None, None, {})
+    return _SCAN(text, idx)
+
+
+class _RowDecoder(json.JSONDecoder):
+    """``json.JSONDecoder`` with ``_scan_document`` as its value scanner."""
+
+    def __init__(self):
+        super().__init__()
+        self.scan_once = _scan_document
 
 
 def parse_instance(text: str) -> ScpInstance:
     """Parse the JSON instance format; the matrix is re-canonicalized.
 
-    ``E`` is read one row at a time: each row of JSON numbers becomes a
-    float64 array as soon as it is decoded."""
+    ``json.loads`` runs the standard library's object and array parsers on
+    the top-level object and its array values, and the standard scanner on
+    every other value, so ``E`` is read one row at a time (each row of
+    numbers becomes a float64 array as soon as it is scanned) and a document
+    is accepted or rejected as ``json.loads`` alone does it.  One difference:
+    a row is scanned a few Python frames deeper, so nesting inside a row of
+    ``E`` is "nested too deeply" a few levels sooner (past 985 levels, not
+    989, on Python 3.11 at the default recursion limit).  Invalid JSON, an
+    integer longer than Python's int-string limit included, raises
+    ``InstanceError``."""
     try:
-        doc = _decode_document(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text, cls=_RowDecoder)
+    except ValueError as exc:
         raise InstanceError(f"not valid instance JSON: {exc}") from exc
     except RecursionError as exc:
         raise InstanceError("instance JSON is nested too deeply") from exc
@@ -400,4 +368,8 @@ def save_instance(inst: ScpInstance, path) -> None:
 
 def load_instance(path) -> ScpInstance:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_instance(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InstanceError(f"instance file is not UTF-8: {exc}") from exc
+    return parse_instance(text)

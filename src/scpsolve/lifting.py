@@ -11,7 +11,7 @@ The binary model is lifted to symmetric matrices of order ``n0 + 1`` via
   constraints [-1 | A] (row i of A sums block i).  V spans the minimal face
   containing every feasible lifted matrix (facial reduction); it depends
   only on the block sizes and is written down in closed form by its
-  block reflectors (``FaceBasis``).  Below ``FACE_CROSSOVER`` its products
+  block reflectors (``FaceBasis``).  Below ``FACE_CROSSOVER`` V'XV and VG
   run as dense products with V itself (``DenseFaceBasis``), which is built
   from the reflectors too.
 """
@@ -137,8 +137,9 @@ class FaceBasis:
 
 
 class DenseFaceBasis(FaceBasis):
-    """FaceBasis's products as dense products with its V (``matrix``):
-    fewer numpy calls, so faster below FACE_CROSSOVER."""
+    """FaceBasis with V'XV and VG as dense products with its V (``matrix``):
+    fewer numpy calls, so faster below FACE_CROSSOVER.  V'Y stays the
+    reflector form's: only the Ritz screen runs it."""
 
     def congruence(self, X) -> np.ndarray:
         V = self.matrix
@@ -146,9 +147,6 @@ class DenseFaceBasis(FaceBasis):
 
     def apply(self, G) -> np.ndarray:
         return self.matrix @ G
-
-    def apply_transpose(self, Y) -> np.ndarray:
-        return self.matrix.T @ Y
 
 
 def lift_energy(energy: np.ndarray) -> np.ndarray:

@@ -398,6 +398,15 @@ def test_malformed_document_rejected(text, message, tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_file_that_is_not_utf8_rejected(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"name": "\xff", "p": 1, "m": [1], "E": [[0]]}')
+    assert main(["solve", str(path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "not UTF-8" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_energies_beyond_the_projection_rejected(tmp_path, capsys):
     # self energies of 1e17 swamp the trace p + 1 in the simplex projection
     inst = make_instance((2, 2), np.diag([1e17] * 4), name="huge-self")

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -23,6 +24,7 @@ from scpsolve import (
     ScpInstance,
     canonicalize_energy,
     is_feasible,
+    load_instance,
     objective,
     parse_instance,
     random_instance,
@@ -362,6 +364,10 @@ DOCUMENTS = {
     "E half the float range": instance_document(E="[[1, 1.7e308, 0], [1.7e308, 0, 0], [0, 0, 3]]"),
     "deep nesting in a row": instance_document(E="[[1, 9, " + "[" * 100_000 + "]" * 100_000 + "], [9, 0, 0], [-2, 0, 3]]"),
     "deep nesting in an extra key": instance_document(x="[" * 100_000 + "]" * 100_000),
+    # json.loads accepts both; a reader that scans nested values in Python
+    # frames, not in C, runs out of recursion depth on them
+    "object nested 500 deep in an extra key": instance_document(x='{"a": ' * 500 + "1" + "}" * 500),
+    "array nested 500 deep in an extra key": instance_document(x="[" * 500 + "]" * 500),
     "trailing comma in object": VALID[:-1] + ", }",
     "trailing comma in E": instance_document(E=ROWS[:-1] + ", ]"),
     "trailing comma in a row": instance_document(E="[[1.5, 9, -2, ], [9, 0, 0.25], [-2, 0.25, 3]]"),
@@ -490,6 +496,27 @@ class TestInstanceIO:
     def test_rejects_malformed_json(self):
         with pytest.raises(InstanceError):
             parse_instance("not json at all {")
+
+    def test_rejects_an_integer_beyond_the_digit_limit(self):
+        # where Python limits the digits of an int (3.11 on, 4300 by
+        # default) json.loads raises a bare ValueError on a longer literal;
+        # before that an integer field or entry this long is still refused
+        digits = "7" * 5000
+        for doc in (instance_document(p=digits), instance_document(E=f"[[1, 9, -2], [9, {digits}, 0.25], [-2, 0.25, 3]]")):
+            with pytest.raises(InstanceError):
+                parse_instance(doc)
+        extra = instance_document(x=digits)
+        if hasattr(sys, "get_int_max_str_digits"):
+            with pytest.raises(InstanceError, match="not valid instance JSON"):
+                parse_instance(extra)
+        else:
+            assert parse_instance(extra).name == "doc"
+
+    def test_load_rejects_a_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(VALID.replace('"doc"', '"d\xff"').encode("latin-1"))
+        with pytest.raises(InstanceError, match="not UTF-8"):
+            load_instance(path)
 
     def test_rejects_deeply_nested_json(self):
         for text in ("[" * 100_000 + "]" * 100_000, '{"a": ' * 100_000 + "}" * 100_000):

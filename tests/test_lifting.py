@@ -153,7 +153,6 @@ class TestFaceBasis:
         G = rng.standard_normal((V.shape[1], 2))
         assert np.array_equal(face.congruence(X), V.T @ X @ V)
         assert np.array_equal(face.apply(G), V @ G)
-        assert np.array_equal(face.apply_transpose(X), V.T @ X)
 
     def test_dense_v_is_the_reflector_products_v(self):
         # DenseFaceBasis's V is bit for bit the reflector form's apply of
